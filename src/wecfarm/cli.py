@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -59,9 +60,20 @@ def _out_dir(args, default_leaf):
     return root
 
 
+def _strict(doc):
+    """Copy of `doc` with non-finite floats as None, so it dumps as strict JSON."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {k: _strict(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_strict(v) for v in doc]
+    return doc
+
+
 def _write_json(path, doc):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(_strict(doc), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -126,7 +138,7 @@ def _provider(args, manifest, config=None):
         raise ConfigError("--models is required when --provider surrogate")
     committees = _load_committees(args.models, manifest)
     projection = bool(config.get("haskind_projection", False)) if config else False
-    return surrogate.surrogate_provider(committees, haskind_projection=projection), "surrogate"
+    return surrogate.SurrogateProvider(committees, haskind_projection=projection), "surrogate"
 
 
 def _load_site(path, manifest):
@@ -516,7 +528,7 @@ def cmd_analyze_sensitivity(args):
         "argmax_pv": sm.argmax_pv,
         "x_axis": sm.x_axis.tolist(),
         "y_axis": sm.y_axis.tolist(),
-        "values": [[None if not np.isfinite(v) else v for v in row] for row in sm.values],
+        "values": sm.values.tolist(),
     }
     manifest.wrote(_write_json(os.path.join(out, "sensitivity.json"), doc))
     manifest.wrote(
@@ -560,7 +572,7 @@ def cmd_eval(args):
     }
     manifest.wrote(_write_json(os.path.join(out, "evaluation.json"), doc))
     manifest.write(out)
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps(_strict(doc), sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -573,15 +585,12 @@ def build_parser():
         description="Wave farm design toolkit: sites, surrogates, optimization, analysis.",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap compiled-kernel threads (evaluation itself is sequential)")
     parser.add_argument("--out-dir", default=None,
                         help=f"run directory (default: ${OUT_ROOT_ENV}/<command>)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # child parser from clobbering a value given up front
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out-dir", dest="out_dir", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -657,13 +666,6 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage problems; those are validation errors here
         return 0 if exc.code in (0, None) else 1
-    if args.threads is not None:
-        try:
-            import numba
-
-            numba.set_num_threads(max(1, args.threads))
-        except ImportError:
-            pass
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

@@ -59,7 +59,6 @@ class PtoSettings:
 class FarmResponse:
     grid: object
     motion: np.ndarray
-    power_regular: np.ndarray
 
 
 def body_mass(geom, env):
@@ -108,8 +107,7 @@ def solve_motion(coeffs, geom, pto, env):
         raise NumericalError(
             f"motion solve residual too large at omega={om[np.argmax(bad)]:.6g}"
         )
-    power = 0.5 * om[:, None] ** 2 * b_pto[None, :] * np.abs(motion) ** 2
-    return FarmResponse(grid=coeffs.grid, motion=motion, power_regular=power)
+    return FarmResponse(grid=coeffs.grid, motion=motion)
 
 
 def _solve_identifying_failure(lhs, rhs, om):

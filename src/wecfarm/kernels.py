@@ -2,38 +2,16 @@
 
 Three families live here: cylinder-wave Bessel functions (J0, J1, Y0),
 batched dense complex solves, and the training/inference loops of the
-small feed-forward regressors. Each has a vectorized numpy
-implementation and, when available, a numba-compiled variant. The
-backend is chosen once at import: numba is used when it imports
-cleanly, unless the WECFARM_NUMBA environment variable forces a choice
-("1" requires numba, "0" forces the numpy path).
+small feed-forward regressors. Each has a single vectorized numpy
+implementation.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-_flag = os.environ.get("WECFARM_NUMBA", "").strip().lower()
-if _flag in ("0", "off", "false", "no"):
-    USE_NUMBA = False
-elif _flag in ("1", "on", "true", "yes"):
-    if not _HAVE_NUMBA:
-        raise ImportError("WECFARM_NUMBA is set but numba is not importable")
-    USE_NUMBA = True
-else:
-    USE_NUMBA = _HAVE_NUMBA
-
 
 def backend():
-    """Name of the active kernel backend, "numba" or "numpy"."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -48,112 +26,7 @@ _SWITCH = 12.0
 _EULER = 0.5772156649015328606
 
 
-def _j0_small(x):
-    q = -0.25 * x * x
-    term = 1.0
-    s = 1.0
-    for k in range(1, 60):
-        term *= q / (k * k)
-        s += term
-        if abs(term) < 1e-18 * abs(s):
-            break
-    return s
-
-
-def _j1_small(x):
-    q = -0.25 * x * x
-    term = 0.5 * x
-    s = term
-    for k in range(1, 60):
-        term *= q / (k * (k + 1))
-        s += term
-        if abs(term) < 1e-18 * abs(s):
-            break
-    return s
-
-
-def _y0_small(x):
-    q = 0.25 * x * x
-    term = 1.0
-    s = 0.0
-    h = 0.0
-    sign = 1.0
-    for k in range(1, 60):
-        term *= q / (k * k)
-        h += 1.0 / k
-        s += sign * term * h
-        sign = -sign
-        if term * h < 1e-18 * abs(s):
-            break
-    return (2.0 / np.pi) * ((np.log(0.5 * x) + _EULER) * _j0_small(x) + s)
-
-
-def _pq_large(x, mu):
-    # P and Q of the Hankel expansion, truncated at the smallest term.
-    p = 1.0
-    q = 0.0
-    a = 1.0
-    prev = 1e308
-    eightx = 8.0 * x
-    for m in range(1, 40):
-        a *= (mu - (2.0 * m - 1.0) ** 2) / (m * eightx)
-        t = abs(a)
-        if t >= prev:
-            break
-        if m % 2 == 1:
-            q += a if (m // 2) % 2 == 0 else -a
-        else:
-            p += a if (m // 2) % 2 == 0 else -a
-        prev = t
-    return p, q
-
-
-def _j0_scalar(x):
-    if x < _SWITCH:
-        return _j0_small(x)
-    p, q = _pq_large(x, 0.0)
-    chi = x - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def _j1_scalar(x):
-    if x < _SWITCH:
-        return _j1_small(x)
-    p, q = _pq_large(x, 4.0)
-    chi = x - 0.75 * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def _y0_scalar(x):
-    if x < _SWITCH:
-        return _y0_small(x)
-    p, q = _pq_large(x, 0.0)
-    chi = x - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.sin(chi) + q * np.cos(chi))
-
-
-def _j0_1d_py(x):
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        out[i] = _j0_scalar(x[i])
-    return out
-
-
-def _j1_1d_py(x):
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        out[i] = _j1_scalar(x[i])
-    return out
-
-
-def _y0_1d_py(x):
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        out[i] = _y0_scalar(x[i])
-    return out
-
-
-def _series_sums_np(x):
+def _series_sums(x):
     # Vectorized small-argument series for j0, j1 and the y0 partial sum.
     q = -0.25 * x * x
     t0 = np.ones_like(x)
@@ -176,7 +49,7 @@ def _series_sums_np(x):
     return s0, s1, sy
 
 
-def _pq_large_np(x, mu):
+def _pq_large(x, mu):
     p = np.ones_like(x)
     q = np.zeros_like(x)
     a = np.ones_like(x)
@@ -199,12 +72,12 @@ def _pq_large_np(x, mu):
     return p, q
 
 
-def _bessel_1d_np(x, which):
+def _bessel_1d(x, which):
     out = np.empty_like(x)
     small = x < _SWITCH
     if small.any():
         xs = x[small]
-        s0, s1, sy = _series_sums_np(xs)
+        s0, s1, sy = _series_sums(xs)
         if which == 0:
             out[small] = s0
         elif which == 1:
@@ -216,11 +89,11 @@ def _bessel_1d_np(x, which):
         xb = x[big]
         amp = np.sqrt(2.0 / (np.pi * xb))
         if which == 1:
-            p, q = _pq_large_np(xb, 4.0)
+            p, q = _pq_large(xb, 4.0)
             chi = xb - 0.75 * np.pi
             out[big] = amp * (p * np.cos(chi) - q * np.sin(chi))
         else:
-            p, q = _pq_large_np(xb, 0.0)
+            p, q = _pq_large(xb, 0.0)
             chi = xb - 0.25 * np.pi
             if which == 0:
                 out[big] = amp * (p * np.cos(chi) - q * np.sin(chi))
@@ -229,48 +102,15 @@ def _bessel_1d_np(x, which):
     return out
 
 
-def _j0_1d_np(x):
-    return _bessel_1d_np(x, 0)
-
-
-def _j1_1d_np(x):
-    return _bessel_1d_np(x, 1)
-
-
-def _y0_1d_np(x):
-    return _bessel_1d_np(x, 2)
-
-
-# ---------------------------------------------------------------------------
-# Batched dense complex solves: K independent N-by-N systems.
-
-
-def _solve_batch_np(a, b):
-    return np.linalg.solve(a, b[:, :, None])[:, :, 0]
-
-
-def _solve_batch_loop(a, b):
-    out = np.empty_like(b)
-    for k in range(b.shape[0]):
-        out[k] = np.linalg.solve(a[k], b[k])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Two-hidden-layer tanh regressors. The caller supplies the initialized
 # weights, the minibatch index schedule and the learning rate; training
 # mutates the weight arrays in place and returns the final full-set MSE
-# in scaled units. Keeping the schedule outside the kernel makes runs
-# reproducible independently of the backend.
+# in scaled units. Keeping the schedule outside the kernel makes a run
+# a function of its seed alone.
 
 
-def _mlp_forward_impl(x, w1, b1, w2, b2, w3, b3):
-    h1 = np.tanh(x @ w1 + b1)
-    h2 = np.tanh(h1 @ w2 + b2)
-    return h2 @ w3 + b3
-
-
-def _mlp_train_impl(x, y, w1, b1, w2, b2, w3, b3, batches, lr, use_adam):
+def _mlp_train(x, y, w1, b1, w2, b2, w3, b3, batches, lr, use_adam):
     mw1 = np.zeros_like(w1)
     vw1 = np.zeros_like(w1)
     mb1 = np.zeros_like(b1)
@@ -341,32 +181,9 @@ def _mlp_train_impl(x, y, w1, b1, w2, b2, w3, b3, batches, lr, use_adam):
     return np.sum(diff * diff) / (y.shape[0] * y.shape[1])
 
 
-if USE_NUMBA:
-    _j0_small = njit(cache=True)(_j0_small)
-    _j1_small = njit(cache=True)(_j1_small)
-    _y0_small = njit(cache=True)(_y0_small)
-    _pq_large = njit(cache=True)(_pq_large)
-    _j0_scalar = njit(cache=True)(_j0_scalar)
-    _j1_scalar = njit(cache=True)(_j1_scalar)
-    _y0_scalar = njit(cache=True)(_y0_scalar)
-    _j0_1d = njit(cache=True)(_j0_1d_py)
-    _j1_1d = njit(cache=True)(_j1_1d_py)
-    _y0_1d = njit(cache=True)(_y0_1d_py)
-    _solve_batch = njit(cache=True)(_solve_batch_loop)
-    _mlp_forward = njit(cache=True)(_mlp_forward_impl)
-    _mlp_train = njit(cache=True)(_mlp_train_impl)
-else:
-    _j0_1d = _j0_1d_np
-    _j1_1d = _j1_1d_np
-    _y0_1d = _y0_1d_np
-    _solve_batch = _solve_batch_np
-    _mlp_forward = _mlp_forward_impl
-    _mlp_train = _mlp_train_impl
-
-
-def _dispatch_bessel(fn, x):
+def _dispatch_bessel(x, which):
     arr = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    res = fn(arr)
+    res = _bessel_1d(arr, which)
     if np.ndim(x) == 0:
         return float(res[0])
     return res.reshape(np.shape(x))
@@ -374,17 +191,17 @@ def _dispatch_bessel(fn, x):
 
 def j0(x):
     """Bessel J0 for positive real x, scalar or array."""
-    return _dispatch_bessel(_j0_1d, x)
+    return _dispatch_bessel(x, 0)
 
 
 def j1(x):
     """Bessel J1 for positive real x, scalar or array."""
-    return _dispatch_bessel(_j1_1d, x)
+    return _dispatch_bessel(x, 1)
 
 
 def y0(x):
     """Bessel Y0 for positive real x, scalar or array."""
-    return _dispatch_bessel(_y0_1d, x)
+    return _dispatch_bessel(x, 2)
 
 
 def solve_batch(a, b):
@@ -401,14 +218,16 @@ def solve_batch(a, b):
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
     b = np.ascontiguousarray(b, dtype=np.complex128)
-    return _solve_batch(a, b)
+    return np.linalg.solve(a, b[:, :, None])[:, :, 0]
 
 
 def mlp_forward(x, weights):
     """Evaluate a two-hidden-layer tanh network on scaled inputs."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     w1, b1, w2, b2, w3, b3 = weights
-    return _mlp_forward(x, w1, b1, w2, b2, w3, b3)
+    h1 = np.tanh(x @ w1 + b1)
+    h2 = np.tanh(h1 @ w2 + b2)
+    return h2 @ w3 + b3
 
 
 def mlp_train(x, y, weights, batches, lr, use_adam=True):
@@ -423,39 +242,3 @@ def mlp_train(x, y, weights, batches, lr, use_adam=True):
     batches = np.ascontiguousarray(batches, dtype=np.int64)
     w1, b1, w2, b2, w3, b3 = weights
     return _mlp_train(x, y, w1, b1, w2, b2, w3, b3, batches, float(lr), bool(use_adam))
-
-
-# Explicit numpy-path entry points, mainly for the backend benchmark and
-# for cross-checking the compiled variants in tests.
-
-
-def j0_numpy(x):
-    return _dispatch_bessel(_j0_1d_np, x)
-
-
-def j1_numpy(x):
-    return _dispatch_bessel(_j1_1d_np, x)
-
-
-def y0_numpy(x):
-    return _dispatch_bessel(_y0_1d_np, x)
-
-
-def solve_batch_numpy(a, b):
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    b = np.ascontiguousarray(b, dtype=np.complex128)
-    return _solve_batch_np(a, b)
-
-
-def mlp_forward_numpy(x, weights):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    w1, b1, w2, b2, w3, b3 = weights
-    return _mlp_forward_impl(x, w1, b1, w2, b2, w3, b3)
-
-
-def mlp_train_numpy(x, y, weights, batches, lr, use_adam=True):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    batches = np.ascontiguousarray(batches, dtype=np.int64)
-    w1, b1, w2, b2, w3, b3 = weights
-    return _mlp_train_impl(x, y, w1, b1, w2, b2, w3, b3, batches, float(lr), bool(use_adam))

@@ -1,9 +1,9 @@
-"""Small dense regressors built on the compiled kernels.
+"""Small dense regressors built on the MLP kernels in `kernels`.
 
 A regressor is two tanh hidden layers with a linear head, trained by
 mini-batch gradient descent (Adam by default) on mean-squared error.
-The batch schedule is materialized up front as an index array so both
-kernel backends walk the same sample sequence.
+The batch schedule is materialized up front as an index array, so the
+sample sequence is fixed by the seed alone.
 """
 
 from dataclasses import dataclass

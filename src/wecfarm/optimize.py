@@ -105,15 +105,8 @@ def design_hash(design):
 
 def min_distance_violations(layout, geom):
     """Per-pair shortfall of the passage constraint, max(0, 2R + s - l)."""
-    pos = layout.positions
-    n = pos.shape[0]
     floor = 2.0 * geom.radius + SAFE_PASSAGE
-    out = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            l_pq = float(np.hypot(*(pos[q] - pos[p])))
-            out.append(max(0.0, floor - l_pq))
-    return np.array(out)
+    return np.maximum(0.0, floor - _pairwise_distances(layout))
 
 
 def _pairwise_distances(layout):

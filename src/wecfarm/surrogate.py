@@ -836,10 +836,6 @@ class SurrogateProvider:
         )
 
 
-def surrogate_provider(committees, haskind_projection=False):
-    return SurrogateProvider(committees, haskind_projection=haskind_projection)
-
-
 # --- persistence ----------------------------------------------------------
 
 

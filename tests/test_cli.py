@@ -123,6 +123,32 @@ def test_eval_prints_result_and_writes_manifest(site_path, design_path, tmp_path
     assert str(tmp_path / "evaluation.json") in manifest["outputs"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_eval_overlapping_design_writes_strict_json(site_path, tmp_path, capsys):
+    design = optimize.DesignPoint(
+        geometry=WecGeometry(radius=3.0, slenderness=1.5),
+        pto=PtoSettings(stiffness=-6e4, damping=8e4),
+        layout=Layout([[0.0, 0.0], [4.0, 0.0]]),
+        site_id="alpha",
+    )
+    design_file = tmp_path / "overlap.json"
+    design_file.write_text(json.dumps(optimize.design_to_dict(design)))
+    rc = cli.main([
+        "eval", "--design", str(design_file), "--site", site_path,
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 0
+    printed = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    text = (tmp_path / "out" / "evaluation.json").read_text()
+    on_disk = json.loads(text, parse_constant=_reject_constant)
+    assert on_disk == printed
+    assert on_disk["feasible"] is False
+    assert on_disk["q_factor"] is None
+
+
 def test_out_root_env_var(site_path, design_path, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path))
     monkeypatch.chdir(tmp_path)

@@ -360,14 +360,14 @@ def tiny_provider():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the all-zero map is expected here
                 committees[tid] = surrogate.train_committee(ds, cfg)
-    return surrogate.surrogate_provider(committees)
+    return surrogate.SurrogateProvider(committees)
 
 
 def test_provider_requires_all_committees(tiny_provider):
     partial = dict(tiny_provider.committees)
     del partial["pair_damping_cross"]
     with pytest.raises(ValueError, match="missing committees"):
-        surrogate.surrogate_provider(partial)
+        surrogate.SurrogateProvider(partial)
 
 
 def test_provider_single_structure(tiny_provider):
@@ -393,7 +393,7 @@ def test_provider_pair_structure(tiny_provider):
 
 
 def test_provider_haskind_projection(tiny_provider):
-    projected = surrogate.surrogate_provider(tiny_provider.committees, haskind_projection=True)
+    projected = surrogate.SurrogateProvider(tiny_provider.committees, haskind_projection=True)
     geom = hydro.WecGeometry(2.0, 4.0)
     sc = projected.single(geom, GRID, ENV)
     k = hydro.solve_dispersion(GRID.values, ENV)
