@@ -1,12 +1,20 @@
 """Hydrodynamic coefficients for heaving cylinder buoys.
 
-A coefficient provider answers two queries on a frequency grid: the
-added mass, radiation damping and complex excitation force of one body
-in isolation, and the 2x2 matrices plus excitation pair for two
-identical bodies at a given separation and heading. The reference
-provider below uses documented closed forms (see model_ledger_text);
-any object with the same `single`/`pair` methods can stand in, which is
-how the learned committees plug into the rest of the pipeline.
+A coefficient provider answers two queries on a frequency grid:
+
+- ``single(geom, grid, env)``: the added mass, radiation damping and
+  complex excitation force of one body in isolation, each (n_w,).
+- ``pair(geom, separation, heading_angle, grid, env)``: the 2x2 added
+  mass and damping matrices plus the excitation pair of two identical
+  bodies. Scalar separation and heading give one pair, (n_w, 2, 2) and
+  (n_w, 2); (P,) arrays give P pairs stacked on a leading axis,
+  (P, n_w, 2, 2) and (P, n_w, 2), row i equal to the scalar query of
+  row i. A batch fails with GeometryError if any row overlaps.
+
+The reference provider below uses documented closed forms (see
+model_ledger_text); any object with the same `single`/`pair` methods
+can stand in, which is how the learned committees plug into the rest
+of the pipeline.
 
 Conventions: water depth h, gravity g, density rho; unit-amplitude
 incident wave travelling along +x with phase zero at the origin; heave
@@ -123,12 +131,60 @@ class SingleBodyCoefficients:
 
 @dataclass
 class PairCoefficients:
+    """One pair, or a batch of P pairs on a leading axis.
+
+    `separation` and `heading_angle` are floats for one pair and (P,)
+    arrays for a batch.
+    """
+
     grid: FrequencyGrid
     added_mass: np.ndarray
     damping: np.ndarray
     excitation: np.ndarray
     separation: float
     heading_angle: float
+
+
+def pair_inputs(geom, separation, heading_angle):
+    """Separations and headings of a pair query as (P,) arrays.
+
+    Returns (l, theta, batched), where `batched` is False for scalar
+    inputs. Raises GeometryError when any separation does not clear
+    the body diameter.
+    """
+    batched = np.ndim(separation) > 0 or np.ndim(heading_angle) > 0
+    l = np.atleast_1d(np.asarray(separation, dtype=np.float64))
+    theta = np.atleast_1d(np.asarray(heading_angle, dtype=np.float64))
+    if l.ndim != 1 or l.shape != theta.shape:
+        raise ValueError("separation and heading_angle must be scalars or matching (P,) arrays")
+    close = l <= 2.0 * geom.radius
+    if np.any(close):
+        raise GeometryError(
+            f"separation {l[close][0]:.3f} m does not clear the body diameter "
+            f"{2 * geom.radius:.3f} m"
+        )
+    return l, theta, batched
+
+
+def pair_result(grid, l, theta, batched, diagonal, cross, excitation):
+    """PairCoefficients from stacked (P, n_w) curves.
+
+    `diagonal` and `cross` are (added mass, damping) tuples of the
+    diagonal and off-diagonal entries of the symmetric 2x2 matrices;
+    `excitation` is the (P, n_w, 2) force pair. An unbatched query
+    drops the leading axis.
+    """
+    shape = l.shape + (grid.n, 2, 2)
+    added = np.empty(shape)
+    damping = np.empty(shape)
+    for matrix, diag, off in zip((added, damping), diagonal, cross):
+        matrix[..., 0, 0] = matrix[..., 1, 1] = diag
+        matrix[..., 0, 1] = matrix[..., 1, 0] = off
+    if batched:
+        return PairCoefficients(grid, added, damping, excitation, l, theta)
+    return PairCoefficients(
+        grid, added[0], damping[0], excitation[0], float(l[0]), float(theta[0])
+    )
 
 
 def solve_dispersion(omega, env):
@@ -241,45 +297,43 @@ def pair_coefficients(geom, separation, heading_angle, grid, env):
     decouple cleanly. Excitation multiplies the isolated force by
     (1 + eps sqrt(2/(pi k l)) e^(i(kl+pi/4)) e^(-l/l0)) and by the
     travelling-wave phase e^(-i k x) of each body's x coordinate.
+
+    `separation` and `heading_angle` are scalars or (P,) arrays (see
+    the module docstring for the shapes). A batch shares one single-body
+    solve and one dispersion solve, and its P x n_w arguments kl and
+    2kl go through one J0 and one Y0 call; every entry equals the
+    scalar query's bit for bit.
     """
-    l = float(separation)
-    if l <= 2.0 * geom.radius:
-        raise GeometryError(
-            f"separation {l:.3f} m does not clear the body diameter {2 * geom.radius:.3f} m"
-        )
+    l, theta, batched = pair_inputs(geom, separation, heading_angle)
     single = single_coefficients(geom, grid, env)
     om = grid.values
     k = solve_dispersion(om, env)
-    kl = k * l
-    envelope = np.exp(-l / (INTERACTION_RANGE_RADII * geom.radius))
+    kl = l[:, None] * k
+    envelope = np.exp(-l / (INTERACTION_RANGE_RADII * geom.radius))[:, None]
+    bessel_args = np.stack([2.0 * kl, kl])
+    j0_2kl, j0_kl = kernels.j0(bessel_args)
+    y0_2kl, y0_kl = kernels.y0(bessel_args)
     b_s = single.damping
-    db11 = b_s * INTERACTION_EPS * kernels.j0(2.0 * kl) * envelope
-    da11 = -(b_s / om) * INTERACTION_EPS * kernels.y0(2.0 * kl) * envelope
-    b12 = b_s * kernels.j0(kl) * envelope
-    a12 = -(b_s / om) * kernels.y0(kl) * envelope
-
-    n = grid.n
-    added = np.empty((n, 2, 2))
-    damping = np.empty((n, 2, 2))
-    added[:, 0, 0] = added[:, 1, 1] = single.added_mass + da11
-    added[:, 0, 1] = added[:, 1, 0] = a12
-    damping[:, 0, 0] = damping[:, 1, 1] = b_s + db11
-    damping[:, 0, 1] = damping[:, 1, 0] = b12
+    db11 = b_s * INTERACTION_EPS * j0_2kl * envelope
+    da11 = -(b_s / om) * INTERACTION_EPS * y0_2kl * envelope
+    b12 = b_s * j0_kl * envelope
+    a12 = -(b_s / om) * y0_kl * envelope
 
     correction = 1.0 + INTERACTION_EPS * np.sqrt(2.0 / (np.pi * kl)) * np.exp(
         1j * (kl + 0.25 * np.pi)
     ) * envelope
-    x2 = l * np.cos(heading_angle)
-    excitation = np.empty((n, 2), dtype=np.complex128)
-    excitation[:, 0] = single.excitation * correction
-    excitation[:, 1] = single.excitation * correction * np.exp(-1j * k * x2)
-    return PairCoefficients(
-        grid=grid,
-        added_mass=added,
-        damping=damping,
+    x2 = (l * np.cos(theta))[:, None]
+    excitation = np.empty(l.shape + (grid.n, 2), dtype=np.complex128)
+    excitation[..., 0] = single.excitation * correction
+    excitation[..., 1] = single.excitation * correction * np.exp(-1j * k * x2)
+    return pair_result(
+        grid,
+        l,
+        theta,
+        batched,
+        diagonal=(single.added_mass + da11, b_s + db11),
+        cross=(a12, b12),
         excitation=excitation,
-        separation=l,
-        heading_angle=float(heading_angle),
     )
 
 

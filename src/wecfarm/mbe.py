@@ -30,11 +30,10 @@ class Layout:
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError("positions must be an (N, 2) array")
         self.positions = pos
-        n = pos.shape[0]
-        for p in range(n):
-            for q in range(p + 1, n):
-                if np.hypot(*(pos[q] - pos[p])) == 0.0:
-                    raise ValueError(f"devices {p} and {q} coincide")
+        p, q, separation, _ = pair_table(self)
+        hit = np.flatnonzero(separation == 0.0)
+        if hit.size:
+            raise ValueError(f"devices {p[hit[0]]} and {q[hit[0]]} coincide")
 
     @property
     def n(self):
@@ -67,15 +66,29 @@ def pair_geometry(layout, p, q):
     return float(np.hypot(dx, dy)), float(np.arctan2(dy, dx))
 
 
-def compose_farm(provider, geom, layout, grid, env):
-    """Assemble N-body matrices from one single and N(N-1)/2 pair queries.
+def pair_table(layout):
+    """Every pair p < q in row-major order, as (p, q, separation, heading).
 
-    Each pair is queried once in the frame of its lower-index body;
-    identical (l, theta) pairs are served from a per-call cache keyed at
-    1e-9 resolution. Diagonals are seeded with (2 - N) times the
-    isolated values so that each pair's full diagonal adds up to the
-    single-plus-shift composition; for N = 2 this reproduces the pair
-    query bit for bit.
+    Each is a (P,) array with P = N(N-1)/2; row i holds the same values
+    as pair_geometry(layout, p[i], q[i]), bit for bit.
+    """
+    p, q = np.triu_indices(layout.n, 1)
+    d = layout.positions[q] - layout.positions[p]
+    return p, q, np.hypot(d[:, 0], d[:, 1]), np.arctan2(d[:, 1], d[:, 0])
+
+
+def compose_farm(provider, geom, layout, grid, env):
+    """Assemble N-body matrices from one single and one batched pair query.
+
+    Every pair p < q is taken in the frame of its lower-index body, and
+    all of them go to the provider in a single `pair` call. Pairs whose
+    (l, theta) agree after rounding to 1e-9 share one row of that call,
+    queried at the exact values of the first such pair. Diagonals are
+    seeded with (2 - N) times the isolated values so that each pair's
+    full diagonal adds up to the single-plus-shift composition; for
+    N = 2 this reproduces the pair query bit for bit. The pair terms are
+    added in row-major pair order, so every sum rounds the same way for
+    any batching.
     """
     pos = layout.positions
     n_wec = layout.n
@@ -92,25 +105,26 @@ def compose_farm(provider, geom, layout, grid, env):
         added[:, p, p] = base * single.added_mass
         damping[:, p, p] = base * single.damping
         excitation[:, p] = base * single.excitation * phases[:, p]
+    if n_wec == 1:
+        return FarmCoefficients(grid=grid, added_mass=added, damping=damping, excitation=excitation)
 
-    cache = {}
-    for p in range(n_wec):
-        for q in range(p + 1, n_wec):
-            sep, theta = pair_geometry(layout, p, q)
-            key = (round(sep, 9), round(theta, 9))
-            pc = cache.get(key)
-            if pc is None:
-                pc = provider.pair(geom, sep, theta, grid, env)
-                cache[key] = pc
-            added[:, p, p] += pc.added_mass[:, 0, 0]
-            added[:, q, q] += pc.added_mass[:, 1, 1]
-            damping[:, p, p] += pc.damping[:, 0, 0]
-            damping[:, q, q] += pc.damping[:, 1, 1]
-            added[:, p, q] = added[:, q, p] = pc.added_mass[:, 0, 1]
-            damping[:, p, q] = damping[:, q, p] = pc.damping[:, 0, 1]
-            # the pair frame is anchored at body p, so both contributions
-            # carry body p's travelling-wave phase
-            excitation[:, p] += pc.excitation[:, 0] * phases[:, p]
-            excitation[:, q] += pc.excitation[:, 1] * phases[:, p]
-
+    ip, iq, separation, heading = pair_table(layout)
+    keys = np.round(np.column_stack([separation, heading]), 9)
+    _, first, row = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    row = row.reshape(-1)  # numpy 2.0.0 returns the inverse as a column
+    pc = provider.pair(geom, separation[first], heading[first], grid, env)
+    pair_added = pc.added_mass[row]
+    pair_damping = pc.damping[row]
+    # the pair frame is anchored at body p, so both contributions carry
+    # body p's travelling-wave phase
+    pair_excitation = pc.excitation[row] * phases.T[ip][:, :, None]
+    added[:, ip, iq] = added[:, iq, ip] = pair_added[:, :, 0, 1].T
+    damping[:, ip, iq] = damping[:, iq, ip] = pair_damping[:, :, 0, 1].T
+    for i, (p, q) in enumerate(zip(ip, iq)):
+        added[:, p, p] += pair_added[i, :, 0, 0]
+        added[:, q, q] += pair_added[i, :, 1, 1]
+        damping[:, p, p] += pair_damping[i, :, 0, 0]
+        damping[:, q, q] += pair_damping[i, :, 1, 1]
+        excitation[:, p] += pair_excitation[i, :, 0]
+        excitation[:, q] += pair_excitation[i, :, 1]
     return FarmCoefficients(grid=grid, added_mass=added, damping=damping, excitation=excitation)

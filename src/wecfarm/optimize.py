@@ -106,15 +106,7 @@ def design_hash(design):
 def min_distance_violations(layout, geom):
     """Per-pair shortfall of the passage constraint, max(0, 2R + s - l)."""
     floor = 2.0 * geom.radius + SAFE_PASSAGE
-    return np.maximum(0.0, floor - _pairwise_distances(layout))
-
-
-def _pairwise_distances(layout):
-    pos = layout.positions
-    n = pos.shape[0]
-    return np.array(
-        [np.hypot(*(pos[q] - pos[p])) for p in range(n) for q in range(p + 1, n)]
-    )
+    return np.maximum(0.0, floor - mbe.pair_table(layout)[2])
 
 
 @dataclass
@@ -188,7 +180,7 @@ def evaluate_design(
         "config_hash": design_hash(design),
     }
 
-    if np.any(_pairwise_distances(design.layout) <= 2.0 * design.geometry.radius):
+    if np.any(mbe.pair_table(design.layout)[2] <= 2.0 * design.geometry.radius):
         zeros = np.zeros(design.n_devices)
         return EvaluationResult(0.0, 0.0, zeros, float("nan"), violations, provenance)
 

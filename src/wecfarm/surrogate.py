@@ -28,8 +28,11 @@ from .hydro import (
     INTERACTION_RANGE_RADII,
     Environment,
     FrequencyGrid,
+    SingleBodyCoefficients,
     WecGeometry,
     group_velocity,
+    pair_inputs,
+    pair_result,
     single_coefficients,
     solve_dispersion,
 )
@@ -743,36 +746,37 @@ class SurrogateProvider:
             raise ValueError("query environment differs from the training environment")
 
     def _map(self, target_id, u):
+        """One committee over the (rows, dim) inputs u, shape (rows, n_w)."""
         committee = self.committees[target_id]
         if self.exact:
-            return committee.raw_curves(u[None, :])[0]
-        mean_t, _, _ = committee.apply(u[None, :])
-        return mean_t[0]
+            return committee.raw_curves(u)
+        mean_t, _, _ = committee.apply(u)
+        return mean_t
 
     def single(self, geom, grid, env):
-        from .hydro import SingleBodyCoefficients
-
         self._check(grid, env)
         key = (geom.radius, geom.slenderness)
         hit = self._singles.get(key)
         if hit is not None:
             return hit
-        u = np.array([geom.radius, geom.slenderness])
+        u = np.array([[geom.radius, geom.slenderness]])
+
+        def curve(target_id):
+            return self._map(target_id, u)[0]
+
         if self.exact:
-            added = self._map("single_added_mass", u)
-            f_hat = self._map("single_excitation_re", u) + 1j * self._map(
-                "single_excitation_im", u
-            )
-            damping = np.maximum(self._map("single_damping", u), 0.0)
+            added = curve("single_added_mass")
+            f_hat = curve("single_excitation_re") + 1j * curve("single_excitation_im")
+            damping = np.maximum(curve("single_damping"), 0.0)
         else:
-            added = self._map("single_added_mass", u) * scale_vectors(
+            added = curve("single_added_mass") * scale_vectors(
                 "single_added_mass", u, grid, env
             )[0]
             f_hat = (
-                self._map("single_excitation_re", u) + 1j * self._map("single_excitation_im", u)
+                curve("single_excitation_re") + 1j * curve("single_excitation_im")
             ) * scale_vectors("single_excitation_re", u, grid, env)[0]
             damping = np.maximum(
-                self._map("single_damping", u) * scale_vectors("single_damping", u, grid, env)[0],
+                curve("single_damping") * scale_vectors("single_damping", u, grid, env)[0],
                 0.0,
             )
         if self.haskind_projection:
@@ -787,14 +791,16 @@ class SurrogateProvider:
         return result
 
     def pair(self, geom, separation, heading_angle, grid, env):
-        from .hydro import GeometryError, PairCoefficients
+        """Pair coefficients for scalar or (P,) separations and headings.
 
+        A batch applies each of the six pair committees once, to all P
+        rows.
+        """
         self._check(grid, env)
-        if separation <= 2.0 * geom.radius:
-            raise GeometryError(
-                f"separation {separation:.3f} m does not clear the body diameter"
-            )
-        u = np.array([geom.radius, geom.slenderness, separation, heading_angle])
+        l, theta, batched = pair_inputs(geom, separation, heading_angle)
+        u = np.column_stack(
+            [np.full_like(l, geom.radius), np.full_like(l, geom.slenderness), l, theta]
+        )
         if self.exact:
             a11 = self._map("pair_added_mass_diag", u)
             b11 = np.maximum(self._map("pair_damping_diag", u), 0.0)
@@ -815,24 +821,12 @@ class SurrogateProvider:
             )
             f1 = single.excitation * factor
 
-        n = grid.n
-        added = np.empty((n, 2, 2))
-        damping = np.empty((n, 2, 2))
-        added[:, 0, 0] = added[:, 1, 1] = a11
-        added[:, 0, 1] = added[:, 1, 0] = a12
-        damping[:, 0, 0] = damping[:, 1, 1] = b11
-        damping[:, 0, 1] = damping[:, 1, 0] = b12
         k, _ = _wave_numbers(grid, env)
-        excitation = np.empty((n, 2), dtype=np.complex128)
-        excitation[:, 0] = f1
-        excitation[:, 1] = f1 * np.exp(-1j * k * separation * np.cos(heading_angle))
-        return PairCoefficients(
-            grid=grid,
-            added_mass=added,
-            damping=damping,
-            excitation=excitation,
-            separation=float(separation),
-            heading_angle=float(heading_angle),
+        excitation = np.empty(l.shape + (grid.n, 2), dtype=np.complex128)
+        excitation[..., 0] = f1
+        excitation[..., 1] = f1 * np.exp(-1j * k * l[:, None] * np.cos(theta)[:, None])
+        return pair_result(
+            grid, l, theta, batched, diagonal=(a11, b11), cross=(a12, b12), excitation=excitation
         )
 
 

@@ -219,6 +219,33 @@ class TestPairCoefficients:
         with pytest.raises(GeometryError):
             hydro.pair_coefficients(self.GEOM, 5.9, 0.0, GRID, ENV)
 
+    def test_batch_equals_scalar_queries_bitwise(self):
+        rng = np.random.default_rng(5)
+        sep = np.concatenate([[6.0 + 1e-9, 500.0], rng.uniform(6.5, 300.0, 5)])
+        theta = np.concatenate([[-np.pi, np.pi], rng.uniform(-np.pi, np.pi, 5)])
+        batch = hydro.pair_coefficients(self.GEOM, sep, theta, GRID, ENV)
+        assert batch.added_mass.shape == (7, GRID.n, 2, 2)
+        assert batch.damping.shape == (7, GRID.n, 2, 2)
+        assert batch.excitation.shape == (7, GRID.n, 2)
+        assert np.array_equal(batch.separation, sep)
+        assert np.array_equal(batch.heading_angle, theta)
+        for i in range(sep.size):
+            one = hydro.pair_coefficients(self.GEOM, sep[i], theta[i], GRID, ENV)
+            assert one.added_mass.shape == (GRID.n, 2, 2)
+            assert one.excitation.shape == (GRID.n, 2)
+            assert np.array_equal(batch.added_mass[i], one.added_mass)
+            assert np.array_equal(batch.damping[i], one.damping)
+            assert np.array_equal(batch.excitation[i], one.excitation)
+
+    def test_batch_with_one_overlapping_row_rejected(self):
+        sep = np.array([20.0, 5.9, 40.0])
+        with pytest.raises(GeometryError):
+            hydro.pair_coefficients(self.GEOM, sep, np.zeros(3), GRID, ENV)
+
+    def test_batch_needs_matching_shapes(self):
+        with pytest.raises(ValueError, match="matching"):
+            hydro.pair_coefficients(self.GEOM, np.array([20.0, 40.0]), 0.0, GRID, ENV)
+
 
 def test_reference_provider_name_and_delegation():
     provider = hydro.ReferenceProvider()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from wecfarm import hydro, mbe
 from wecfarm.hydro import Environment, FrequencyGrid, ReferenceProvider, WecGeometry
@@ -203,10 +205,127 @@ class TestComposeFarm:
 
         class CountingProvider(ReferenceProvider):
             def pair(self, geom, separation, heading_angle, grid, env):
-                calls.append((separation, heading_angle))
+                calls.append(np.size(separation))
                 return super().pair(geom, separation, heading_angle, grid, env)
 
         # both off-origin devices sit at the same (l, theta) from device 0
         pos = np.array([[0.0, 0.0], [40.0, 0.0], [80.0, 0.0]])
         mbe.compose_farm(CountingProvider(), GEOM, mbe.Layout(pos), GRID, ENV)
-        assert len(calls) == 2  # (l=40, 0) shared by two pairs, plus (l=80, 0)
+        # one batched call: (l=40, 0) shared by two pairs, plus (l=80, 0)
+        assert calls == [2]
+
+
+def compose_by_scalar_queries(provider, geom, layout, grid, env):
+    """compose_farm as a p < q double loop of one-pair queries.
+
+    Pairs with equal (l, theta) at 1e-9 resolution reuse the first
+    pair's answer, as the batched assembly's dedupe does.
+    """
+    pos = layout.positions
+    n_wec = layout.n
+    single = provider.single(geom, grid, env)
+    k = hydro.solve_dispersion(grid.values, env)
+    phases = np.exp(-1j * np.outer(k, pos[:, 0]))
+    added = np.zeros((grid.n, n_wec, n_wec))
+    damping = np.zeros((grid.n, n_wec, n_wec))
+    excitation = np.zeros((grid.n, n_wec), dtype=np.complex128)
+    base = float(2 - n_wec)
+    for p in range(n_wec):
+        added[:, p, p] = base * single.added_mass
+        damping[:, p, p] = base * single.damping
+        excitation[:, p] = base * single.excitation * phases[:, p]
+    cache = {}
+    for p in range(n_wec):
+        for q in range(p + 1, n_wec):
+            sep, theta = mbe.pair_geometry(layout, p, q)
+            key = (round(sep, 9), round(theta, 9))
+            if key not in cache:
+                cache[key] = provider.pair(geom, sep, theta, grid, env)
+            pc = cache[key]
+            added[:, p, p] += pc.added_mass[:, 0, 0]
+            added[:, q, q] += pc.added_mass[:, 1, 1]
+            damping[:, p, p] += pc.damping[:, 0, 0]
+            damping[:, q, q] += pc.damping[:, 1, 1]
+            added[:, p, q] = added[:, q, p] = pc.added_mass[:, 0, 1]
+            damping[:, p, q] = damping[:, q, p] = pc.damping[:, 0, 1]
+            excitation[:, p] += pc.excitation[:, 0] * phases[:, p]
+            excitation[:, q] += pc.excitation[:, 1] * phases[:, p]
+    return added, damping, excitation
+
+
+@st.composite
+def geometries(draw):
+    radius = draw(st.floats(0.5, 10.0))
+    slenderness = draw(st.floats(max(0.2, radius / 20.0), min(10.0, radius / 0.5)))
+    assume(0.5 <= radius / slenderness <= 20.0)
+    return WecGeometry(radius, slenderness)
+
+
+@st.composite
+def feasible_layouts(draw, geom, n_min=2, n_max=6):
+    """Device 0 at the origin; either free positions or lattice points.
+
+    Lattice layouts repeat (l, theta) between pairs, which exercises
+    the dedupe.
+    """
+    others = draw(st.integers(n_min, n_max)) - 1
+    if draw(st.booleans()):
+        spacing = 2.0 * geom.radius + draw(st.floats(0.5, 40.0))
+        cell = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda c: c != (0, 0))
+        points = draw(st.lists(cell, min_size=others, max_size=others, unique=True))
+        pos = spacing * np.array([(0, 0)] + points, dtype=np.float64)
+    else:
+        coord = st.floats(-300.0, 300.0)
+        points = draw(st.lists(st.tuples(coord, coord), min_size=others, max_size=others))
+        pos = np.array([(0.0, 0.0)] + points)
+    assume(len({tuple(p) for p in pos}) == pos.shape[0])
+    layout = mbe.Layout(pos)
+    assume(mbe.pair_table(layout)[2].min() > 2.0 * geom.radius)
+    return layout
+
+
+# fixed examples, no example database, and no explain phase (it re-runs
+# failing examples many times)
+PROPERTY = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.generate, Phase.shrink),
+)
+
+
+class TestComposeFarmProperties:
+    @PROPERTY
+    @given(st.data())
+    def test_batched_assembly_equals_scalar_queries_bitwise(self, data):
+        geom = data.draw(geometries())
+        layout = data.draw(feasible_layouts(geom))
+        farm = mbe.compose_farm(PROVIDER, geom, layout, GRID, ENV)
+        added, damping, excitation = compose_by_scalar_queries(PROVIDER, geom, layout, GRID, ENV)
+        assert np.array_equal(farm.added_mass, added)
+        assert np.array_equal(farm.damping, damping)
+        assert np.array_equal(farm.excitation, excitation)
+
+    @PROPERTY
+    @given(st.data())
+    def test_two_devices_equal_pair_query(self, data):
+        geom = data.draw(geometries())
+        layout = data.draw(feasible_layouts(geom, n_max=2))
+        sep, theta = mbe.pair_geometry(layout, 0, 1)
+        farm = mbe.compose_farm(PROVIDER, geom, layout, GRID, ENV)
+        pair = PROVIDER.pair(geom, sep, theta, GRID, ENV)
+        assert np.array_equal(farm.added_mass, pair.added_mass)
+        assert np.array_equal(farm.damping, pair.damping)
+        assert np.array_equal(farm.excitation, pair.excitation)
+
+
+def test_pair_table_matches_pair_geometry():
+    rng = np.random.default_rng(4)
+    layout = mbe.Layout(rng.uniform(-100.0, 100.0, (6, 2)))
+    p, q, sep, theta = mbe.pair_table(layout)
+    assert list(zip(p, q)) == [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    for i in range(p.size):
+        assert (sep[i], theta[i]) == mbe.pair_geometry(layout, p[i], q[i])
+    empty = mbe.pair_table(mbe.Layout(np.zeros((1, 2))))
+    assert all(a.size == 0 for a in empty)

@@ -392,6 +392,42 @@ def test_provider_pair_structure(tiny_provider):
         tiny_provider.pair(geom, 5.0, 0.0, GRID, ENV)
 
 
+PAIR_BATCH = (np.array([7.0, 25.0, 90.0, 360.0]), np.array([0.0, 0.7, -2.0, np.pi]))
+
+
+def test_provider_pair_batch_matches_scalar_queries(tiny_provider):
+    geom = hydro.WecGeometry(3.0, 6.0)
+    sep, theta = PAIR_BATCH
+    batch = tiny_provider.pair(geom, sep, theta, GRID, ENV)
+    assert batch.added_mass.shape == (sep.size, GRID.n, 2, 2)
+    assert batch.excitation.shape == (sep.size, GRID.n, 2)
+    for i in range(sep.size):
+        # a P-row matmul may be blocked differently from a one-row one
+        one = tiny_provider.pair(geom, sep[i], theta[i], GRID, ENV)
+        np.testing.assert_allclose(batch.added_mass[i], one.added_mass, rtol=1e-12)
+        np.testing.assert_allclose(batch.damping[i], one.damping, rtol=1e-12)
+        np.testing.assert_allclose(batch.excitation[i], one.excitation, rtol=1e-12)
+    with pytest.raises(hydro.GeometryError):
+        tiny_provider.pair(geom, np.array([25.0, 5.0]), np.zeros(2), GRID, ENV)
+
+
+def test_cheating_provider_pair_batch_is_bitwise():
+    provider = surrogate.SurrogateProvider(
+        {
+            tid: surrogate.CheatingCommittee(tid, GRID, ENV, ORACLE)
+            for tid in surrogate.ALL_TARGET_IDS
+        }
+    )
+    geom = hydro.WecGeometry(3.0, 6.0)
+    sep, theta = PAIR_BATCH
+    batch = provider.pair(geom, sep, theta, GRID, ENV)
+    for i in range(sep.size):
+        one = provider.pair(geom, sep[i], theta[i], GRID, ENV)
+        assert np.array_equal(batch.added_mass[i], one.added_mass)
+        assert np.array_equal(batch.damping[i], one.damping)
+        assert np.array_equal(batch.excitation[i], one.excitation)
+
+
 def test_provider_haskind_projection(tiny_provider):
     projected = surrogate.SurrogateProvider(tiny_provider.committees, haskind_projection=True)
     geom = hydro.WecGeometry(2.0, 4.0)
