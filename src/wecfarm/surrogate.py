@@ -69,12 +69,12 @@ _EXTRACTORS = {
     "single_damping": lambda c: c.damping,
     "single_excitation_re": lambda c: np.real(c.excitation),
     "single_excitation_im": lambda c: np.imag(c.excitation),
-    "pair_added_mass_diag": lambda c: c.added_mass[:, 0, 0],
-    "pair_damping_diag": lambda c: c.damping[:, 0, 0],
-    "pair_added_mass_cross": lambda c: c.added_mass[:, 0, 1],
-    "pair_damping_cross": lambda c: c.damping[:, 0, 1],
-    "pair_excitation_re": lambda c: np.real(c.excitation[:, 0]),
-    "pair_excitation_im": lambda c: np.imag(c.excitation[:, 0]),
+    "pair_added_mass_diag": lambda c: c.added_mass[..., 0, 0],
+    "pair_damping_diag": lambda c: c.damping[..., 0, 0],
+    "pair_added_mass_cross": lambda c: c.added_mass[..., 0, 1],
+    "pair_damping_cross": lambda c: c.damping[..., 0, 1],
+    "pair_excitation_re": lambda c: np.real(c.excitation[..., 0]),
+    "pair_excitation_im": lambda c: np.imag(c.excitation[..., 0]),
 }
 
 _SCALE_KEYS = {
@@ -149,7 +149,7 @@ def _isolated_curves(inputs, grid, env):
             if len(_single_curve_cache) > 4096:
                 _single_curve_cache.clear()
             c = single_coefficients(WecGeometry(row[0], row[1]), grid, env)
-            hit = (c.added_mass, c.damping, np.real(c.excitation))
+            hit = (c.added_mass, c.damping, np.ascontiguousarray(np.real(c.excitation)))
             _single_curve_cache[key] = hit
         a_s[i], b_s[i], f_s[i] = hit
     return a_s, b_s, f_s
@@ -402,13 +402,6 @@ def train_standard_committees(seed, grid, env, oracle, kinds=("single", "pair"),
 
 
 @dataclass
-class Prediction:
-    mean: np.ndarray
-    disagreement: float
-    extrapolated: bool
-
-
-@dataclass
 class MseMap:
     points: np.ndarray
     mse: np.ndarray
@@ -473,27 +466,41 @@ class Committee:
     def box(self):
         return input_box(self.kind)
 
-    def features(self, inputs):
+    @property
+    def phase_multiplier(self):
         # diagonal corrections oscillate at twice the separation phase
+        return 2.0 if self.target_id.endswith("_diag") else 1.0
+
+    @property
+    def feature_key(self):
+        """Committees with equal keys compute equal features."""
+        return self.phase_multiplier, self.kref.tobytes()
+
+    def features(self, inputs):
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if self.kref.size == 0:
             return inputs
-        mult = 2.0 if self.target_id.endswith("_diag") else 1.0
-        phase = inputs[:, 2:3] * (mult * self.kref[None, :])
+        phase = inputs[:, 2:3] * (self.phase_multiplier * self.kref[None, :])
         envelope = np.exp(-inputs[:, 2:3] / (INTERACTION_RANGE_RADII * inputs[:, 0:1]))
         return np.concatenate(
             [inputs, envelope * kernels.j0(phase), envelope * kernels.y0(phase)], axis=1
         )
 
-    def member_curves(self, inputs):
+    def member_curves(self, inputs, features=None):
         """Nondimensional per-member predictions, shape (M, n, n_w)."""
-        z_in = self.input_scaler.transform(self.features(inputs))
+        if features is None:
+            features = self.features(inputs)
+        z_in = self.input_scaler.transform(features)
         return np.stack([self.output_scaler.inverse(m.predict(z_in)) for m in self.members])
 
-    def apply(self, inputs):
-        """Batched mean prediction of the normalized map plus diagnostics."""
+    def apply(self, inputs, features=None):
+        """Batched mean prediction of the normalized map plus diagnostics.
+
+        ``features`` is ``self.features(inputs)`` computed by the caller,
+        who may share one block among committees of equal ``feature_key``.
+        """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        curves = self.member_curves(inputs)
+        curves = self.member_curves(inputs, features)
         disagreement = np.mean(np.var(curves, axis=0), axis=1) / self.pooled_scale**2
         box = self.box
         outside = np.any((inputs < box[None, :, 0]) | (inputs > box[None, :, 1]), axis=1)
@@ -600,13 +607,6 @@ def train_committee(dataset, config):
     return committee
 
 
-def predict(committee, x):
-    """Mean normalized frequency-vector plus committee disagreement."""
-    x = np.asarray(x, dtype=np.float64)
-    mean, disagreement, outside = committee.apply(x[None, :])
-    return Prediction(mean[0], float(disagreement[0]), bool(outside[0]))
-
-
 def qbc_round(committee, pool, k, oracle):
     """Label the k most contested pool points and continue training.
 
@@ -648,18 +648,30 @@ def qbc_round(committee, pool, k, oracle):
     return augmented, committee
 
 
+VALIDATE_BLOCK = 256
+
+
 def validate_on_grid(committee, oracle, points=None, counts=None):
-    """Normalized MSE against the oracle on a tensor sweep of the box."""
+    """Normalized MSE against the oracle on a tensor sweep of the box.
+
+    Points are labelled and predicted VALIDATE_BLOCK at a time, which
+    bounds the member-curve stack at members x VALIDATE_BLOCK x n_w; the
+    per-point errors do not depend on the blocking.
+    """
     if points is None:
         if counts is None:
             counts = (21, 21) if committee.kind == "single" else (6, 6, 10, 5)
         points = tensor_grid(committee.kind, counts)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    truth = label_inputs(committee.target_id, points, committee.grid, committee.env, oracle)
-    base, scale = affine_vectors(committee.target_id, points, committee.grid, committee.env)
-    mean_t, _, _ = committee.apply(points)
-    diff = (mean_t - (truth - base) / scale) / committee.pooled_scale
-    return MseMap(points=points, mse=np.mean(diff * diff, axis=1))
+    mse = []
+    for start in range(0, points.shape[0], VALIDATE_BLOCK):
+        rows = points[start : start + VALIDATE_BLOCK]
+        truth = label_inputs(committee.target_id, rows, committee.grid, committee.env, oracle)
+        base, scale = affine_vectors(committee.target_id, rows, committee.grid, committee.env)
+        mean_t, _, _ = committee.apply(rows)
+        diff = (mean_t - (truth - base) / scale) / committee.pooled_scale
+        mse.append(np.mean(diff * diff, axis=1))
+    return MseMap(points=points, mse=np.concatenate(mse))
 
 
 class CheatingCommittee:
@@ -693,8 +705,24 @@ class CheatingCommittee:
         return np.any((inputs < box[None, :, 0]) | (inputs > box[None, :, 1]), axis=1)
 
     def raw_curves(self, inputs):
+        """Oracle answers per row; pair rows go as one batch per geometry."""
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        return label_inputs(self.target_id, inputs, self.grid, self.env, self.oracle)
+        if self.kind == "single":
+            return label_inputs(self.target_id, inputs, self.grid, self.env, self.oracle)
+        groups = {}
+        for i, (radius, slenderness) in enumerate(inputs[:, :2]):
+            groups.setdefault((radius, slenderness), []).append(i)
+        out = np.empty((inputs.shape[0], self.grid.n))
+        for (radius, slenderness), rows in groups.items():
+            coeffs = self.oracle.pair(
+                WecGeometry(radius, slenderness),
+                inputs[rows, 2],
+                inputs[rows, 3],
+                self.grid,
+                self.env,
+            )
+            out[rows] = _EXTRACTORS[self.target_id](coeffs)
+        return out
 
     def apply(self, inputs):
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -716,6 +744,11 @@ class SurrogateProvider:
     rebuilds the single-body damping from the predicted excitation
     instead of the damping map. A provider made entirely of cheating
     committees short-circuits to their raw answers and stays bit-exact.
+
+    Committees of one query that share a phase multiplier and reference
+    wavenumbers (their ``feature_key``) share one feature block, so a
+    pair query makes two J0/Y0 feature passes instead of six; the
+    outputs are the same bit for bit.
     """
 
     name = "surrogate"
@@ -745,13 +778,25 @@ class SurrogateProvider:
         ):
             raise ValueError("query environment differs from the training environment")
 
-    def _map(self, target_id, u):
-        """One committee over the (rows, dim) inputs u, shape (rows, n_w)."""
-        committee = self.committees[target_id]
+    def _maps(self, target_ids, u):
+        """Each named committee over the (rows, dim) inputs u, each (rows, n_w).
+
+        Committees of equal ``feature_key`` share one feature block.
+        """
         if self.exact:
-            return committee.raw_curves(u)
-        mean_t, _, _ = committee.apply(u)
-        return mean_t
+            return {tid: self.committees[tid].raw_curves(u) for tid in target_ids}
+        blocks = {}
+        curves = {}
+        for tid in target_ids:
+            committee = self.committees[tid]
+            key = getattr(committee, "feature_key", None)
+            if key is None:  # a cheating committee among learned ones
+                curves[tid] = committee.apply(u)[0]
+                continue
+            if key not in blocks:
+                blocks[key] = committee.features(u)
+            curves[tid] = committee.apply(u, features=blocks[key])[0]
+        return curves
 
     def single(self, geom, grid, env):
         self._check(grid, env)
@@ -760,9 +805,10 @@ class SurrogateProvider:
         if hit is not None:
             return hit
         u = np.array([[geom.radius, geom.slenderness]])
+        maps = self._maps(SINGLE_TARGET_IDS, u)
 
         def curve(target_id):
-            return self._map(target_id, u)[0]
+            return maps[target_id][0]
 
         if self.exact:
             added = curve("single_added_mass")
@@ -794,31 +840,30 @@ class SurrogateProvider:
         """Pair coefficients for scalar or (P,) separations and headings.
 
         A batch applies each of the six pair committees once, to all P
-        rows.
+        rows. The J0/Y0 separation features are computed once per phase
+        multiplier: one block for the four cross and excitation maps, one
+        for the two diagonal maps.
         """
         self._check(grid, env)
         l, theta, batched = pair_inputs(geom, separation, heading_angle)
         u = np.column_stack(
             [np.full_like(l, geom.radius), np.full_like(l, geom.slenderness), l, theta]
         )
+        maps = self._maps(PAIR_TARGET_IDS, u)
         if self.exact:
-            a11 = self._map("pair_added_mass_diag", u)
-            b11 = np.maximum(self._map("pair_damping_diag", u), 0.0)
-            a12 = self._map("pair_added_mass_cross", u)
-            b12 = np.clip(self._map("pair_damping_cross", u), -b11, b11)
-            f1 = self._map("pair_excitation_re", u) + 1j * self._map("pair_excitation_im", u)
+            a11 = maps["pair_added_mass_diag"]
+            b11 = np.maximum(maps["pair_damping_diag"], 0.0)
+            a12 = maps["pair_added_mass_cross"]
+            b12 = np.clip(maps["pair_damping_cross"], -b11, b11)
+            f1 = maps["pair_excitation_re"] + 1j * maps["pair_excitation_im"]
         else:
             single = self.single(geom, grid, env)
             b_over_om = single.damping / grid.values
-            a11 = single.added_mass + b_over_om * self._map("pair_added_mass_diag", u)
-            b11 = np.maximum(single.damping * (1.0 + self._map("pair_damping_diag", u)), 0.0)
-            a12 = b_over_om * self._map("pair_added_mass_cross", u)
-            b12 = np.clip(single.damping * self._map("pair_damping_cross", u), -b11, b11)
-            factor = (
-                1.0
-                + self._map("pair_excitation_re", u)
-                + 1j * self._map("pair_excitation_im", u)
-            )
+            a11 = single.added_mass + b_over_om * maps["pair_added_mass_diag"]
+            b11 = np.maximum(single.damping * (1.0 + maps["pair_damping_diag"]), 0.0)
+            a12 = b_over_om * maps["pair_added_mass_cross"]
+            b12 = np.clip(single.damping * maps["pair_damping_cross"], -b11, b11)
+            factor = 1.0 + maps["pair_excitation_re"] + 1j * maps["pair_excitation_im"]
             f1 = single.excitation * factor
 
         k, _ = _wave_numbers(grid, env)

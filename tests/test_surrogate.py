@@ -194,8 +194,8 @@ def test_zero_variance_dataset_warns_and_trains():
     with pytest.warns(UserWarning, match="constant outputs"):
         com = surrogate.train_committee(data, cfg)
     assert com.zero_variance
-    pred = surrogate.predict(com, x[0])
-    assert np.all(np.abs(pred.mean) < 1e-5)
+    mean, _, _ = com.apply(x[:1])
+    assert np.all(np.abs(mean) < 1e-5)
 
 
 # --- prediction and active learning ---------------------------------------
@@ -211,21 +211,19 @@ def damping_committee():
 
 
 def test_predict_shapes_and_extrapolation_flag(damping_committee):
-    p = surrogate.predict(damping_committee, np.array([3.0, 6.0]))
-    assert p.mean.shape == (GRID.n,)
-    assert p.disagreement >= 0.0
-    assert not p.extrapolated
-    assert surrogate.predict(damping_committee, np.array([12.0, 6.0])).extrapolated
+    mean, disagreement, outside = damping_committee.apply(np.array([[3.0, 6.0], [12.0, 6.0]]))
+    assert mean.shape == (2, GRID.n)
+    assert np.all(disagreement >= 0.0)
+    assert outside.tolist() == [False, True]
 
 
 def test_disagreement_ranks_dense_against_corner(damping_committee):
     pool = surrogate.sample_inputs("single", 300, 123)
     _, dis, _ = damping_committee.apply(pool)
     median = np.median(dis)
-    dense = surrogate.predict(damping_committee, np.array([5.0, 5.0]))
-    corner = surrogate.predict(damping_committee, np.array([0.5, 0.2]))
-    assert dense.disagreement < median
-    assert corner.disagreement > median
+    _, (dense, corner), _ = damping_committee.apply(np.array([[5.0, 5.0], [0.5, 0.2]]))
+    assert dense < median
+    assert corner > median
 
 
 def test_qbc_round_budget_and_improvement(damping_committee):
@@ -297,6 +295,37 @@ def test_cheating_committee_validates_to_exact_zero():
     assert vm.mse.shape == (108,)
 
 
+def test_validate_on_grid_blocking_keeps_bits(damping_committee, monkeypatch):
+    points = surrogate.tensor_grid("single", (23, 23))  # 529 rows: two full blocks and a tail
+    assert surrogate.VALIDATE_BLOCK < points.shape[0]
+    blocked = surrogate.validate_on_grid(damping_committee, ORACLE, points=points)
+    monkeypatch.setattr(surrogate, "VALIDATE_BLOCK", points.shape[0])
+    whole = surrogate.validate_on_grid(damping_committee, ORACLE, points=points)
+    assert blocked.mse.tobytes() == whole.mse.tobytes()
+    assert np.array_equal(blocked.points, points)
+
+
+class CountingOracle(hydro.ReferenceProvider):
+    def __init__(self):
+        self.pair_rows = []
+
+    def pair(self, geom, separation, heading_angle, grid, env):
+        self.pair_rows.append(np.size(separation))
+        return super().pair(geom, separation, heading_angle, grid, env)
+
+
+def test_cheating_committee_batches_oracle_per_geometry():
+    inputs = np.array(
+        [[3.0, 6.0, 25.0, 0.7], [2.0, 4.0, 9.0, -1.0], [3.0, 6.0, 90.0, 3.0], [3.0, 6.0, 7.5, 0.0]]
+    )
+    oracle = CountingOracle()
+    cheat = surrogate.CheatingCommittee("pair_excitation_im", GRID, ENV, oracle)
+    raw = cheat.raw_curves(inputs)
+    assert oracle.pair_rows == [3, 1]  # one query per distinct (R, slenderness)
+    expected = surrogate.label_inputs("pair_excitation_im", inputs, GRID, ENV, ORACLE)
+    assert raw.tobytes() == expected.tobytes()
+
+
 def test_degenerate_committee_disagreement_zero():
     cheat = surrogate.CheatingCommittee("single_damping", GRID, ENV, ORACLE)
     _, dis, _ = cheat.apply(np.array([[3.0, 6.0]]))
@@ -310,11 +339,11 @@ def test_committee_json_round_trip(tmp_path, damping_committee):
     path = tmp_path / "committee.json"
     surrogate.save_committee(damping_committee, path)
     back = surrogate.load_committee(path)
-    x = np.array([4.2, 3.3])
-    a = surrogate.predict(damping_committee, x)
-    b = surrogate.predict(back, x)
-    assert np.array_equal(a.mean, b.mean)
-    assert a.disagreement == b.disagreement
+    x = np.array([[4.2, 3.3]])
+    mean_a, dis_a, _ = damping_committee.apply(x)
+    mean_b, dis_b, _ = back.apply(x)
+    assert np.array_equal(mean_a, mean_b)
+    assert dis_a[0] == dis_b[0]
     assert back.config == damping_committee.config
     assert back.target_id == "single_damping"
 
@@ -426,6 +455,49 @@ def test_cheating_provider_pair_batch_is_bitwise():
         assert np.array_equal(batch.added_mass[i], one.added_mass)
         assert np.array_equal(batch.damping[i], one.damping)
         assert np.array_equal(batch.excitation[i], one.excitation)
+
+
+class UnsharedFeatures:
+    """A committee that ignores the feature block its caller hands it."""
+
+    def __init__(self, committee):
+        self.committee = committee
+
+    def __getattr__(self, name):
+        return getattr(self.committee, name)
+
+    def apply(self, inputs, features=None):
+        return self.committee.apply(inputs)
+
+
+def test_provider_shared_features_keep_bits(tiny_provider):
+    unshared = surrogate.SurrogateProvider(
+        {tid: UnsharedFeatures(c) for tid, c in tiny_provider.committees.items()}
+    )
+    geom = hydro.WecGeometry(3.0, 6.0)
+    sep, theta = PAIR_BATCH
+    shared = tiny_provider.pair(geom, sep, theta, GRID, ENV)
+    alone = unshared.pair(geom, sep, theta, GRID, ENV)
+    assert shared.added_mass.tobytes() == alone.added_mass.tobytes()
+    assert shared.damping.tobytes() == alone.damping.tobytes()
+    assert shared.excitation.tobytes() == alone.excitation.tobytes()
+
+
+def test_provider_pair_computes_one_feature_block_per_phase(tiny_provider, monkeypatch):
+    geom = hydro.WecGeometry(3.0, 6.0)
+    sep, theta = PAIR_BATCH
+    tiny_provider.pair(geom, sep, theta, GRID, ENV)  # the singles are cached from here on
+    calls = []
+    features = surrogate.Committee.features
+
+    def counting(self, inputs):
+        calls.append(self.target_id)
+        return features(self, inputs)
+
+    monkeypatch.setattr(surrogate.Committee, "features", counting)
+    tiny_provider.pair(geom, sep, theta, GRID, ENV)
+    assert len(calls) == 2
+    assert {tiny_provider.committees[tid].phase_multiplier for tid in calls} == {1.0, 2.0}
 
 
 def test_provider_haskind_projection(tiny_provider):
