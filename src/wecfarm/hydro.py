@@ -253,7 +253,7 @@ def _excitation_magnitude(geom, env, k):
     return f0 * np.exp(-k * d) * depth_factor * chi
 
 
-def single_coefficients(geom, grid, env):
+def single_coefficients(geom, grid, env, k=None):
     """Isolated-body coefficients on the grid.
 
     The excitation magnitude attenuates the hydrostatic force rho g pi
@@ -263,9 +263,14 @@ def single_coefficients(geom, grid, env):
     B = k |F|^2 / (4 rho g v_g), so the two are consistent by
     construction. Added mass is the documented smooth form
     rho pi R^2 D (0.5 + 0.3 e^(-kR)).
+
+    `k`, when given, is the wavenumber on the grid, as returned by
+    solve_dispersion; it saves a second solve for callers that need it
+    too.
     """
     om = grid.values
-    k = solve_dispersion(om, env)
+    if k is None:
+        k = solve_dispersion(om, env)
     vg = group_velocity(om, env, k=k)
     fmag = _excitation_magnitude(geom, env, k)
     damping = k * fmag * fmag / (4.0 * env.water_density * env.gravity * vg)
@@ -299,15 +304,15 @@ def pair_coefficients(geom, separation, heading_angle, grid, env):
     travelling-wave phase e^(-i k x) of each body's x coordinate.
 
     `separation` and `heading_angle` are scalars or (P,) arrays (see
-    the module docstring for the shapes). A batch shares one single-body
-    solve and one dispersion solve, and its P x n_w arguments kl and
-    2kl go through one J0 and one Y0 call; every entry equals the
+    the module docstring for the shapes). A batch shares one dispersion
+    solve, which its single-body solve reuses, and its P x n_w arguments
+    kl and 2kl go through one J0 and one Y0 call; every entry equals the
     scalar query's bit for bit.
     """
     l, theta, batched = pair_inputs(geom, separation, heading_angle)
-    single = single_coefficients(geom, grid, env)
     om = grid.values
     k = solve_dispersion(om, env)
+    single = single_coefficients(geom, grid, env, k=k)
     kl = l[:, None] * k
     envelope = np.exp(-l / (INTERACTION_RANGE_RADII * geom.radius))[:, None]
     bessel_args = np.stack([2.0 * kl, kl])
@@ -374,8 +379,8 @@ def model_ledger_text():
         "pair excitation   F_j = F exp(-i k x_j)",
         "                      * (1 + eps sqrt(2/(pi kl)) exp(i(kl+pi/4)) exp(-l/l0))",
         "",
-        "bessel routines   power series for |x| < 12, Hankel asymptotic above;",
-        "                  absolute error < 1e-10 on [0.01, 500]",
+        "bessel routines   fitted polynomials for x < 12, fitted Hankel form above;",
+        "                  absolute error < 2e-15 on [0.01, 500]",
         "",
     ]
     return "\n".join(lines)

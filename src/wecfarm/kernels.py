@@ -8,6 +8,8 @@ implementation.
 
 import numpy as np
 
+from . import _bessel_coeffs as _coeffs
+
 
 def backend():
     """Name of the kernel backend; numpy is the only one."""
@@ -15,124 +17,86 @@ def backend():
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions for x > 0.
+# Bessel functions for x > 0: fitted polynomials, a fixed cost per element.
 #
-# Power series below the crossover, Hankel asymptotic expansion above it.
-# A crossover at 12 keeps the worst absolute error near 2e-12 on
-# [0.01, 500]; at the conventional 8 the asymptotic tail is not yet
-# converged and the error degrades to a few 1e-9.
+# Below 12, J0, J1(x)/x and the entire part E0 = Y0 - (2/pi) ln(x/2) J0
+# are polynomials of degree 17 in u = x - c on [0, 4), [4, 8) and
+# [8, 12), and Y0 = (2/pi) ln(x/2) J0 + E0. From 12 up the kernels use
+# the Hankel form sqrt(2/(pi x)) (P cos chi - Q sin chi) for J0 and J1
+# and sqrt(2/(pi x)) (P sin chi + Q cos chi) for Y0, with
+# chi = x - (2 nu + 1) pi/4 and P and x Q polynomials of degree 7 in
+# t = (12/x)^2. sqrt(2) cos chi and sqrt(2) sin chi are sums of cos x
+# and sin x, so the rounding of x - pi/4 never enters.
 #
-# Each function sums only its own series: j0 the J0 series, j1 the J1
-# series, y0 the J0 series plus the harmonic-weighted sum sy. The series
-# loops stop early without changing a bit. For 0 < x < 12 the term
-# magnitudes never grow from k = 6 on (k = 7 for the t * h terms of sy).
-# A term t with s + 4t == s is at most an eighth of the float spacing on
-# its side of s, so at most a quarter of the spacing on the other side,
-# even at a power of two; every later term, of either sign, then rounds
-# back to s too. The check runs on every 4th term from k = 8, and 59
-# terms stay the cap.
+# The tables in _bessel_coeffs are Chebyshev interpolants against mpmath
+# at 40 digits, written by scripts/fit_bessel.py. The worst absolute
+# error against mpmath on [0.01, 500] is 8.9e-16, for Y0 near x = 0.01
+# where (2/pi) ln(x/2) is large; it is at most 4.4e-16 from x = 0.1 and
+# 1.1e-16 from 12. Each element takes the branch its own value selects,
+# with scalar coefficients, so a batch and a scalar call agree bit for
+# bit.
 
-_SWITCH = 12.0
-_EULER = 0.5772156649015328606
+_EDGES = tuple(c + _coeffs.SMALL_HALF_WIDTH for c in _coeffs.SMALL_CENTRES)
 
 
-def _settled(k, s, t):
-    return k >= 8 and k % 4 == 0 and bool(np.all(s + 4.0 * t == s))
+def _horner(v, coeffs):
+    r = coeffs[0] * v
+    r += coeffs[1]
+    for c in coeffs[2:]:
+        r *= v
+        r += c
+    return r
 
 
-def _j0_series(x):
-    q = -0.25 * x * x
-    t = np.ones_like(x)
-    s = np.ones_like(x)
-    for k in range(1, 60):
-        t *= q / (k * k)
-        s += t
-        if _settled(k, s, t):
-            break
-    return s
+def _small(x, which, i):
+    u = x - _coeffs.SMALL_CENTRES[i]
+    if which == 0:
+        return _horner(u, _coeffs.J0[i])
+    if which == 1:
+        return x * _horner(u, _coeffs.J1X[i])
+    y = _horner(u, _coeffs.J0[i])
+    y *= (2.0 / np.pi) * np.log(0.5 * x)
+    y += _horner(u, _coeffs.E0[i])
+    return y
 
 
-def _j1_series(x):
-    q = -0.25 * x * x
-    t = 0.5 * x
-    s = t.copy()
-    for k in range(1, 60):
-        t *= q / (k * (k + 1))
-        s += t
-        if _settled(k, s, t):
-            break
-    return s
-
-
-def _y0_series(x):
-    # the textbook sum adds (-1)^(k-1) |t_k| h_k; t_k has the sign
-    # (-1)^k, so that term is exactly -t_k h_k
-    q = -0.25 * x * x
-    t = np.ones_like(x)
-    s = np.ones_like(x)
-    sy = np.zeros_like(x)
-    h = 0.0
-    for k in range(1, 60):
-        t *= q / (k * k)
-        s += t
-        h += 1.0 / k
-        th = t * h
-        sy -= th
-        if _settled(k, s, t) and _settled(k, sy, th):
-            break
-    return s, sy
-
-
-def _pq_large(x, mu):
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    a = np.ones_like(x)
-    prev = np.full_like(x, np.inf)
-    live = np.ones(x.shape, dtype=bool)
-    eightx = 8.0 * x
-    for m in range(1, 40):
-        a = a * ((mu - (2.0 * m - 1.0) ** 2) / (m * eightx))
-        t = np.abs(a)
-        live &= t < prev
-        if not live.any():
-            break
-        contrib = np.where(live, a, 0.0)
-        sgn = 1.0 if (m // 2) % 2 == 0 else -1.0
-        if m % 2 == 1:
-            q += sgn * contrib
-        else:
-            p += sgn * contrib
-        prev = t
-    return p, q
+def _large(x, which):
+    inv = 1.0 / x
+    t = (_coeffs.SWITCH * _coeffs.SWITCH * inv) * inv
+    c = np.cos(x)
+    s = np.sin(x)
+    p = _horner(t, _coeffs.P1 if which == 1 else _coeffs.P0)
+    q = _horner(t, _coeffs.XQ1 if which == 1 else _coeffs.XQ0)
+    q *= inv
+    # sqrt(2) cos chi and sqrt(2) sin chi are sums of c and s
+    if which == 0:  # chi = x - pi/4: c + s and s - c
+        p *= c + s
+        q *= s - c
+        p -= q
+    elif which == 1:  # chi = x - 3 pi/4: s - c and -(s + c)
+        p *= s - c
+        q *= s + c
+        p += q
+    else:  # Y0, chi = x - pi/4
+        p *= s - c
+        q *= c + s
+        p += q
+    p *= np.sqrt((1.0 / np.pi) * inv)  # sqrt(2/(pi x)) / sqrt(2)
+    return p
 
 
 def _bessel_1d(x, which):
     out = np.empty_like(x)
-    small = x < _SWITCH
-    if small.any():
-        xs = x[small]
-        if which == 0:
-            out[small] = _j0_series(xs)
-        elif which == 1:
-            out[small] = _j1_series(xs)
-        else:
-            s0, sy = _y0_series(xs)
-            out[small] = (2.0 / np.pi) * ((np.log(0.5 * xs) + _EULER) * s0 + sy)
-    big = ~small
+    below = [x < edge for edge in _EDGES]
+    for i, mask in enumerate(below):
+        if i:
+            mask = mask & ~below[i - 1]
+        if mask.any():
+            out[mask] = _small(x[mask], which, i)
+    # NaN fails every comparison and lands here, as NaN
+    big = ~below[-1]
     if big.any():
-        xb = x[big]
-        amp = np.sqrt(2.0 / (np.pi * xb))
-        if which == 1:
-            p, q = _pq_large(xb, 4.0)
-            chi = xb - 0.75 * np.pi
-            out[big] = amp * (p * np.cos(chi) - q * np.sin(chi))
-        else:
-            p, q = _pq_large(xb, 0.0)
-            chi = xb - 0.25 * np.pi
-            if which == 0:
-                out[big] = amp * (p * np.cos(chi) - q * np.sin(chi))
-            else:
-                out[big] = amp * (p * np.sin(chi) + q * np.cos(chi))
+        out[big] = _large(x[big], which)
     return out
 
 
