@@ -108,7 +108,7 @@ def _bessel_1d(x, which):
 # a function of its seed alone.
 
 
-def _mlp_train(x, y, w1, b1, w2, b2, w3, b3, batches, lr, use_adam):
+def _mlp_train(x, y, w1, b1, w2, b2, w3, b3, batches, lr):
     mw1 = np.zeros_like(w1)
     vw1 = np.zeros_like(w1)
     mb1 = np.zeros_like(b1)
@@ -142,36 +142,28 @@ def _mlp_train(x, y, w1, b1, w2, b2, w3, b3, batches, lr, use_adam):
         d1 = (d2 @ w2.T) * (1.0 - h1 * h1)
         gw1 = xb.T @ d1
         gb1 = np.sum(d1, axis=0)
-        if use_adam:
-            c1 *= beta1
-            c2 *= beta2
-            k1 = 1.0 - c1
-            k2 = 1.0 - c2
-            mw1 = beta1 * mw1 + (1.0 - beta1) * gw1
-            vw1 = beta2 * vw1 + (1.0 - beta2) * gw1 * gw1
-            w1 -= lr * (mw1 / k1) / (np.sqrt(vw1 / k2) + eps)
-            mb1 = beta1 * mb1 + (1.0 - beta1) * gb1
-            vb1 = beta2 * vb1 + (1.0 - beta2) * gb1 * gb1
-            b1 -= lr * (mb1 / k1) / (np.sqrt(vb1 / k2) + eps)
-            mw2 = beta1 * mw2 + (1.0 - beta1) * gw2
-            vw2 = beta2 * vw2 + (1.0 - beta2) * gw2 * gw2
-            w2 -= lr * (mw2 / k1) / (np.sqrt(vw2 / k2) + eps)
-            mb2 = beta1 * mb2 + (1.0 - beta1) * gb2
-            vb2 = beta2 * vb2 + (1.0 - beta2) * gb2 * gb2
-            b2 -= lr * (mb2 / k1) / (np.sqrt(vb2 / k2) + eps)
-            mw3 = beta1 * mw3 + (1.0 - beta1) * gw3
-            vw3 = beta2 * vw3 + (1.0 - beta2) * gw3 * gw3
-            w3 -= lr * (mw3 / k1) / (np.sqrt(vw3 / k2) + eps)
-            mb3 = beta1 * mb3 + (1.0 - beta1) * gb3
-            vb3 = beta2 * vb3 + (1.0 - beta2) * gb3 * gb3
-            b3 -= lr * (mb3 / k1) / (np.sqrt(vb3 / k2) + eps)
-        else:
-            w1 -= lr * gw1
-            b1 -= lr * gb1
-            w2 -= lr * gw2
-            b2 -= lr * gb2
-            w3 -= lr * gw3
-            b3 -= lr * gb3
+        c1 *= beta1
+        c2 *= beta2
+        k1 = 1.0 - c1
+        k2 = 1.0 - c2
+        mw1 = beta1 * mw1 + (1.0 - beta1) * gw1
+        vw1 = beta2 * vw1 + (1.0 - beta2) * gw1 * gw1
+        w1 -= lr * (mw1 / k1) / (np.sqrt(vw1 / k2) + eps)
+        mb1 = beta1 * mb1 + (1.0 - beta1) * gb1
+        vb1 = beta2 * vb1 + (1.0 - beta2) * gb1 * gb1
+        b1 -= lr * (mb1 / k1) / (np.sqrt(vb1 / k2) + eps)
+        mw2 = beta1 * mw2 + (1.0 - beta1) * gw2
+        vw2 = beta2 * vw2 + (1.0 - beta2) * gw2 * gw2
+        w2 -= lr * (mw2 / k1) / (np.sqrt(vw2 / k2) + eps)
+        mb2 = beta1 * mb2 + (1.0 - beta1) * gb2
+        vb2 = beta2 * vb2 + (1.0 - beta2) * gb2 * gb2
+        b2 -= lr * (mb2 / k1) / (np.sqrt(vb2 / k2) + eps)
+        mw3 = beta1 * mw3 + (1.0 - beta1) * gw3
+        vw3 = beta2 * vw3 + (1.0 - beta2) * gw3 * gw3
+        w3 -= lr * (mw3 / k1) / (np.sqrt(vw3 / k2) + eps)
+        mb3 = beta1 * mb3 + (1.0 - beta1) * gb3
+        vb3 = beta2 * vb3 + (1.0 - beta2) * gb3 * gb3
+        b3 -= lr * (mb3 / k1) / (np.sqrt(vb3 / k2) + eps)
     h1 = np.tanh(x @ w1 + b1)
     h2 = np.tanh(h1 @ w2 + b2)
     out = h2 @ w3 + b3
@@ -228,7 +220,7 @@ def mlp_forward(x, weights):
     return h2 @ w3 + b3
 
 
-def mlp_train(x, y, weights, batches, lr, use_adam=True):
+def mlp_train(x, y, weights, batches, lr):
     """Train the network in place on a fixed minibatch schedule.
 
     `batches` is an integer array of shape (steps, batch_size) holding
@@ -239,4 +231,4 @@ def mlp_train(x, y, weights, batches, lr, use_adam=True):
     y = np.ascontiguousarray(y, dtype=np.float64)
     batches = np.ascontiguousarray(batches, dtype=np.int64)
     w1, b1, w2, b2, w3, b3 = weights
-    return _mlp_train(x, y, w1, b1, w2, b2, w3, b3, batches, float(lr), bool(use_adam))
+    return _mlp_train(x, y, w1, b1, w2, b2, w3, b3, batches, float(lr))

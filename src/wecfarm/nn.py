@@ -1,9 +1,9 @@
 """Small dense regressors built on the MLP kernels in `kernels`.
 
 A regressor is two tanh hidden layers with a linear head, trained by
-mini-batch gradient descent (Adam by default) on mean-squared error.
-The batch schedule is materialized up front as an index array, so the
-sample sequence is fixed by the seed alone.
+mini-batch Adam on mean-squared error. The batch schedule is
+materialized up front as an index array, so the sample sequence is
+fixed by the seed alone.
 """
 
 from dataclasses import dataclass
@@ -79,10 +79,8 @@ class Regressor:
         h1, h2 = hidden
         return cls(he_init([n_in, h1, h2, n_out], rng))
 
-    def train(self, x, y, schedule, learning_rate, use_adam=True):
-        return float(
-            kernels.mlp_train(x, y, self.weights, schedule, learning_rate, use_adam=use_adam)
-        )
+    def train(self, x, y, schedule, learning_rate):
+        return float(kernels.mlp_train(x, y, self.weights, schedule, learning_rate))
 
     def predict(self, x):
         return kernels.mlp_forward(np.asarray(x, dtype=np.float64), self.weights)

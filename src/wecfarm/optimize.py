@@ -22,7 +22,7 @@ import numpy as np
 
 from . import climate as climate_mod
 from . import mbe
-from .climate import EfficiencyChain, SiteClimate, lifetime_average_power, objective_pv
+from .climate import EfficiencyChain, SiteClimate, objective_pv
 from .dynamics import (
     PTO_DAMPING_BOUNDS,
     PTO_STIFFNESS_BOUNDS,
@@ -30,7 +30,7 @@ from .dynamics import (
     regular_wave_power,
     solve_motion,
 )
-from .hydro import Environment, FrequencyGrid, WecGeometry
+from .hydro import WecGeometry
 from .surrogate import RADIUS_BOUNDS, slenderness_interval
 
 SAFE_PASSAGE = 10.0  # added to the diameter for the centre-to-centre minimum

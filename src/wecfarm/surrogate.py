@@ -19,7 +19,7 @@ committee members disagree most.
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,7 +143,7 @@ def _isolated_curves(inputs, grid, env):
     f_s = np.empty((n, grid.n))
     grid_key = grid.values.tobytes()
     for i, row in enumerate(inputs):
-        key = (row[0], row[1], grid_key, env.water_depth)
+        key = (row[0], row[1], grid_key, env.water_depth, env.gravity, env.water_density)
         hit = _single_curve_cache.get(key)
         if hit is None:
             if len(_single_curve_cache) > 4096:
@@ -203,6 +203,12 @@ def input_box(kind):
     if kind == "pair":
         rows += [(2.0 * RADIUS_BOUNDS[0] + 1.0, SEPARATION_MAX), HEADING_BOUNDS]
     return np.array(rows)
+
+
+def outside_box(kind, inputs):
+    """Per-row flag: does the input leave the training rectangle?"""
+    box = input_box(kind)
+    return np.any((inputs < box[None, :, 0]) | (inputs > box[None, :, 1]), axis=1)
 
 
 def _from_unit(kind, u):
@@ -340,7 +346,6 @@ class CommitteeConfig:
     batch: int = 64
     seed: int = 0
     min_samples: int = 50
-    use_adam: bool = True
 
     def __post_init__(self):
         if self.members < 3:
@@ -463,10 +468,6 @@ class Committee:
         return target_kind(self.target_id)
 
     @property
-    def box(self):
-        return input_box(self.kind)
-
-    @property
     def phase_multiplier(self):
         # diagonal corrections oscillate at twice the separation phase
         return 2.0 if self.target_id.endswith("_diag") else 1.0
@@ -486,13 +487,6 @@ class Committee:
             [inputs, envelope * kernels.j0(phase), envelope * kernels.y0(phase)], axis=1
         )
 
-    def member_curves(self, inputs, features=None):
-        """Nondimensional per-member predictions, shape (M, n, n_w)."""
-        if features is None:
-            features = self.features(inputs)
-        z_in = self.input_scaler.transform(features)
-        return np.stack([self.output_scaler.inverse(m.predict(z_in)) for m in self.members])
-
     def apply(self, inputs, features=None):
         """Batched mean prediction of the normalized map plus diagnostics.
 
@@ -500,11 +494,13 @@ class Committee:
         who may share one block among committees of equal ``feature_key``.
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        curves = self.member_curves(inputs, features)
+        if features is None:
+            features = self.features(inputs)
+        z_in = self.input_scaler.transform(features)
+        # nondimensional per-member predictions, shape (M, n, n_w)
+        curves = self.output_scaler.inverse(np.stack([m.predict(z_in) for m in self.members]))
         disagreement = np.mean(np.var(curves, axis=0), axis=1) / self.pooled_scale**2
-        box = self.box
-        outside = np.any((inputs < box[None, :, 0]) | (inputs > box[None, :, 1]), axis=1)
-        return curves.mean(axis=0), disagreement, outside
+        return curves.mean(axis=0), disagreement, outside_box(self.kind, inputs)
 
 
 def _phase_reference(grid, env):
@@ -550,13 +546,7 @@ def _fit_members(committee, dataset, epochs, round_index):
         for seg, (fraction, seg_lr) in enumerate(segments):
             end = steps if seg == len(segments) - 1 else pos + int(round(fraction * steps))
             if end > pos:
-                last = member.train(
-                    z_in_all[sel],
-                    z_out_all[sel],
-                    schedule[pos:end],
-                    seg_lr,
-                    use_adam=committee.config.use_adam,
-                )
+                last = member.train(z_in_all[sel], z_out_all[sel], schedule[pos:end], seg_lr)
             pos = end
         mses.append(last)
     committee.member_mse = mses
@@ -677,12 +667,15 @@ def validate_on_grid(committee, oracle, points=None, counts=None):
 class CheatingCommittee:
     """Oracle in committee clothing; every member answers identically.
 
-    Normalized answers go through the same affine transform as real
-    committees, so the validation error is zero bit for bit; the raw
-    path lets the provider skip the reconstruction round trip entirely.
+    Its features are the oracle's raw curves of every map of its kind,
+    from one oracle call per distinct (R, slenderness). Committees over
+    the same oracle and kind share that block, so a provider made of
+    them sends one single and one pair query per layout. ``apply`` puts
+    the raw curves through the same affine transform as real
+    committees, so the validation error is zero bit for bit, and the
+    provider rebuilds coefficients from them as it does from learned
+    predictions.
     """
-
-    exact = True
 
     def __init__(self, target_id, grid, env, oracle):
         self.target_id = target_id
@@ -697,38 +690,36 @@ class CheatingCommittee:
         return target_kind(self.target_id)
 
     @property
-    def box(self):
-        return input_box(self.kind)
+    def feature_key(self):
+        return self.oracle, self.kind
 
-    def _outside(self, inputs):
-        box = self.box
-        return np.any((inputs < box[None, :, 0]) | (inputs > box[None, :, 1]), axis=1)
-
-    def raw_curves(self, inputs):
-        """Oracle answers per row; pair rows go as one batch per geometry."""
+    def features(self, inputs):
+        """Oracle curves of every map of this kind, keyed by target id."""
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        if self.kind == "single":
-            return label_inputs(self.target_id, inputs, self.grid, self.env, self.oracle)
+        ids = SINGLE_TARGET_IDS if self.kind == "single" else PAIR_TARGET_IDS
         groups = {}
         for i, (radius, slenderness) in enumerate(inputs[:, :2]):
             groups.setdefault((radius, slenderness), []).append(i)
-        out = np.empty((inputs.shape[0], self.grid.n))
+        out = {tid: np.empty((inputs.shape[0], self.grid.n)) for tid in ids}
         for (radius, slenderness), rows in groups.items():
-            coeffs = self.oracle.pair(
-                WecGeometry(radius, slenderness),
-                inputs[rows, 2],
-                inputs[rows, 3],
-                self.grid,
-                self.env,
-            )
-            out[rows] = _EXTRACTORS[self.target_id](coeffs)
+            geom = WecGeometry(radius, slenderness)
+            if self.kind == "single":
+                coeffs = self.oracle.single(geom, self.grid, self.env)
+            else:
+                coeffs = self.oracle.pair(
+                    geom, inputs[rows, 2], inputs[rows, 3], self.grid, self.env
+                )
+            for tid in ids:
+                out[tid][rows] = _EXTRACTORS[tid](coeffs)
         return out
 
-    def apply(self, inputs):
+    def apply(self, inputs, features=None):
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        raw = self.raw_curves(inputs)
+        if features is None:
+            features = self.features(inputs)
         base, scale = affine_vectors(self.target_id, inputs, self.grid, self.env)
-        return (raw - base) / scale, np.zeros(inputs.shape[0]), self._outside(inputs)
+        raw = features[self.target_id]
+        return (raw - base) / scale, np.zeros(inputs.shape[0]), outside_box(self.kind, inputs)
 
 
 # --- provider -------------------------------------------------------------
@@ -742,8 +733,9 @@ class SurrogateProvider:
     the reference model. Damping predictions are clipped to keep the 2x2
     radiation matrix positive semidefinite; the optional projection
     rebuilds the single-body damping from the predicted excitation
-    instead of the damping map. A provider made entirely of cheating
-    committees short-circuits to their raw answers and stays bit-exact.
+    instead of the damping map. Cheating committees take the same
+    reconstruction path, so a provider made of them matches the oracle
+    to rounding (about 1e-14 relative), not bit for bit.
 
     Committees of one query that share a phase multiplier and reference
     wavenumbers (their ``feature_key``) share one feature block, so a
@@ -759,7 +751,6 @@ class SurrogateProvider:
             raise ValueError(f"missing committees: {', '.join(missing)}")
         self.committees = dict(committees)
         self.haskind_projection = haskind_projection
-        self.exact = all(getattr(c, "exact", False) for c in self.committees.values())
         self._singles = {}
         ref = self.committees[ALL_TARGET_IDS[0]]
         for tid in ALL_TARGET_IDS[1:]:
@@ -783,16 +774,11 @@ class SurrogateProvider:
 
         Committees of equal ``feature_key`` share one feature block.
         """
-        if self.exact:
-            return {tid: self.committees[tid].raw_curves(u) for tid in target_ids}
         blocks = {}
         curves = {}
         for tid in target_ids:
             committee = self.committees[tid]
-            key = getattr(committee, "feature_key", None)
-            if key is None:  # a cheating committee among learned ones
-                curves[tid] = committee.apply(u)[0]
-                continue
+            key = committee.feature_key
             if key not in blocks:
                 blocks[key] = committee.features(u)
             curves[tid] = committee.apply(u, features=blocks[key])[0]
@@ -810,21 +796,13 @@ class SurrogateProvider:
         def curve(target_id):
             return maps[target_id][0]
 
-        if self.exact:
-            added = curve("single_added_mass")
-            f_hat = curve("single_excitation_re") + 1j * curve("single_excitation_im")
-            damping = np.maximum(curve("single_damping"), 0.0)
-        else:
-            added = curve("single_added_mass") * scale_vectors(
-                "single_added_mass", u, grid, env
-            )[0]
-            f_hat = (
-                curve("single_excitation_re") + 1j * curve("single_excitation_im")
-            ) * scale_vectors("single_excitation_re", u, grid, env)[0]
-            damping = np.maximum(
-                curve("single_damping") * scale_vectors("single_damping", u, grid, env)[0],
-                0.0,
-            )
+        added = curve("single_added_mass") * scale_vectors("single_added_mass", u, grid, env)[0]
+        f_hat = (
+            curve("single_excitation_re") + 1j * curve("single_excitation_im")
+        ) * scale_vectors("single_excitation_re", u, grid, env)[0]
+        damping = np.maximum(
+            curve("single_damping") * scale_vectors("single_damping", u, grid, env)[0], 0.0
+        )
         if self.haskind_projection:
             k, vg = _wave_numbers(grid, env)
             damping = k * np.abs(f_hat) ** 2 / (4.0 * env.water_density * env.gravity * vg)
@@ -850,21 +828,14 @@ class SurrogateProvider:
             [np.full_like(l, geom.radius), np.full_like(l, geom.slenderness), l, theta]
         )
         maps = self._maps(PAIR_TARGET_IDS, u)
-        if self.exact:
-            a11 = maps["pair_added_mass_diag"]
-            b11 = np.maximum(maps["pair_damping_diag"], 0.0)
-            a12 = maps["pair_added_mass_cross"]
-            b12 = np.clip(maps["pair_damping_cross"], -b11, b11)
-            f1 = maps["pair_excitation_re"] + 1j * maps["pair_excitation_im"]
-        else:
-            single = self.single(geom, grid, env)
-            b_over_om = single.damping / grid.values
-            a11 = single.added_mass + b_over_om * maps["pair_added_mass_diag"]
-            b11 = np.maximum(single.damping * (1.0 + maps["pair_damping_diag"]), 0.0)
-            a12 = b_over_om * maps["pair_added_mass_cross"]
-            b12 = np.clip(single.damping * maps["pair_damping_cross"], -b11, b11)
-            factor = 1.0 + maps["pair_excitation_re"] + 1j * maps["pair_excitation_im"]
-            f1 = single.excitation * factor
+        single = self.single(geom, grid, env)
+        b_over_om = single.damping / grid.values
+        a11 = single.added_mass + b_over_om * maps["pair_added_mass_diag"]
+        b11 = np.maximum(single.damping * (1.0 + maps["pair_damping_diag"]), 0.0)
+        a12 = b_over_om * maps["pair_added_mass_cross"]
+        b12 = np.clip(single.damping * maps["pair_damping_cross"], -b11, b11)
+        factor = 1.0 + maps["pair_excitation_re"] + 1j * maps["pair_excitation_im"]
+        f1 = single.excitation * factor
 
         k, _ = _wave_numbers(grid, env)
         excitation = np.empty(l.shape + (grid.n, 2), dtype=np.complex128)
@@ -908,7 +879,6 @@ def save_committee(committee, path):
             "batch": committee.config.batch,
             "seed": committee.config.seed,
             "min_samples": committee.config.min_samples,
-            "use_adam": committee.config.use_adam,
         },
     }
     with open(path, "w") as fh:
@@ -932,7 +902,6 @@ def load_committee(path):
         batch=cfg["batch"],
         seed=cfg["seed"],
         min_samples=cfg["min_samples"],
-        use_adam=cfg["use_adam"],
     )
     sizes = doc["topology"]
     return Committee(

@@ -244,16 +244,5 @@ def test_mlp_train_deterministic():
         assert np.array_equal(wa, wb)
 
 
-def test_mlp_sgd_mode_runs():
-    rng = np.random.default_rng(6)
-    x = rng.uniform(-1, 1, size=(200, 2))
-    y = x @ np.array([[1.0], [-2.0]])
-    weights = _init_weights(1, [2, 16, 16, 1])
-    before = np.mean((kernels.mlp_forward(x, weights) - y) ** 2)
-    batches = _batch_schedule(4, 200, 50, 400)
-    after = kernels.mlp_train(x, y, weights, batches, lr=5e-2, use_adam=False)
-    assert after < before
-
-
 def test_backend_reports_a_name():
     assert kernels.backend() == "numpy"

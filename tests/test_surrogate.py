@@ -6,6 +6,8 @@ determinism, tie-breaking, scaling round-trips, provider structure. The
 one tight fit check is test_committee_fits_linear_map.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,11 @@ def test_validate_on_grid_blocking_keeps_bits(damping_committee, monkeypatch):
 class CountingOracle(hydro.ReferenceProvider):
     def __init__(self):
         self.pair_rows = []
+        self.single_calls = 0
+
+    def single(self, geom, grid, env):
+        self.single_calls += 1
+        return super().single(geom, grid, env)
 
     def pair(self, geom, separation, heading_angle, grid, env):
         self.pair_rows.append(np.size(separation))
@@ -320,10 +327,19 @@ def test_cheating_committee_batches_oracle_per_geometry():
     )
     oracle = CountingOracle()
     cheat = surrogate.CheatingCommittee("pair_excitation_im", GRID, ENV, oracle)
-    raw = cheat.raw_curves(inputs)
+    raw = cheat.features(inputs)["pair_excitation_im"]
     assert oracle.pair_rows == [3, 1]  # one query per distinct (R, slenderness)
     expected = surrogate.label_inputs("pair_excitation_im", inputs, GRID, ENV, ORACLE)
     assert raw.tobytes() == expected.tobytes()
+
+
+def test_isolated_curves_cache_keys_the_whole_environment():
+    inputs = np.array([[3.0, 6.0, 25.0, 0.7]])
+    surrogate.affine_vectors("pair_damping_diag", inputs, GRID, ENV)  # fills the cache
+    other = hydro.Environment(water_density=1000.0, gravity=9.80665)
+    _, scale = surrogate.affine_vectors("pair_damping_diag", inputs, GRID, other)
+    fresh = hydro.single_coefficients(hydro.WecGeometry(3.0, 6.0), GRID, other)
+    assert scale[0].tobytes() == fresh.damping.tobytes()
 
 
 def test_degenerate_committee_disagreement_zero():
@@ -346,6 +362,20 @@ def test_committee_json_round_trip(tmp_path, damping_committee):
     assert dis_a[0] == dis_b[0]
     assert back.config == damping_committee.config
     assert back.target_id == "single_damping"
+
+
+def test_committee_json_loads_files_with_the_optimizer_flag(tmp_path, damping_committee):
+    # files written while the optimizer was selectable carry "use_adam"
+    path = tmp_path / "committee.json"
+    surrogate.save_committee(damping_committee, path)
+    doc = json.loads(path.read_text())
+    assert "use_adam" not in doc["config"]
+    doc["config"]["use_adam"] = True
+    path.write_text(json.dumps(doc))
+    back = surrogate.load_committee(path)
+    x = surrogate.tensor_grid("single", (4, 4))
+    for a, b in zip(damping_committee.apply(x), back.apply(x)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_committee_schema_checked(tmp_path):
@@ -440,13 +470,14 @@ def test_provider_pair_batch_matches_scalar_queries(tiny_provider):
         tiny_provider.pair(geom, np.array([25.0, 5.0]), np.zeros(2), GRID, ENV)
 
 
-def test_cheating_provider_pair_batch_is_bitwise():
-    provider = surrogate.SurrogateProvider(
-        {
-            tid: surrogate.CheatingCommittee(tid, GRID, ENV, ORACLE)
-            for tid in surrogate.ALL_TARGET_IDS
-        }
+def cheating_provider(oracle=ORACLE):
+    return surrogate.SurrogateProvider(
+        {tid: surrogate.CheatingCommittee(tid, GRID, ENV, oracle) for tid in surrogate.ALL_TARGET_IDS}
     )
+
+
+def test_cheating_provider_pair_batch_is_bitwise():
+    provider = cheating_provider()
     geom = hydro.WecGeometry(3.0, 6.0)
     sep, theta = PAIR_BATCH
     batch = provider.pair(geom, sep, theta, GRID, ENV)
@@ -455,6 +486,41 @@ def test_cheating_provider_pair_batch_is_bitwise():
         assert np.array_equal(batch.added_mass[i], one.added_mass)
         assert np.array_equal(batch.damping[i], one.damping)
         assert np.array_equal(batch.excitation[i], one.excitation)
+
+
+def five_body_layout(radius):
+    unit = np.array([[0.0, 0.0], [1.0, 0.3], [0.2, 1.1], [-0.9, 0.6], [0.5, -1.2]])
+    return mbe.Layout(unit * (2.0 * radius + 12.0))
+
+
+def test_cheating_provider_reconstructs_the_reference():
+    # the learned reconstruction, fed oracle curves, gives the oracle back
+    # to rounding; the worst case is excitation[..., 1] via k l cos(theta)
+    provider = cheating_provider()
+    for radius, slenderness in surrogate.tensor_grid("single", (4, 3)):
+        geom = hydro.WecGeometry(radius, slenderness)
+        got, want = provider.single(geom, GRID, ENV), ORACLE.single(geom, GRID, ENV)
+        for name in ("added_mass", "damping", "excitation"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
+        lo, hi = surrogate.separation_interval(radius)
+        sep, theta = np.geomspace(lo, hi, 20), np.linspace(-np.pi, np.pi, 20)
+        got = provider.pair(geom, sep, theta, GRID, ENV)
+        want = ORACLE.pair(geom, sep, theta, GRID, ENV)
+        for name in ("added_mass", "damping", "excitation"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
+        layout = five_body_layout(radius)
+        got = mbe.compose_farm(provider, geom, layout, GRID, ENV)
+        want = mbe.compose_farm(ORACLE, geom, layout, GRID, ENV)
+        for name in ("added_mass", "damping", "excitation"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
+
+
+def test_cheating_provider_queries_the_oracle_once_per_layout():
+    oracle = CountingOracle()
+    provider = cheating_provider(oracle)
+    mbe.compose_farm(provider, hydro.WecGeometry(3.0, 6.0), five_body_layout(3.0), GRID, ENV)
+    assert oracle.single_calls == 1
+    assert oracle.pair_rows == [10]
 
 
 class UnsharedFeatures:
