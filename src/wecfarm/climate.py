@@ -267,9 +267,10 @@ def save_site(climate, path):
         "quadrature_weights": climate.grid.quadrature_weights.tolist(),
         "probability": climate.probability.tolist(),
     }
+    # strict JSON: a non-finite value raises before the file is opened
+    text = json.dumps(doc, indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_site(path):

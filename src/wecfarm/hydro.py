@@ -187,6 +187,9 @@ def pair_result(grid, l, theta, batched, diagonal, cross, excitation):
     )
 
 
+_dispersion_cache = {}
+
+
 def solve_dispersion(omega, env):
     """Wavenumber k > 0 with omega^2 = g k tanh(k h).
 
@@ -203,10 +206,28 @@ def solve_dispersion(omega, env):
     Newton iteration from the deep-water guess omega^2/g, halving the
     step whenever it would leave k <= 0. The residual is verified
     against 1e-10 * omega^2 before returning.
+
+    Solutions are memoized by (omega bytes and shape, gravity, depth),
+    at most 64 of them, and every call returns a fresh copy; an
+    evaluation asks for the same grid several times. A call that raises
+    stores nothing.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=np.float64))
     if np.any(om <= 0):
         raise ValueError("omega must be strictly positive")
+    key = (om.shape, om.tobytes(), env.gravity, env.water_depth)
+    k = _dispersion_cache.get(key)
+    if k is None:
+        k = _newton_dispersion(om, env)
+        if len(_dispersion_cache) >= 64:
+            _dispersion_cache.clear()
+        _dispersion_cache[key] = k
+    if np.ndim(omega) == 0:
+        return float(k[0])
+    return k.copy()
+
+
+def _newton_dispersion(om, env):
     g = env.gravity
     h = env.water_depth
     k = om * om / g
@@ -225,8 +246,6 @@ def solve_dispersion(omega, env):
     resid = np.abs(om * om - g * k * np.tanh(np.minimum(k * h, 350.0)))
     if np.any(resid > 1e-10 * om * om):
         raise NumericalError("dispersion iteration failed to converge")
-    if np.ndim(omega) == 0:
-        return float(k[0])
     return k
 
 

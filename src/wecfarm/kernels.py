@@ -215,9 +215,16 @@ def mlp_forward(x, weights):
     """Evaluate a two-hidden-layer tanh network on scaled inputs."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     w1, b1, w2, b2, w3, b3 = weights
-    h1 = np.tanh(x @ w1 + b1)
-    h2 = np.tanh(h1 @ w2 + b2)
-    return h2 @ w3 + b3
+    # bias and tanh run in the matmul result's own buffer
+    h1 = x @ w1
+    h1 += b1
+    np.tanh(h1, out=h1)
+    h2 = h1 @ w2
+    h2 += b2
+    np.tanh(h2, out=h2)
+    out = h2 @ w3
+    out += b3
+    return out
 
 
 def mlp_train(x, y, weights, batches, lr):

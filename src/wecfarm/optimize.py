@@ -306,10 +306,15 @@ def decode(study, genes, n_devices, fixed_control=None, site_id="site"):
     pos = np.vstack([[0.0, 0.0], rest.reshape(n_devices - 1, 2)])
     # bound clipping can park two devices on the same corner; nudge the
     # later one so the layout stays representable (it is then maximally
-    # penalized and dies out on its own)
+    # penalized and dies out on its own). Try j moves x to |x - j 1e-6 d|;
+    # each earlier device blocks at most two tries, so one of the first
+    # 2d + 1 is free
     for d in range(1, n_devices):
-        while np.any(np.all(pos[:d] == pos[d], axis=1)):
-            pos[d, 0] = abs(pos[d, 0] - 1e-6 * d)
+        x = pos[d, 0]
+        tries = 0
+        while tries <= 2 * d and np.any(np.all(pos[:d] == pos[d], axis=1)):
+            tries += 1
+            pos[d, 0] = abs(x - tries * (1e-6 * d))
     return DesignPoint(geom, pto, mbe.Layout(pos), site_id=site_id)
 
 

@@ -205,9 +205,12 @@ def input_box(kind):
     return np.array(rows)
 
 
+_INPUT_BOXES = {kind: input_box(kind) for kind in ("single", "pair")}
+
+
 def outside_box(kind, inputs):
     """Per-row flag: does the input leave the training rectangle?"""
-    box = input_box(kind)
+    box = _INPUT_BOXES[kind]
     return np.any((inputs < box[None, :, 0]) | (inputs > box[None, :, 1]), axis=1)
 
 
@@ -475,32 +478,52 @@ class Committee:
     @property
     def feature_key(self):
         """Committees with equal keys compute equal features."""
-        return self.phase_multiplier, self.kref.tobytes()
+        return self.kref.tobytes()
 
     def features(self, inputs):
+        """Network inputs for both phase multipliers, keyed 1.0 and 2.0.
+
+        A pair block is the inputs followed by the range-damped J0 and Y0
+        of the separation phase l * (multiplier * kref). Both blocks come
+        from one J0 and one Y0 call on the stacked phases [phi, 2 phi];
+        doubling is exact, so each block equals its own per-multiplier
+        computation bit for bit. Single maps take the inputs as they are.
+        """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if self.kref.size == 0:
-            return inputs
-        phase = inputs[:, 2:3] * (self.phase_multiplier * self.kref[None, :])
+            return {1.0: inputs, 2.0: inputs}
+        phase = inputs[:, 2:3] * self.kref[None, :]
+        phases = np.stack([phase, 2.0 * phase])
         envelope = np.exp(-inputs[:, 2:3] / (INTERACTION_RANGE_RADII * inputs[:, 0:1]))
-        return np.concatenate(
-            [inputs, envelope * kernels.j0(phase), envelope * kernels.y0(phase)], axis=1
-        )
+        j0, y0 = kernels.j0(phases), kernels.y0(phases)
+        return {
+            m: np.concatenate([inputs, envelope * j0[i], envelope * y0[i]], axis=1)
+            for i, m in enumerate((1.0, 2.0))
+        }
 
     def apply(self, inputs, features=None):
         """Batched mean prediction of the normalized map plus diagnostics.
 
         ``features`` is ``self.features(inputs)`` computed by the caller,
-        who may share one block among committees of equal ``feature_key``.
+        who may share it among committees of equal ``feature_key``; each
+        committee reads the block of its own phase multiplier.
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if features is None:
             features = self.features(inputs)
-        z_in = self.input_scaler.transform(features)
+        z_in = self.input_scaler.transform(features[self.phase_multiplier])
         # nondimensional per-member predictions, shape (M, n, n_w)
-        curves = self.output_scaler.inverse(np.stack([m.predict(z_in) for m in self.members]))
-        disagreement = np.mean(np.var(curves, axis=0), axis=1) / self.pooled_scale**2
-        return curves.mean(axis=0), disagreement, outside_box(self.kind, inputs)
+        curves = np.empty((len(self.members), inputs.shape[0], self.grid.n))
+        for m, member in enumerate(self.members):
+            curves[m] = member.predict(z_in)
+        curves *= self.output_scaler.scale
+        curves += self.output_scaler.mean
+        mean = curves.mean(axis=0)
+        # the variance from that mean, as np.var computes it, in place
+        curves -= mean
+        curves *= curves
+        disagreement = np.mean(curves.mean(axis=0), axis=1) / self.pooled_scale**2
+        return mean, disagreement, outside_box(self.kind, inputs)
 
 
 def _phase_reference(grid, env):
@@ -524,7 +547,7 @@ def _fit_members(committee, dataset, epochs, round_index):
     steps in total, where ``n_boot = round(bootstrap * n_samples)``: the
     ragged tail of every epoch is dropped (see ``nn.epoch_schedule``).
     """
-    feats = committee.features(dataset.inputs)
+    feats = committee.features(dataset.inputs)[committee.phase_multiplier]
     targets = _nondimensional_targets(dataset)
     z_in_all = committee.input_scaler.transform(feats)
     z_out_all = committee.output_scaler.transform(targets)
@@ -585,7 +608,7 @@ def train_committee(dataset, config):
         zero_variance=zero_variance,
         dataset=dataset,
     )
-    feats = committee.features(dataset.inputs)
+    feats = committee.features(dataset.inputs)[committee.phase_multiplier]
     committee.input_scaler = nn.AffineScaler.fit(feats)
     h1, h2 = config.hidden
     for m in range(config.members):
@@ -737,10 +760,10 @@ class SurrogateProvider:
     reconstruction path, so a provider made of them matches the oracle
     to rounding (about 1e-14 relative), not bit for bit.
 
-    Committees of one query that share a phase multiplier and reference
-    wavenumbers (their ``feature_key``) share one feature block, so a
-    pair query makes two J0/Y0 feature passes instead of six; the
-    outputs are the same bit for bit.
+    Committees of one query that share reference wavenumbers (their
+    ``feature_key``) share one feature pass, which holds the blocks of
+    both phase multipliers, so a pair query makes one J0/Y0 feature pass
+    instead of six; the outputs are the same bit for bit.
     """
 
     name = "surrogate"
@@ -818,9 +841,9 @@ class SurrogateProvider:
         """Pair coefficients for scalar or (P,) separations and headings.
 
         A batch applies each of the six pair committees once, to all P
-        rows. The J0/Y0 separation features are computed once per phase
-        multiplier: one block for the four cross and excitation maps, one
-        for the two diagonal maps.
+        rows. The J0/Y0 separation features are computed in one pass for
+        both phase multipliers: one block for the four cross and
+        excitation maps, one for the two diagonal maps.
         """
         self._check(grid, env)
         l, theta, batched = pair_inputs(geom, separation, heading_angle)
@@ -881,9 +904,10 @@ def save_committee(committee, path):
             "min_samples": committee.config.min_samples,
         },
     }
+    # strict JSON: a non-finite value raises before the file is opened
+    text = json.dumps(doc, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_committee(path):

@@ -263,6 +263,15 @@ class TestPersistence:
         assert np.array_equal(back.grid.hs_nodes, site.grid.hs_nodes)
         assert np.array_equal(back.grid.quadrature_weights, site.grid.quadrature_weights)
 
+    def test_non_finite_site_is_refused_and_leaves_no_file(self, tmp_path):
+        site = climate.build_site_climate(make_records(), 12, BOUNDS, 30, site_id="alpha")
+        site.probability = site.probability.copy()
+        site.probability[0, 0] = np.nan
+        path = tmp_path / "site.json"
+        with pytest.raises(ValueError, match="JSON"):
+            climate.save_site(site, path)
+        assert not path.exists()
+
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "site.json"
         path.write_text('{"schema_version": 99}')

@@ -85,6 +85,45 @@ class TestDispersion:
         with pytest.raises(ValueError):
             hydro.solve_dispersion(0.0, ENV)
 
+    def test_memo_repeats_the_first_solution_bytes(self):
+        hydro._dispersion_cache.clear()
+        first = hydro.solve_dispersion(GRID.values, ENV)
+        assert len(hydro._dispersion_cache) == 1
+        again = hydro.solve_dispersion(GRID.values.copy(), ENV)
+        assert again.tobytes() == first.tobytes()
+        assert again is not first
+
+    def test_memo_hands_out_copies(self):
+        k = hydro.solve_dispersion(GRID.values, ENV)
+        want = k.copy()
+        k[:] = -1.0
+        assert hydro.solve_dispersion(GRID.values, ENV).tobytes() == want.tobytes()
+
+    def test_memo_keeps_scalar_omega_a_float(self):
+        om = GRID.values[7]
+        first = hydro.solve_dispersion(om, ENV)
+        again = hydro.solve_dispersion(om, ENV)
+        assert type(first) is float and type(again) is float
+        assert again == first == hydro.solve_dispersion(np.array([om]), ENV)[0]
+
+    def test_memo_keys_depth_and_gravity(self):
+        om = GRID.values
+        base = hydro.solve_dispersion(om, ENV)
+        for env in (Environment(water_depth=8.0), Environment(gravity=9.7)):
+            k = hydro.solve_dispersion(om, env)
+            assert not np.array_equal(k, base)
+            resid = np.abs(om**2 - env.gravity * k * np.tanh(k * env.water_depth))
+            assert np.all(resid < 1e-10 * om**2)
+        assert hydro.solve_dispersion(om, ENV).tobytes() == base.tobytes()
+
+    def test_memo_never_stores_a_bad_omega(self):
+        bad = np.array([0.5, -1.0, 1.0])
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                hydro.solve_dispersion(bad, ENV)
+            with pytest.raises(ValueError):
+                hydro.solve_dispersion(0.0, ENV)
+
     def test_group_velocity_limits(self):
         # deep water: vg -> g/(2 omega); shallow: vg -> sqrt(g h)
         assert hydro.group_velocity(2.0, ENV) == pytest.approx(

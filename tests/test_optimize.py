@@ -6,6 +6,8 @@ acceptance suite.
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from wecfarm import climate, dynamics, hydro, mbe, optimize
 
@@ -212,6 +214,54 @@ def test_decode_nudges_coincident_corners():
     design = optimize.decode("II", genes, 3)
     assert not np.array_equal(design.layout.positions[1], design.layout.positions[2])
     assert optimize.min_distance_violations(design.layout, design.geometry).max() > 10.0
+
+
+def test_decode_nudge_leaves_a_two_device_cycle():
+    # device 2 starts on device 0 at the origin, and its first nudge,
+    # |x - 2e-6|, lands it on device 1; a second nudge of the nudged x
+    # would take it back to the origin
+    genes = np.array([3.0, 2.0, 1e4, 1e5, 2e-6, 0.0, 0.0, 0.0])
+    design = optimize.decode("II", genes, 3)
+    np.testing.assert_array_equal(
+        design.layout.positions, [[0.0, 0.0], [2e-6, 0.0], [4e-6, 0.0]]
+    )
+
+
+# fixed examples, no example database, and no explain phase
+PROPERTY = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.generate, Phase.shrink),
+)
+
+
+@PROPERTY
+@given(st.data())
+def test_decode_terminates_and_round_trips_on_box_corners(data):
+    study = data.draw(st.sampled_from(optimize.STUDIES))
+    n = data.draw(st.integers(2, 6))
+    half = optimize.farm_half_width(n)
+    bounds = optimize.gene_bounds(study, n)
+    plant_and_control = [data.draw(st.floats(lo, hi)) for lo, hi in bounds[: -2 * (n - 1)]]
+    # multiples of the nudge step put devices where earlier nudges land
+    tiny = [1e-6 * j for j in range(1, n)]
+    xs = st.sampled_from([0.0] + tiny + [half])
+    ys = st.sampled_from([0.0, half, -half] + tiny)
+    free = [c for _ in range(n - 1) for c in (data.draw(xs), data.draw(ys))]
+    genes = np.array(plant_and_control + free)
+    fixed = (1e4, 2e5) if study == "I" else None
+
+    design = optimize.decode(study, genes, n, fixed_control=fixed)
+
+    pos = design.layout.positions
+    assert np.all((pos[:, 0] >= 0.0) & (pos[:, 0] <= half) & (np.abs(pos[:, 1]) <= half))
+    assert len({tuple(p) for p in pos}) == n
+    raw = np.vstack([[0.0, 0.0], np.reshape(free, (n - 1, 2))])
+    lo, hi = optimize.slenderness_interval(genes[0])
+    if lo <= genes[1] <= hi and len({tuple(p) for p in raw}) == n:
+        np.testing.assert_array_equal(optimize.encode(study, design), genes)
 
 
 def test_study_spec_validation():

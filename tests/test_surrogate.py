@@ -6,12 +6,13 @@ determinism, tie-breaking, scaling round-trips, provider structure. The
 one tight fit check is test_committee_fits_linear_map.
 """
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from wecfarm import hydro, mbe, nn, surrogate
+from wecfarm import hydro, kernels, mbe, nn, surrogate
 
 ENV = hydro.Environment()
 GRID = hydro.FrequencyGrid.default(count=50)
@@ -378,6 +379,15 @@ def test_committee_json_loads_files_with_the_optimizer_flag(tmp_path, damping_co
         assert a.tobytes() == b.tobytes()
 
 
+def test_committee_json_refuses_non_finite_values(tmp_path, damping_committee):
+    diverged = copy.copy(damping_committee)
+    diverged.member_mse = [float("nan")] + list(damping_committee.member_mse[1:])
+    path = tmp_path / "committee.json"
+    with pytest.raises(ValueError, match="JSON"):
+        surrogate.save_committee(diverged, path)
+    assert not path.exists()
+
+
 def test_committee_schema_checked(tmp_path):
     path = tmp_path / "committee.json"
     path.write_text('{"schema_version": 99}')
@@ -549,7 +559,7 @@ def test_provider_shared_features_keep_bits(tiny_provider):
     assert shared.excitation.tobytes() == alone.excitation.tobytes()
 
 
-def test_provider_pair_computes_one_feature_block_per_phase(tiny_provider, monkeypatch):
+def test_provider_pair_computes_one_feature_pass(tiny_provider, monkeypatch):
     geom = hydro.WecGeometry(3.0, 6.0)
     sep, theta = PAIR_BATCH
     tiny_provider.pair(geom, sep, theta, GRID, ENV)  # the singles are cached from here on
@@ -557,13 +567,80 @@ def test_provider_pair_computes_one_feature_block_per_phase(tiny_provider, monke
     features = surrogate.Committee.features
 
     def counting(self, inputs):
-        calls.append(self.target_id)
-        return features(self, inputs)
+        blocks = features(self, inputs)
+        calls.append(sorted(blocks))
+        return blocks
 
     monkeypatch.setattr(surrogate.Committee, "features", counting)
     tiny_provider.pair(geom, sep, theta, GRID, ENV)
-    assert len(calls) == 2
-    assert {tiny_provider.committees[tid].phase_multiplier for tid in calls} == {1.0, 2.0}
+    assert calls == [[1.0, 2.0]]
+
+
+# Frozen copies of the earlier per-multiplier feature block and of the
+# committee apply built on np.stack, np.var and a fresh input box; the
+# current code must reproduce them byte for byte.
+
+
+def features_of_one_multiplier(committee, inputs, multiplier):
+    phase = inputs[:, 2:3] * (multiplier * committee.kref[None, :])
+    envelope = np.exp(-inputs[:, 2:3] / (hydro.INTERACTION_RANGE_RADII * inputs[:, 0:1]))
+    return np.concatenate(
+        [inputs, envelope * kernels.j0(phase), envelope * kernels.y0(phase)], axis=1
+    )
+
+
+def forward_with_temporaries(x, weights):
+    w1, b1, w2, b2, w3, b3 = weights
+    h1 = np.tanh(x @ w1 + b1)
+    h2 = np.tanh(h1 @ w2 + b2)
+    return h2 @ w3 + b3
+
+
+def apply_by_stacking(committee, inputs):
+    feats = features_of_one_multiplier(committee, inputs, committee.phase_multiplier)
+    z_in = committee.input_scaler.transform(feats)
+    curves = committee.output_scaler.inverse(
+        np.stack([forward_with_temporaries(z_in, m.weights) for m in committee.members])
+    )
+    disagreement = np.mean(np.var(curves, axis=0), axis=1) / committee.pooled_scale**2
+    box = surrogate.input_box(committee.kind)
+    outside = np.any((inputs < box[None, :, 0]) | (inputs > box[None, :, 1]), axis=1)
+    return curves.mean(axis=0), disagreement, outside
+
+
+def random_pair_inputs(seed):
+    # edge snapping puts every coordinate on its bounds, separations
+    # 2R + 1 and SEPARATION_MAX included; the last rows leave the box
+    u = surrogate.sample_inputs("pair", 60, np.random.default_rng(seed), edge_fraction=0.5)
+    radius = u[:3, 0]
+    sep_lo, sep_hi = surrogate.separation_interval(radius)
+    bounds = np.column_stack([radius, u[:3, 1], sep_lo, u[:3, 3]])
+    outside = bounds.copy()
+    outside[:, 2] = sep_hi + 25.0
+    return np.vstack([u, bounds, outside])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_feature_pass_equals_per_multiplier_blocks_bytewise(tiny_provider, seed):
+    inputs = random_pair_inputs(seed)
+    committee = tiny_provider.committees["pair_damping_cross"]
+    blocks = committee.features(inputs)
+    assert sorted(blocks) == [1.0, 2.0]
+    for m in (1.0, 2.0):
+        assert blocks[m].tobytes() == features_of_one_multiplier(committee, inputs, m).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_apply_equals_stacked_apply_bytewise(tiny_provider, seed):
+    inputs = random_pair_inputs(seed)
+    for tid in surrogate.PAIR_TARGET_IDS:
+        committee = tiny_provider.committees[tid]
+        got = committee.apply(inputs)
+        want = apply_by_stacking(committee, inputs)
+        assert got[2].any() and not got[2].all()
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 def test_provider_haskind_projection(tiny_provider):
