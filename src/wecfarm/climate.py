@@ -128,11 +128,14 @@ class SiteClimate:
     _spectra: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         prob = np.asarray(self.probability, dtype=np.float64)
-        if np.any(prob < 0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(prob.sum() - 1.0) > 1e-9:
+        if not np.all(prob >= 0):
+            raise ValueError("probabilities must be non-negative numbers")
+        if not abs(prob.sum() - 1.0) <= 1e-9:
             raise ValueError("probabilities must sum to one per year")
+        if not self.years > 0:
+            raise ValueError(f"years must be positive, got {self.years!r}")
         self.probability = prob
 
     def spectral_matrix(self, grid):

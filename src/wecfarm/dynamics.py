@@ -33,11 +33,12 @@ class PtoSettings:
         self.damping = np.atleast_1d(np.asarray(self.damping, dtype=np.float64))
         if self.mode not in ("farm-uniform", "per-device"):
             raise ValueError(f"unknown pto mode {self.mode!r}")
+        # NaN fails both comparisons and so counts as out of bounds
         lo, hi = PTO_STIFFNESS_BOUNDS
-        if np.any(self.stiffness < lo) or np.any(self.stiffness > hi):
+        if not np.all((lo <= self.stiffness) & (self.stiffness <= hi)):
             raise ValueError("pto stiffness outside its design bounds")
         lo, hi = PTO_DAMPING_BOUNDS
-        if np.any(self.damping < lo) or np.any(self.damping > hi):
+        if not np.all((lo <= self.damping) & (self.damping <= hi)):
             raise ValueError("pto damping outside its design bounds")
         if self.mode == "farm-uniform":
             if np.unique(self.stiffness).size > 1 or np.unique(self.damping).size > 1:

@@ -56,7 +56,8 @@ class Environment:
     water_density: float = 1025.0
 
     def __post_init__(self):
-        if self.water_depth <= 0 or self.gravity <= 0 or self.water_density <= 0:
+        # written so that NaN fails the check, as it fails every comparison
+        if not (self.water_depth > 0 and self.gravity > 0 and self.water_density > 0):
             raise ValueError("environment constants must be strictly positive")
 
 

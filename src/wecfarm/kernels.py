@@ -100,77 +100,6 @@ def _bessel_1d(x, which):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Two-hidden-layer tanh regressors. The caller supplies the initialized
-# weights, the minibatch index schedule and the learning rate; training
-# mutates the weight arrays in place and returns the final full-set MSE
-# in scaled units. Keeping the schedule outside the kernel makes a run
-# a function of its seed alone.
-
-
-def _mlp_train(x, y, w1, b1, w2, b2, w3, b3, batches, lr):
-    mw1 = np.zeros_like(w1)
-    vw1 = np.zeros_like(w1)
-    mb1 = np.zeros_like(b1)
-    vb1 = np.zeros_like(b1)
-    mw2 = np.zeros_like(w2)
-    vw2 = np.zeros_like(w2)
-    mb2 = np.zeros_like(b2)
-    vb2 = np.zeros_like(b2)
-    mw3 = np.zeros_like(w3)
-    vw3 = np.zeros_like(w3)
-    mb3 = np.zeros_like(b3)
-    vb3 = np.zeros_like(b3)
-    beta1 = 0.9
-    beta2 = 0.999
-    eps = 1e-8
-    c1 = 1.0
-    c2 = 1.0
-    for step in range(batches.shape[0]):
-        idx = batches[step]
-        xb = x[idx]
-        yb = y[idx]
-        h1 = np.tanh(xb @ w1 + b1)
-        h2 = np.tanh(h1 @ w2 + b2)
-        out = h2 @ w3 + b3
-        d3 = (2.0 / (yb.shape[0] * yb.shape[1])) * (out - yb)
-        gw3 = h2.T @ d3
-        gb3 = np.sum(d3, axis=0)
-        d2 = (d3 @ w3.T) * (1.0 - h2 * h2)
-        gw2 = h1.T @ d2
-        gb2 = np.sum(d2, axis=0)
-        d1 = (d2 @ w2.T) * (1.0 - h1 * h1)
-        gw1 = xb.T @ d1
-        gb1 = np.sum(d1, axis=0)
-        c1 *= beta1
-        c2 *= beta2
-        k1 = 1.0 - c1
-        k2 = 1.0 - c2
-        mw1 = beta1 * mw1 + (1.0 - beta1) * gw1
-        vw1 = beta2 * vw1 + (1.0 - beta2) * gw1 * gw1
-        w1 -= lr * (mw1 / k1) / (np.sqrt(vw1 / k2) + eps)
-        mb1 = beta1 * mb1 + (1.0 - beta1) * gb1
-        vb1 = beta2 * vb1 + (1.0 - beta2) * gb1 * gb1
-        b1 -= lr * (mb1 / k1) / (np.sqrt(vb1 / k2) + eps)
-        mw2 = beta1 * mw2 + (1.0 - beta1) * gw2
-        vw2 = beta2 * vw2 + (1.0 - beta2) * gw2 * gw2
-        w2 -= lr * (mw2 / k1) / (np.sqrt(vw2 / k2) + eps)
-        mb2 = beta1 * mb2 + (1.0 - beta1) * gb2
-        vb2 = beta2 * vb2 + (1.0 - beta2) * gb2 * gb2
-        b2 -= lr * (mb2 / k1) / (np.sqrt(vb2 / k2) + eps)
-        mw3 = beta1 * mw3 + (1.0 - beta1) * gw3
-        vw3 = beta2 * vw3 + (1.0 - beta2) * gw3 * gw3
-        w3 -= lr * (mw3 / k1) / (np.sqrt(vw3 / k2) + eps)
-        mb3 = beta1 * mb3 + (1.0 - beta1) * gb3
-        vb3 = beta2 * vb3 + (1.0 - beta2) * gb3 * gb3
-        b3 -= lr * (mb3 / k1) / (np.sqrt(vb3 / k2) + eps)
-    h1 = np.tanh(x @ w1 + b1)
-    h2 = np.tanh(h1 @ w2 + b2)
-    out = h2 @ w3 + b3
-    diff = out - y
-    return np.sum(diff * diff) / (y.shape[0] * y.shape[1])
-
-
 def _dispatch_bessel(x, which):
     arr = np.ascontiguousarray(x, dtype=np.float64).ravel()
     res = _bessel_1d(arr, which)
@@ -211,6 +140,14 @@ def solve_batch(a, b):
     return np.linalg.solve(a, b[:, :, None])[:, :, 0]
 
 
+# ---------------------------------------------------------------------------
+# Two-hidden-layer tanh regressors. The caller supplies the initialized
+# weights, the minibatch index schedule and the learning rate; training
+# mutates the weight arrays in place and returns the final full-set MSE
+# in scaled units. Keeping the schedule outside the kernel makes a run
+# a function of its seed alone.
+
+
 def mlp_forward(x, weights):
     """Evaluate a two-hidden-layer tanh network on scaled inputs."""
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -228,7 +165,7 @@ def mlp_forward(x, weights):
 
 
 def mlp_train(x, y, weights, batches, lr):
-    """Train the network in place on a fixed minibatch schedule.
+    """Train the network in place on a fixed minibatch schedule with Adam.
 
     `batches` is an integer array of shape (steps, batch_size) holding
     row indices into x and y. Returns the final mean-squared error over
@@ -237,5 +174,35 @@ def mlp_train(x, y, weights, batches, lr):
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     batches = np.ascontiguousarray(batches, dtype=np.int64)
+    lr = float(lr)
     w1, b1, w2, b2, w3, b3 = weights
-    return _mlp_train(x, y, w1, b1, w2, b2, w3, b3, batches, float(lr))
+    # Adam (Kingma & Ba 2015): first and second moments per weight array
+    moments = [np.zeros_like(w) for w in weights]
+    squares = [np.zeros_like(w) for w in weights]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    c1 = c2 = 1.0
+    for idx in batches:
+        xb = x[idx]
+        yb = y[idx]
+        h1 = np.tanh(xb @ w1 + b1)
+        h2 = np.tanh(h1 @ w2 + b2)
+        d3 = (2.0 / (yb.shape[0] * yb.shape[1])) * (h2 @ w3 + b3 - yb)
+        d2 = (d3 @ w3.T) * (1.0 - h2 * h2)
+        d1 = (d2 @ w2.T) * (1.0 - h1 * h1)
+        grads = [
+            xb.T @ d1, np.sum(d1, axis=0),
+            h1.T @ d2, np.sum(d2, axis=0),
+            h2.T @ d3, np.sum(d3, axis=0),
+        ]
+        c1 *= beta1
+        c2 *= beta2
+        k1 = 1.0 - c1
+        k2 = 1.0 - c2
+        for w, g, m, v in zip(weights, grads, moments, squares):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            w -= lr * (m / k1) / (np.sqrt(v / k2) + eps)
+    diff = mlp_forward(x, weights) - y
+    return np.sum(diff * diff) / (y.shape[0] * y.shape[1])

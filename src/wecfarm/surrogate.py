@@ -19,7 +19,7 @@ committee members disagree most.
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +63,7 @@ PAIR_TARGET_IDS = (
     "pair_excitation_im",
 )
 ALL_TARGET_IDS = SINGLE_TARGET_IDS + PAIR_TARGET_IDS
+_TARGET_IDS = {"single": SINGLE_TARGET_IDS, "pair": PAIR_TARGET_IDS}
 
 _EXTRACTORS = {
     "single_added_mass": lambda c: c.added_mass,
@@ -302,37 +303,33 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def label_inputs(target_id, inputs, grid, env, oracle):
-    """Query the oracle provider and extract one target map."""
-    extract = _EXTRACTORS[target_id]
-    kind = target_kind(target_id)
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    out = np.empty((inputs.shape[0], grid.n))
+def _label_rows(kind, inputs, grid, env, oracle, target_ids):
+    """One oracle query per input row; the named maps' curves, each (n, n_w)."""
+    out = {tid: np.empty((inputs.shape[0], grid.n)) for tid in target_ids}
     for i, row in enumerate(inputs):
         geom = WecGeometry(row[0], row[1])
         if kind == "single":
-            out[i] = extract(oracle.single(geom, grid, env))
+            coeffs = oracle.single(geom, grid, env)
         else:
-            out[i] = extract(oracle.pair(geom, row[2], row[3], grid, env))
+            coeffs = oracle.pair(geom, row[2], row[3], grid, env)
+        for tid in target_ids:
+            out[tid][i] = _EXTRACTORS[tid](coeffs)
     return out
+
+
+def label_inputs(target_id, inputs, grid, env, oracle):
+    """Query the oracle provider and extract one target map."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    kind = target_kind(target_id)
+    return _label_rows(kind, inputs, grid, env, oracle, (target_id,))[target_id]
 
 
 def build_datasets(kind, n, seed, grid, env, oracle, edge_fraction=0.0):
     """One oracle sweep labelling every map of the given kind."""
     rng = np.random.default_rng(seed)
     inputs = sample_inputs(kind, n, rng, edge_fraction=edge_fraction)
-    ids = SINGLE_TARGET_IDS if kind == "single" else PAIR_TARGET_IDS
-    outs = {tid: np.empty((n, grid.n)) for tid in ids}
-    for i, row in enumerate(inputs):
-        geom = WecGeometry(row[0], row[1])
-        coeffs = (
-            oracle.single(geom, grid, env)
-            if kind == "single"
-            else oracle.pair(geom, row[2], row[3], grid, env)
-        )
-        for tid in ids:
-            outs[tid][i] = _EXTRACTORS[tid](coeffs)
-    return {tid: Dataset(tid, inputs, outs[tid], grid, env) for tid in ids}
+    outs = _label_rows(kind, inputs, grid, env, oracle, _TARGET_IDS[kind])
+    return {tid: Dataset(tid, inputs, out, grid, env) for tid, out in outs.items()}
 
 
 # --- committees -----------------------------------------------------------
@@ -351,6 +348,7 @@ class CommitteeConfig:
     min_samples: int = 50
 
     def __post_init__(self):
+        self.hidden = tuple(self.hidden)
         if self.members < 3:
             raise ValueError("committee needs at least 3 members")
         if not 0.0 < self.bootstrap <= 1.0:
@@ -388,8 +386,7 @@ def train_standard_committees(seed, grid, env, oracle, kinds=("single", "pair"),
             oracle=oracle,
             edge_fraction=EDGE_FRACTION,
         )
-        ids = SINGLE_TARGET_IDS if kind == "single" else PAIR_TARGET_IDS
-        for tid in ids:
+        for tid in _TARGET_IDS[kind]:
             idx = ALL_TARGET_IDS.index(tid)
             committee = train_committee(datasets[tid], default_config(tid, seed=seed * 1000 + idx))
             for rnd in range(plan["rounds"]):
@@ -423,6 +420,7 @@ class MseMap:
         return float(self.mse.max())
 
 
+@dataclass(eq=False)
 class Committee:
     """Bootstrap ensemble over one coefficient map.
 
@@ -434,37 +432,20 @@ class Committee:
     outputs whose per-frequency variance collapses.
     """
 
-    def __init__(
-        self,
-        target_id,
-        config,
-        grid,
-        env,
-        kref,
-        input_scaler,
-        output_scaler,
-        pooled_scale,
-        members,
-        member_mse,
-        zero_variance=False,
-        rounds=0,
-        disagreement_history=None,
-        dataset=None,
-    ):
-        self.target_id = target_id
-        self.config = config
-        self.grid = grid
-        self.env = env
-        self.kref = kref
-        self.input_scaler = input_scaler
-        self.output_scaler = output_scaler
-        self.pooled_scale = pooled_scale
-        self.members = members
-        self.member_mse = member_mse
-        self.zero_variance = zero_variance
-        self.rounds = rounds
-        self.disagreement_history = list(disagreement_history or [])
-        self.dataset = dataset
+    target_id: str
+    config: CommitteeConfig
+    grid: FrequencyGrid
+    env: Environment
+    kref: np.ndarray
+    input_scaler: nn.AffineScaler
+    output_scaler: nn.AffineScaler
+    pooled_scale: float
+    members: list
+    member_mse: list
+    zero_variance: bool = False
+    rounds: int = 0
+    disagreement_history: list = field(default_factory=list)
+    dataset: Dataset = None
 
     @property
     def kind(self):
@@ -536,8 +517,11 @@ def _nondimensional_targets(dataset):
     return (dataset.outputs - base) / scale
 
 
-def _fit_members(committee, dataset, epochs, round_index):
+def _fit_members(committee, feats, targets, epochs, round_index):
     """Train every member on its own bootstrap resample (in place).
+
+    ``feats`` and ``targets`` are the network inputs of the committee's
+    phase multiplier and the nondimensional targets of its dataset.
 
     The learning rate steps down twice within each fit; the refit after
     an active-learning round starts already annealed so the established
@@ -547,11 +531,9 @@ def _fit_members(committee, dataset, epochs, round_index):
     steps in total, where ``n_boot = round(bootstrap * n_samples)``: the
     ragged tail of every epoch is dropped (see ``nn.epoch_schedule``).
     """
-    feats = committee.features(dataset.inputs)[committee.phase_multiplier]
-    targets = _nondimensional_targets(dataset)
     z_in_all = committee.input_scaler.transform(feats)
     z_out_all = committee.output_scaler.transform(targets)
-    n = dataset.n_samples
+    n = feats.shape[0]
     n_boot = max(1, int(round(committee.config.bootstrap * n)))
     lr = committee.config.learning_rate
     if round_index == 0:
@@ -563,13 +545,14 @@ def _fit_members(committee, dataset, epochs, round_index):
         rng = np.random.default_rng([committee.config.seed, m, round_index])
         sel = rng.integers(0, n, n_boot)
         schedule = nn.epoch_schedule(n_boot, committee.config.batch, epochs, rng)
+        x, y = z_in_all[sel], z_out_all[sel]
         steps = schedule.shape[0]
         pos = 0
         last = 0.0
         for seg, (fraction, seg_lr) in enumerate(segments):
             end = steps if seg == len(segments) - 1 else pos + int(round(fraction * steps))
             if end > pos:
-                last = member.train(z_in_all[sel], z_out_all[sel], schedule[pos:end], seg_lr)
+                last = member.train(x, y, schedule[pos:end], seg_lr)
             pos = end
         mses.append(last)
     committee.member_mse = mses
@@ -616,7 +599,7 @@ def train_committee(dataset, config):
         committee.members.append(
             nn.Regressor.initialized(feats.shape[1], (h1, h2), dataset.grid.n, rng)
         )
-    _fit_members(committee, dataset, config.epochs, round_index=0)
+    _fit_members(committee, feats, targets, config.epochs, round_index=0)
     return committee
 
 
@@ -657,7 +640,9 @@ def qbc_round(committee, pool, k, oracle):
     committee.dataset = augmented
     committee.rounds += 1
     committee.disagreement_history.append(float(disagreement[order[0]]))
-    _fit_members(committee, augmented, committee.config.round_epochs, committee.rounds)
+    feats = committee.features(augmented.inputs)[committee.phase_multiplier]
+    targets = _nondimensional_targets(augmented)
+    _fit_members(committee, feats, targets, committee.config.round_epochs, committee.rounds)
     return augmented, committee
 
 
@@ -719,7 +704,7 @@ class CheatingCommittee:
     def features(self, inputs):
         """Oracle curves of every map of this kind, keyed by target id."""
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        ids = SINGLE_TARGET_IDS if self.kind == "single" else PAIR_TARGET_IDS
+        ids = _TARGET_IDS[self.kind]
         groups = {}
         for i, (radius, slenderness) in enumerate(inputs[:, :2]):
             groups.setdefault((radius, slenderness), []).append(i)
@@ -877,11 +862,7 @@ def save_committee(committee, path):
         "schema_version": SCHEMA_VERSION,
         "target_id": committee.target_id,
         "grid": committee.grid.values.tolist(),
-        "environment": {
-            "water_depth": committee.env.water_depth,
-            "gravity": committee.env.gravity,
-            "water_density": committee.env.water_density,
-        },
+        "environment": asdict(committee.env),
         "kref": committee.kref.tolist(),
         "topology": committee.members[0].sizes,
         "input_scaler": committee.input_scaler.to_dict(),
@@ -892,17 +873,7 @@ def save_committee(committee, path):
         "zero_variance": committee.zero_variance,
         "rounds": committee.rounds,
         "disagreement_history": committee.disagreement_history,
-        "config": {
-            "hidden": list(committee.config.hidden),
-            "epochs": committee.config.epochs,
-            "round_epochs": committee.config.round_epochs,
-            "learning_rate": committee.config.learning_rate,
-            "members": committee.config.members,
-            "bootstrap": committee.config.bootstrap,
-            "batch": committee.config.batch,
-            "seed": committee.config.seed,
-            "min_samples": committee.config.min_samples,
-        },
+        "config": asdict(committee.config),
     }
     # strict JSON: a non-finite value raises before the file is opened
     text = json.dumps(doc, allow_nan=False)
@@ -915,18 +886,8 @@ def load_committee(path):
         doc = json.load(fh)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported committee schema {doc.get('schema_version')!r}")
-    cfg = doc["config"]
-    config = CommitteeConfig(
-        hidden=tuple(cfg["hidden"]),
-        epochs=cfg["epochs"],
-        round_epochs=cfg["round_epochs"],
-        learning_rate=cfg["learning_rate"],
-        members=cfg["members"],
-        bootstrap=cfg["bootstrap"],
-        batch=cfg["batch"],
-        seed=cfg["seed"],
-        min_samples=cfg["min_samples"],
-    )
+    # keys of retired options, such as "use_adam", are ignored
+    config = CommitteeConfig(**{f.name: doc["config"][f.name] for f in fields(CommitteeConfig)})
     sizes = doc["topology"]
     return Committee(
         target_id=doc["target_id"],

@@ -149,6 +149,21 @@ def test_eval_overlapping_design_writes_strict_json(site_path, tmp_path, capsys)
     assert on_disk["q_factor"] is None
 
 
+def test_eval_rejects_a_design_with_nan_stiffness(site_path, design_path, tmp_path, capsys):
+    doc = json.load(open(design_path))
+    doc["pto_stiffness"] = [float("nan")]
+    design_file = tmp_path / "nan.json"
+    design_file.write_text(json.dumps(doc))
+    assert "NaN" in design_file.read_text()
+    rc = cli.main([
+        "eval", "--design", str(design_file), "--site", site_path,
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "stiffness" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "evaluation.json").exists()
+
+
 def test_out_root_env_var(site_path, design_path, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path))
     monkeypatch.chdir(tmp_path)

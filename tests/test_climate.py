@@ -5,6 +5,8 @@ an explicit double-loop kernel density estimate, and grid-refinement
 re-computation of sea-state power.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,19 @@ class TestBuildSiteClimate:
         assert abs(site.probability.sum() - 1.0) < 1e-12
         assert np.all(site.probability >= 0.0)
         assert site.years == 30
+
+    def test_nan_probability_rejected(self):
+        grid = climate.SeaStateGrid.build(3, (0.5, 4.5), (4.0, 14.0))
+        prob = np.full((3, 3), 1.0 / 9.0)
+        prob[1, 2] = np.nan
+        with pytest.raises(ValueError, match="probabilities"):
+            climate.SiteClimate("toy", grid, prob, 1)
+
+    @pytest.mark.parametrize("years", [0, -3, float("nan")])
+    def test_non_positive_or_nan_years_rejected(self, years):
+        grid = climate.SeaStateGrid.build(3, (0.5, 4.5), (4.0, 14.0))
+        with pytest.raises(ValueError, match="years"):
+            climate.SiteClimate("toy", grid, np.full((3, 3), 1.0 / 9.0), years)
 
     def test_matches_double_loop_kde(self):
         rec = make_records(seed=11, n=200)
@@ -271,6 +286,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match="JSON"):
             climate.save_site(site, path)
         assert not path.exists()
+
+    def test_site_file_holding_nan_is_refused(self, tmp_path):
+        site = climate.build_site_climate(make_records(), 12, BOUNDS, 30, site_id="alpha")
+        path = tmp_path / "site.json"
+        climate.save_site(site, path)
+        # Python's json reads the bare NaN token that other writers emit
+        doc = json.loads(path.read_text())
+        doc["probability"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match="probabilities"):
+            climate.load_site(path)
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "site.json"

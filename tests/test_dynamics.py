@@ -41,6 +41,15 @@ class TestPtoSettings:
         with pytest.raises(ValueError):
             dynamics.PtoSettings(0.0, -1.0)
 
+    def test_nan_is_out_of_bounds(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="stiffness"):
+            dynamics.PtoSettings(nan, 1e5)
+        with pytest.raises(ValueError, match="damping"):
+            dynamics.PtoSettings(0.0, nan)
+        with pytest.raises(ValueError, match="stiffness"):
+            dynamics.PtoSettings([1e4, nan], [1e5, 1e5], mode="per-device")
+
     def test_dimension_mismatch(self):
         pto = dynamics.PtoSettings([1e4, 2e4], [1e5, 1e5], mode="per-device")
         with pytest.raises(ValueError):

@@ -37,6 +37,13 @@ class TestGeometry:
             WecGeometry(9.0, 0.4)
 
 
+@pytest.mark.parametrize("name", ["water_depth", "gravity", "water_density"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_environment_rejects_non_positive_and_nan(name, value):
+    with pytest.raises(ValueError, match="strictly positive"):
+        Environment(**{name: value})
+
+
 class TestFrequencyGrid:
     def test_default_span_and_count(self):
         assert GRID.n == 200

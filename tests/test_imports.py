@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module or script imports is used in that file.
 
 There is no linter in the toolchain, so this walks the syntax tree of
 each module instead: a name bound by an import statement must appear
@@ -12,7 +12,11 @@ import pytest
 
 import wecfarm
 
-MODULES = sorted(Path(wecfarm.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# the package, then the stand-alone scripts that no test imports
+MODULES = sorted(Path(wecfarm.__file__).parent.glob("*.py")) + sorted(
+    [*(ROOT / "scripts").glob("*.py"), ROOT / "data" / "make_records.py"]
+)
 
 
 def imported_names(tree):

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from wecfarm import _bessel_coeffs, kernels
+from wecfarm import _bessel_coeffs, kernels, nn
 
 mp.mp.dps = 30
 
@@ -242,6 +242,96 @@ def test_mlp_train_deterministic():
     assert loss_a == loss_b
     for wa, wb in zip(w_a, w_b):
         assert np.array_equal(wa, wb)
+
+
+def _unrolled_adam_reference(x, y, w1, b1, w2, b2, w3, b3, batches, lr):
+    # Frozen copy of the Adam loop as it was first written, one named
+    # moment array and one update line per weight array; mlp_train must
+    # reproduce it bit for bit.
+    mw1 = np.zeros_like(w1)
+    vw1 = np.zeros_like(w1)
+    mb1 = np.zeros_like(b1)
+    vb1 = np.zeros_like(b1)
+    mw2 = np.zeros_like(w2)
+    vw2 = np.zeros_like(w2)
+    mb2 = np.zeros_like(b2)
+    vb2 = np.zeros_like(b2)
+    mw3 = np.zeros_like(w3)
+    vw3 = np.zeros_like(w3)
+    mb3 = np.zeros_like(b3)
+    vb3 = np.zeros_like(b3)
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+    c1 = 1.0
+    c2 = 1.0
+    for step in range(batches.shape[0]):
+        idx = batches[step]
+        xb = x[idx]
+        yb = y[idx]
+        h1 = np.tanh(xb @ w1 + b1)
+        h2 = np.tanh(h1 @ w2 + b2)
+        out = h2 @ w3 + b3
+        d3 = (2.0 / (yb.shape[0] * yb.shape[1])) * (out - yb)
+        gw3 = h2.T @ d3
+        gb3 = np.sum(d3, axis=0)
+        d2 = (d3 @ w3.T) * (1.0 - h2 * h2)
+        gw2 = h1.T @ d2
+        gb2 = np.sum(d2, axis=0)
+        d1 = (d2 @ w2.T) * (1.0 - h1 * h1)
+        gw1 = xb.T @ d1
+        gb1 = np.sum(d1, axis=0)
+        c1 *= beta1
+        c2 *= beta2
+        k1 = 1.0 - c1
+        k2 = 1.0 - c2
+        mw1 = beta1 * mw1 + (1.0 - beta1) * gw1
+        vw1 = beta2 * vw1 + (1.0 - beta2) * gw1 * gw1
+        w1 -= lr * (mw1 / k1) / (np.sqrt(vw1 / k2) + eps)
+        mb1 = beta1 * mb1 + (1.0 - beta1) * gb1
+        vb1 = beta2 * vb1 + (1.0 - beta2) * gb1 * gb1
+        b1 -= lr * (mb1 / k1) / (np.sqrt(vb1 / k2) + eps)
+        mw2 = beta1 * mw2 + (1.0 - beta1) * gw2
+        vw2 = beta2 * vw2 + (1.0 - beta2) * gw2 * gw2
+        w2 -= lr * (mw2 / k1) / (np.sqrt(vw2 / k2) + eps)
+        mb2 = beta1 * mb2 + (1.0 - beta1) * gb2
+        vb2 = beta2 * vb2 + (1.0 - beta2) * gb2 * gb2
+        b2 -= lr * (mb2 / k1) / (np.sqrt(vb2 / k2) + eps)
+        mw3 = beta1 * mw3 + (1.0 - beta1) * gw3
+        vw3 = beta2 * vw3 + (1.0 - beta2) * gw3 * gw3
+        w3 -= lr * (mw3 / k1) / (np.sqrt(vw3 / k2) + eps)
+        mb3 = beta1 * mb3 + (1.0 - beta1) * gb3
+        vb3 = beta2 * vb3 + (1.0 - beta2) * gb3 * gb3
+        b3 -= lr * (mb3 / k1) / (np.sqrt(vb3 / k2) + eps)
+    h1 = np.tanh(x @ w1 + b1)
+    h2 = np.tanh(h1 @ w2 + b2)
+    out = h2 @ w3 + b3
+    diff = out - y
+    return np.sum(diff * diff) / (y.shape[0] * y.shape[1])
+
+
+@pytest.mark.parametrize(
+    "sizes, n, batch, epochs",
+    [
+        ([2, 32, 32, 200], 160, 64, 300),  # the single-map topology
+        ([136, 96, 96, 200], 160, 64, 20),  # the pair-map topology
+        ([4, 16, 16, 8], 40, 64, 50),  # full batch: fewer rows than the batch
+    ],
+    ids=["single", "pair", "full-batch"],
+)
+def test_mlp_train_matches_the_unrolled_adam_reference_bitwise(sizes, n, batch, epochs):
+    rng = np.random.default_rng(sizes[0])
+    x = rng.normal(size=(n, sizes[0]))
+    y = np.sin(x @ rng.normal(size=(sizes[0], sizes[-1])))
+    schedule = nn.epoch_schedule(n, batch, epochs, rng)
+    assert schedule.shape == (epochs * (n // min(batch, n)), min(batch, n))
+    weights = nn.he_init(sizes, rng)
+    frozen = [w.copy() for w in weights]
+    loss = kernels.mlp_train(x, y, weights, schedule, 2e-3)
+    expected = _unrolled_adam_reference(x, y, *frozen, schedule, 2e-3)
+    assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
+    for w, w_ref in zip(weights, frozen):
+        assert w.tobytes() == w_ref.tobytes()
 
 
 def test_backend_reports_a_name():

@@ -8,6 +8,7 @@ one tight fit check is test_committee_fits_linear_map.
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,6 +364,26 @@ def test_committee_json_round_trip(tmp_path, damping_committee):
     assert dis_a[0] == dis_b[0]
     assert back.config == damping_committee.config
     assert back.target_id == "single_damping"
+
+
+def test_committee_json_resave_is_byte_identical(tmp_path, damping_committee):
+    # a pair committee after one QBC round carries kref, rounds and history
+    data = surrogate.build_datasets("pair", 60, 13, GRID, ENV, ORACLE)["pair_damping_cross"]
+    cfg = replace(surrogate.default_config("pair_damping_cross", seed=2), epochs=3, round_epochs=2)
+    pair = surrogate.train_committee(data, cfg)
+    pool = surrogate.sample_inputs("pair", 20, np.random.default_rng(5))
+    _, pair = surrogate.qbc_round(pair, pool, 5, ORACLE)
+    for committee in (damping_committee, pair):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        surrogate.save_committee(committee, first)
+        surrogate.save_committee(surrogate.load_committee(first), second)
+        assert first.read_bytes() == second.read_bytes()
+    doc = json.loads(first.read_text())
+    assert doc["rounds"] == 1 and len(doc["disagreement_history"]) == 1
+    assert doc["config"] == {
+        "hidden": [96, 96], "epochs": 3, "round_epochs": 2, "learning_rate": 2e-3,
+        "members": 5, "bootstrap": 0.8, "batch": 64, "seed": 2, "min_samples": 50,
+    }
 
 
 def test_committee_json_loads_files_with_the_optimizer_flag(tmp_path, damping_committee):
