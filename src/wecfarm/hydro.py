@@ -14,7 +14,11 @@ A coefficient provider answers two queries on a frequency grid:
 The reference provider below uses documented closed forms (see
 model_ledger_text); any object with the same `single`/`pair` methods
 can stand in, which is how the learned committees plug into the rest
-of the pipeline.
+of the pipeline. It remembers its previous `single` answer and the rows
+of its previous `pair` query, because a layout step or a sensitivity
+map moves one device at a time: at N = 10 that leaves 36 of the 45 pair
+rows as they were, and only the other 9 are computed. The memo never
+holds more than one query.
 
 Conventions: water depth h, gravity g, density rho; unit-amplitude
 incident wave travelling along +x with phase zero at the origin; heave
@@ -153,13 +157,16 @@ def pair_inputs(geom, separation, heading_angle):
     inputs. Raises GeometryError when any separation does not clear
     the body diameter.
     """
-    batched = np.ndim(separation) > 0 or np.ndim(heading_angle) > 0
-    l = np.atleast_1d(np.asarray(separation, dtype=np.float64))
-    theta = np.atleast_1d(np.asarray(heading_angle, dtype=np.float64))
+    l = np.asarray(separation, dtype=np.float64)
+    theta = np.asarray(heading_angle, dtype=np.float64)
+    batched = l.ndim > 0 or theta.ndim > 0
+    # reshape, not np.atleast_1d: this runs once per oracle label
+    l = l.reshape(1) if l.ndim == 0 else l
+    theta = theta.reshape(1) if theta.ndim == 0 else theta
     if l.ndim != 1 or l.shape != theta.shape:
         raise ValueError("separation and heading_angle must be scalars or matching (P,) arrays")
     close = l <= 2.0 * geom.radius
-    if np.any(close):
+    if close.any():
         raise GeometryError(
             f"separation {l[close][0]:.3f} m does not clear the body diameter "
             f"{2 * geom.radius:.3f} m"
@@ -181,6 +188,10 @@ def pair_result(grid, l, theta, batched, diagonal, cross, excitation):
     for matrix, diag, off in zip((added, damping), diagonal, cross):
         matrix[..., 0, 0] = matrix[..., 1, 1] = diag
         matrix[..., 0, 1] = matrix[..., 1, 0] = off
+    return _pair_answer(grid, l, theta, batched, added, damping, excitation)
+
+
+def _pair_answer(grid, l, theta, batched, added, damping, excitation):
     if batched:
         return PairCoefficients(grid, added, damping, excitation, l, theta)
     return PairCoefficients(
@@ -212,6 +223,12 @@ def solve_dispersion(omega, env):
     at most 64 of them, and every call returns a fresh copy; an
     evaluation asks for the same grid several times. A call that raises
     stores nothing.
+
+    An element's last bit depends on the array it is solved in: the
+    iteration stops when every element has converged, so an element
+    can take more steps inside a grid than alone. A scalar omega and
+    the same omega inside a grid may differ by one ulp; callers that
+    need the grid's k should index the grid's solution.
     """
     om = np.atleast_1d(np.asarray(omega, dtype=np.float64))
     if np.any(om <= 0):
@@ -311,7 +328,7 @@ def single_coefficients(geom, grid, env, k=None):
     )
 
 
-def pair_coefficients(geom, separation, heading_angle, grid, env):
+def pair_coefficients(geom, separation, heading_angle, grid, env, single=None):
     """Two-body coefficients in the pair-local frame.
 
     Cross radiation terms follow the cylindrical spreading kernel,
@@ -328,11 +345,15 @@ def pair_coefficients(geom, separation, heading_angle, grid, env):
     solve, which its single-body solve reuses, and its P x n_w arguments
     kl and 2kl go through one J0 and one Y0 call; every entry equals the
     scalar query's bit for bit.
+
+    `single`, when given, is this geometry's single_coefficients answer
+    on the same grid and environment; it saves computing it again.
     """
     l, theta, batched = pair_inputs(geom, separation, heading_angle)
     om = grid.values
     k = solve_dispersion(om, env)
-    single = single_coefficients(geom, grid, env, k=k)
+    if single is None:
+        single = single_coefficients(geom, grid, env, k=k)
     kl = l[:, None] * k
     envelope = np.exp(-l / (INTERACTION_RANGE_RADII * geom.radius))[:, None]
     bessel_args = np.stack([2.0 * kl, kl])
@@ -363,15 +384,84 @@ def pair_coefficients(geom, separation, heading_angle, grid, env):
 
 
 class ReferenceProvider:
-    """Closed-form coefficient provider used as the labelling oracle."""
+    """Closed-form coefficient provider used as the labelling oracle.
+
+    It remembers its previous `single` answer and the rows of its
+    previous `pair` query. A layout step or a sensitivity map moves one
+    device while the plant, the control and the other devices stay
+    fixed, so most rows of a pair query repeat the query before it. A
+    row is keyed exactly, by the bits of its separation and heading,
+    and a query is reused only when radius, slenderness, grid values
+    and environment constants are equal too. Only the missing rows are
+    computed, in one pair_coefficients call, and the memo then holds
+    this query's rows and nothing else, so it is bounded by one query.
+    Every answer is bit-identical to a fresh provider's, and the memo
+    keeps its own copies, so a caller may modify what it gets back.
+    """
 
     name = "reference"
 
+    def __init__(self):
+        self._single = None  # (context, SingleBodyCoefficients)
+        self._pairs = None  # (context, {row key: row}, (added, damping, excitation))
+
     def single(self, geom, grid, env):
-        return single_coefficients(geom, grid, env)
+        context = _context(geom, grid, env)
+        if self._single is None or self._single[0] != context:
+            self._single = (context, single_coefficients(geom, grid, env))
+        held = self._single[1]
+        return SingleBodyCoefficients(
+            grid, held.added_mass.copy(), held.damping.copy(), held.excitation.copy()
+        )
 
     def pair(self, geom, separation, heading_angle, grid, env):
-        return pair_coefficients(geom, separation, heading_angle, grid, env)
+        l, theta, batched = pair_inputs(geom, separation, heading_angle)
+        context = _context(geom, grid, env)
+        # exact row keys: the bits of each separation and heading
+        keys = list(zip(l.view(np.int64).tolist(), theta.view(np.int64).tolist()))
+        rows, held = {}, None
+        if self._pairs is not None and self._pairs[0] == context:
+            _, rows, held = self._pairs
+        hits = [rows.get(key) for key in keys]
+        missing = [i for i, row in enumerate(hits) if row is None]
+        if len(missing) == len(keys):
+            arrays = self._computed(geom, l, theta, grid, env, context)
+        else:
+            found = [i for i, row in enumerate(hits) if row is not None]
+            reused = [hits[i] for i in found]
+            arrays = tuple(np.empty((len(keys),) + old.shape[1:], old.dtype) for old in held)
+            for out, old in zip(arrays, held):
+                out[found] = old[reused]
+            if missing:
+                computed = self._computed(geom, l[missing], theta[missing], grid, env, context)
+                for out, new in zip(arrays, computed):
+                    out[missing] = new
+        self._pairs = (
+            context,
+            {key: i for i, key in enumerate(keys)},
+            tuple(a.copy() for a in arrays),
+        )
+        return _pair_answer(grid, l, theta, batched, *arrays)
+
+    def _computed(self, geom, l, theta, grid, env, context):
+        """pair_coefficients arrays of these rows, reusing the held single."""
+        single = None
+        if self._single is not None and self._single[0] == context:
+            single = self._single[1]
+        c = pair_coefficients(geom, l, theta, grid, env, single=single)
+        return c.added_mass, c.damping, c.excitation
+
+
+def _context(geom, grid, env):
+    """What every row of a query shares: plant, grid and environment."""
+    return (
+        geom.radius,
+        geom.slenderness,
+        grid.values.tobytes(),
+        env.water_depth,
+        env.gravity,
+        env.water_density,
+    )
 
 
 def model_ledger_text():

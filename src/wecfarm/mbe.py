@@ -86,9 +86,9 @@ def compose_farm(provider, geom, layout, grid, env):
     queried at the exact values of the first such pair. Diagonals are
     seeded with (2 - N) times the isolated values so that each pair's
     full diagonal adds up to the single-plus-shift composition; for
-    N = 2 this reproduces the pair query bit for bit. The pair terms are
-    added in row-major pair order, so every sum rounds the same way for
-    any batching.
+    N = 2 this reproduces the pair query bit for bit. Each device adds
+    its N - 1 pair terms in row-major pair order, so every sum rounds
+    the same way for any batching.
     """
     pos = layout.positions
     n_wec = layout.n
@@ -96,35 +96,50 @@ def compose_farm(provider, geom, layout, grid, env):
     k = hydro.solve_dispersion(grid.values, env)
     phases = np.exp(-1j * np.outer(k, pos[:, 0]))
 
-    nw = grid.n
-    added = np.zeros((nw, n_wec, n_wec))
-    damping = np.zeros((nw, n_wec, n_wec))
-    excitation = np.zeros((nw, n_wec), dtype=np.complex128)
+    # per-device sums, (N, n_w), each seeded with (2 - N) isolated values
     base = float(2 - n_wec)
-    for p in range(n_wec):
-        added[:, p, p] = base * single.added_mass
-        damping[:, p, p] = base * single.damping
-        excitation[:, p] = base * single.excitation * phases[:, p]
-    if n_wec == 1:
-        return FarmCoefficients(grid=grid, added_mass=added, damping=damping, excitation=excitation)
+    added_diag = np.tile(base * single.added_mass, (n_wec, 1))
+    damping_diag = np.tile(base * single.damping, (n_wec, 1))
+    excitation = (base * single.excitation) * phases.T
+    added = np.zeros((grid.n, n_wec, n_wec))
+    damping = np.zeros((grid.n, n_wec, n_wec))
+    if n_wec > 1:
+        ip, iq, separation, heading = pair_table(layout)
+        # first-occurrence dedupe of the rounded keys; every row of the
+        # query is independent, so their order does not matter
+        rank, first, row = {}, [], []
+        rounded = np.round(np.column_stack([separation, heading]), 9).tolist()
+        for i, key in enumerate(map(tuple, rounded)):
+            if key not in rank:
+                rank[key] = len(first)
+                first.append(i)
+            row.append(rank[key])
+        row = np.array(row)
+        pc = provider.pair(geom, separation[first], heading[first], grid, env)
+        added[:, ip, iq] = added[:, iq, ip] = pc.added_mass[row, :, 0, 1].T
+        damping[:, ip, iq] = damping[:, iq, ip] = pc.damping[row, :, 0, 1].T
 
-    ip, iq, separation, heading = pair_table(layout)
-    keys = np.round(np.column_stack([separation, heading]), 9)
-    _, first, row = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    row = row.reshape(-1)  # numpy 2.0.0 returns the inverse as a column
-    pc = provider.pair(geom, separation[first], heading[first], grid, env)
-    pair_added = pc.added_mass[row]
-    pair_damping = pc.damping[row]
-    # the pair frame is anchored at body p, so both contributions carry
-    # body p's travelling-wave phase
-    pair_excitation = pc.excitation[row] * phases.T[ip][:, :, None]
-    added[:, ip, iq] = added[:, iq, ip] = pair_added[:, :, 0, 1].T
-    damping[:, ip, iq] = damping[:, iq, ip] = pair_damping[:, :, 0, 1].T
-    for i, (p, q) in enumerate(zip(ip, iq)):
-        added[:, p, p] += pair_added[i, :, 0, 0]
-        added[:, q, q] += pair_added[i, :, 1, 1]
-        damping[:, p, p] += pair_damping[i, :, 0, 0]
-        damping[:, q, q] += pair_damping[i, :, 1, 1]
-        excitation[:, p] += pair_excitation[i, :, 0]
-        excitation[:, q] += pair_excitation[i, :, 1]
-    return FarmCoefficients(grid=grid, added_mass=added, damping=damping, excitation=excitation)
+        # term s of device d: the pair it belongs to, and which of the
+        # pair's two bodies d is (0 for p, 1 for q); pairs (p, d) come
+        # before pairs (d, q) in row-major order
+        pair_index = np.full((n_wec, n_wec), -1)
+        pair_index[ip, iq] = pair_index[iq, ip] = np.arange(ip.size)
+        pair_index = pair_index[~np.eye(n_wec, dtype=bool)].reshape(n_wec, n_wec - 1)
+        side = (np.arange(n_wec)[:, None] == iq[pair_index]).astype(int)
+        query_row = row[pair_index]
+        added_terms = pc.added_mass[query_row, :, side, side]
+        damping_terms = pc.damping[query_row, :, side, side]
+        # the pair frame is anchored at body p, so both contributions
+        # carry body p's travelling-wave phase
+        excitation_terms = pc.excitation[query_row, :, side] * phases.T[ip[pair_index]]
+        for s in range(n_wec - 1):
+            added_diag += added_terms[:, s]
+            damping_diag += damping_terms[:, s]
+            excitation += excitation_terms[:, s]
+
+    diag = np.arange(n_wec)
+    added[:, diag, diag] = added_diag.T
+    damping[:, diag, diag] = damping_diag.T
+    return FarmCoefficients(
+        grid=grid, added_mass=added, damping=damping, excitation=np.ascontiguousarray(excitation.T)
+    )

@@ -285,17 +285,23 @@ def test_random_layouts_deterministic(site_path, design_path, tmp_path, capsys):
 
 
 def test_sensitivity_artifacts(site_path, design_path, tmp_path, capsys):
-    out = str(tmp_path / "run")
-    rc = cli.main([
-        "analyze", "sensitivity", "--design", design_path, "--site", site_path,
-        "--wec", "1", "--resolution", "10", "--out-dir", out,
-    ])
-    assert rc == 0
+    # two runs, so the reference provider's memo of the previous pair
+    # query is pinned end to end: the map must come out byte-identical
+    outs = [str(tmp_path / name) for name in ("a", "b")]
+    for out in outs:
+        rc = cli.main([
+            "analyze", "sensitivity", "--design", design_path, "--site", site_path,
+            "--wec", "1", "--resolution", "10", "--out-dir", out,
+        ])
+        assert rc == 0
     capsys.readouterr()
+    out = outs[0]
     doc = json.load(open(os.path.join(out, "sensitivity.json")))
     assert len(doc["values"]) == 10 and len(doc["values"][0]) == 10
     assert doc["argmax_offset"] >= 0.0
     assert os.path.exists(os.path.join(out, "sensitivity.svg"))
+    texts = [open(os.path.join(o, "sensitivity.json"), "rb").read() for o in outs]
+    assert texts[0] == texts[1]
 
 
 def test_surrogate_train_writes_models(tmp_path, monkeypatch, capsys):

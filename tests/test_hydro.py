@@ -220,7 +220,7 @@ class TestPairCoefficients:
 
     def test_decoupling_at_large_phase_separation(self):
         # k l >= 500 across the whole grid
-        k_min = hydro.solve_dispersion(GRID.values[0], ENV)
+        k_min = hydro.solve_dispersion(GRID.values, ENV)[0]
         sep = 500.0 / k_min
         single = hydro.single_coefficients(self.GEOM, GRID, ENV)
         p = hydro.pair_coefficients(self.GEOM, sep, 0.0, GRID, ENV)

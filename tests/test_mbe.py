@@ -61,7 +61,7 @@ class TestComposeFarm:
     def test_single_device_reduces_to_isolated(self):
         lay = mbe.Layout(np.array([[0.0, 0.0]]))
         farm = mbe.compose_farm(PROVIDER, GEOM, lay, GRID, ENV)
-        single = PROVIDER.single(GEOM, GRID, ENV)
+        single = hydro.single_coefficients(GEOM, GRID, ENV)
         assert np.array_equal(farm.added_mass[:, 0, 0], single.added_mass)
         assert np.array_equal(farm.damping[:, 0, 0], single.damping)
         assert np.array_equal(farm.excitation[:, 0], single.excitation)
@@ -70,7 +70,7 @@ class TestComposeFarm:
         lay = mbe.Layout(np.array([[0.0, 0.0], [24.0, 18.0]]))
         sep, theta = mbe.pair_geometry(lay, 0, 1)
         farm = mbe.compose_farm(PROVIDER, GEOM, lay, GRID, ENV)
-        pair = PROVIDER.pair(GEOM, sep, theta, GRID, ENV)
+        pair = hydro.pair_coefficients(GEOM, sep, theta, GRID, ENV)
         assert np.array_equal(farm.added_mass, pair.added_mass)
         assert np.array_equal(farm.damping, pair.damping)
         assert np.array_equal(farm.excitation, pair.excitation)
@@ -85,7 +85,7 @@ class TestComposeFarm:
         lay = mbe.Layout(pos)
         farm = mbe.compose_farm(PROVIDER, GEOM, lay, GRID, ENV)
 
-        single = PROVIDER.single(GEOM, GRID, ENV)
+        single = hydro.single_coefficients(GEOM, GRID, ENV)
         k = hydro.solve_dispersion(GRID.values, ENV)
         n = GRID.n
         added = np.zeros((n, 3, 3))
@@ -100,7 +100,7 @@ class TestComposeFarm:
                 if q == p:
                     continue
                 dx, dy = pos[q] - pos[p]
-                pc = PROVIDER.pair(
+                pc = hydro.pair_coefficients(
                     GEOM, np.hypot(dx, dy), np.arctan2(dy, dx), GRID, ENV
                 )
                 added[:, p, p] += pc.added_mass[:, 0, 0] - single.added_mass
@@ -189,11 +189,11 @@ class TestComposeFarm:
         np.testing.assert_allclose(farm1.excitation, farm0.excitation[:, perm], rtol=1e-12)
 
     def test_far_separation_decouples(self):
-        k_min = hydro.solve_dispersion(GRID.values[0], ENV)
+        k_min = hydro.solve_dispersion(GRID.values, ENV)[0]
         sep = 520.0 / k_min
         pos = np.array([[0.0, 0.0], [sep, 0.0], [0.0, 2 * sep]])
         farm = mbe.compose_farm(PROVIDER, GEOM, mbe.Layout(pos), GRID, ENV)
-        single = PROVIDER.single(GEOM, GRID, ENV)
+        single = hydro.single_coefficients(GEOM, GRID, ENV)
         assert np.abs(farm.damping[:, 0, 1]).max() < 1e-6 * single.damping.min()
         np.testing.assert_allclose(
             farm.added_mass[:, 0, 0], single.added_mass, rtol=1e-6
@@ -302,7 +302,9 @@ class TestComposeFarmProperties:
         geom = data.draw(geometries())
         layout = data.draw(feasible_layouts(geom))
         farm = mbe.compose_farm(PROVIDER, geom, layout, GRID, ENV)
-        added, damping, excitation = compose_by_scalar_queries(PROVIDER, geom, layout, GRID, ENV)
+        added, damping, excitation = compose_by_scalar_queries(
+            ReferenceProvider(), geom, layout, GRID, ENV
+        )
         assert np.array_equal(farm.added_mass, added)
         assert np.array_equal(farm.damping, damping)
         assert np.array_equal(farm.excitation, excitation)
@@ -314,10 +316,95 @@ class TestComposeFarmProperties:
         layout = data.draw(feasible_layouts(geom, n_max=2))
         sep, theta = mbe.pair_geometry(layout, 0, 1)
         farm = mbe.compose_farm(PROVIDER, geom, layout, GRID, ENV)
-        pair = PROVIDER.pair(geom, sep, theta, GRID, ENV)
+        pair = hydro.pair_coefficients(geom, sep, theta, GRID, ENV)
         assert np.array_equal(farm.added_mass, pair.added_mass)
         assert np.array_equal(farm.damping, pair.damping)
         assert np.array_equal(farm.excitation, pair.excitation)
+
+
+# a grid and an environment that differ from GRID and ENV only in values
+OTHER_GRID = FrequencyGrid.default(lo=0.35, count=60)
+OTHER_ENV = Environment(water_depth=30.0)
+
+
+def answers_bytes(provider, geom, layout, grid, env):
+    """Every array a provider gives for one layout, as bytes: the farm
+    assembly and the undeduplicated pair query of the whole pair table."""
+    farm = mbe.compose_farm(provider, geom, layout, grid, env)
+    _, _, sep, theta = mbe.pair_table(layout)
+    pair = provider.pair(geom, sep, theta, grid, env)
+    arrays = (farm.added_mass, farm.damping, farm.excitation,
+              pair.added_mass, pair.damping, pair.excitation, pair.separation, pair.heading_angle)
+    return [a.tobytes() for a in arrays]
+
+
+def feasible(geom, layout):
+    return mbe.pair_table(layout)[2].min() > 2.0 * geom.radius
+
+
+class TestReferenceProviderMemo:
+    @PROPERTY
+    @given(st.data())
+    def test_walk_equals_fresh_provider_bitwise(self, data):
+        # one provider through one-device moves, geometry, grid and
+        # environment changes and repeated queries answers as a provider
+        # that remembers nothing
+        geom = data.draw(geometries())
+        layout = data.draw(feasible_layouts(geom, n_min=2, n_max=6))
+        grid, env = GRID, ENV
+        walker = ReferenceProvider()
+        kinds = ["move", "geometry", "repeat", "grid", "environment"]
+        steps = data.draw(st.lists(st.sampled_from(kinds), max_size=6))
+        for step in ["repeat"] + steps:
+            if step == "move":
+                pos = layout.positions.copy()
+                d = data.draw(st.integers(1, layout.n - 1))
+                pos[d] = data.draw(st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)))
+                if len({tuple(p) for p in pos}) == layout.n and feasible(geom, mbe.Layout(pos)):
+                    layout = mbe.Layout(pos)
+            elif step == "geometry":
+                other = data.draw(geometries())
+                if feasible(other, layout):
+                    geom = other
+            elif step == "grid":
+                grid = OTHER_GRID if grid is GRID else GRID
+            elif step == "environment":
+                env = OTHER_ENV if env is ENV else ENV
+            assert answers_bytes(walker, geom, layout, grid, env) == answers_bytes(
+                ReferenceProvider(), geom, layout, grid, env
+            )
+
+    @PROPERTY
+    @given(st.data())
+    def test_mutating_an_answer_leaves_the_next_unchanged(self, data):
+        geom = data.draw(geometries())
+        layout = data.draw(feasible_layouts(geom, n_min=3, n_max=6))
+        _, _, sep, theta = mbe.pair_table(layout)
+        provider = ReferenceProvider()
+        # a full miss, then a partial hit (one row dropped), then a full hit
+        for rows in (slice(None), slice(1, None), slice(1, None)):
+            want = hydro.pair_coefficients(geom, sep[rows], theta[rows], GRID, ENV)
+            got = provider.pair(geom, sep[rows], theta[rows], GRID, ENV)
+            single = provider.single(geom, GRID, ENV)
+            for name in ("added_mass", "damping", "excitation"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                getattr(got, name)[...] = 0.0
+                getattr(single, name)[...] = 0.0
+        again = provider.single(geom, GRID, ENV)
+        fresh = hydro.single_coefficients(geom, GRID, ENV)
+        for name in ("added_mass", "damping", "excitation"):
+            assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_memo_holds_one_query(self):
+        provider = ReferenceProvider()
+        rng = np.random.default_rng(6)
+        for n_wec, rows in ((10, 45), (5, 10)):
+            layout = mbe.Layout(np.vstack([[0.0, 0.0], rng.uniform(-300.0, 300.0, (n_wec - 1, 2))]))
+            _, _, sep, theta = mbe.pair_table(layout)
+            provider.pair(GEOM, sep, theta, GRID, ENV)
+            _, memo_rows, arrays = provider._pairs
+            assert len(memo_rows) == rows
+            assert [a.shape[0] for a in arrays] == [rows] * 3
 
 
 def test_pair_table_matches_pair_geometry():

@@ -103,7 +103,7 @@ def test_evaluate_matches_per_sea_state_summation():
     # state-by-state pipeline
     design = make_design()
     result = optimize.evaluate_design(design, GRID, ENV, ORACLE, SITE)
-    coeffs = mbe.compose_farm(ORACLE, design.geometry, design.layout, GRID, ENV)
+    coeffs = mbe.compose_farm(hydro.ReferenceProvider(), design.geometry, design.layout, GRID, ENV)
     response = dynamics.solve_motion(coeffs, design.geometry, design.pto, ENV)
     _, farm_total = dynamics.regular_wave_power(response, design.pto)
     states = np.empty_like(SITE.probability)
@@ -121,7 +121,7 @@ def test_evaluate_matches_per_sea_state_summation():
 def test_evaluate_is_pure():
     design = make_design()
     a = optimize.evaluate_design(design, GRID, ENV, ORACLE, SITE)
-    b = optimize.evaluate_design(design, GRID, ENV, ORACLE, SITE)
+    b = optimize.evaluate_design(design, GRID, ENV, hydro.ReferenceProvider(), SITE)
     assert a.p_a == b.p_a and a.p_v == b.p_v and a.q_factor == b.q_factor
     assert np.array_equal(a.per_device_power, b.per_device_power)
     assert a.provenance["config_hash"] == b.provenance["config_hash"]
@@ -297,7 +297,7 @@ def small_spec(**kw):
 
 def test_run_ga_deterministic_and_monotone():
     a = optimize.run_ga(small_spec(), GRID, ENV, ORACLE)
-    b = optimize.run_ga(small_spec(), GRID, ENV, ORACLE)
+    b = optimize.run_ga(small_spec(), GRID, ENV, hydro.ReferenceProvider())
     assert a.best_fitness == b.best_fitness
     assert optimize.design_hash(a.best_design) == optimize.design_hash(b.best_design)
     assert [h["best_fitness"] for h in a.history] == [h["best_fitness"] for h in b.history]
@@ -346,7 +346,7 @@ def test_sample_design_is_feasible_and_deterministic():
 
 def test_benchmark_cheating_surrogate_is_exact_zero():
     stats = optimize.power_error_benchmark(
-        100, GRID, ENV, ORACLE, ORACLE, SITE, n_devices=3, seed=9
+        100, GRID, ENV, ORACLE, hydro.ReferenceProvider(), SITE, n_devices=3, seed=9
     )
     assert stats.errors.size + stats.skipped == 100
     assert np.all(stats.errors == 0.0)
@@ -356,7 +356,8 @@ def test_benchmark_cheating_surrogate_is_exact_zero():
 
 def test_benchmark_determinism_and_minimum():
     a = optimize.power_error_benchmark(100, GRID, ENV, ORACLE, ORACLE, SITE, 3, seed=4)
-    b = optimize.power_error_benchmark(100, GRID, ENV, ORACLE, ORACLE, SITE, 3, seed=4)
+    fresh = hydro.ReferenceProvider()
+    b = optimize.power_error_benchmark(100, GRID, ENV, fresh, fresh, SITE, 3, seed=4)
     assert np.array_equal(a.pv_pairs, b.pv_pairs)
     with pytest.raises(ValueError, match="at least 100"):
         optimize.power_error_benchmark(50, GRID, ENV, ORACLE, ORACLE, SITE, 3)
@@ -365,7 +366,9 @@ def test_benchmark_determinism_and_minimum():
 def test_random_layout_analysis():
     design = make_design()
     out = optimize.random_layout_analysis(design, 100, ORACLE, GRID, ENV, SITE, seed=2)
-    again = optimize.random_layout_analysis(design, 100, ORACLE, GRID, ENV, SITE, seed=2)
+    again = optimize.random_layout_analysis(
+        design, 100, hydro.ReferenceProvider(), GRID, ENV, SITE, seed=2
+    )
     assert np.array_equal(out.values, again.values)
     assert 0.0 <= out.percentile <= 100.0
     assert out.design_pv == pytest.approx(

@@ -293,7 +293,7 @@ def test_qbc_round_pool_validation(damping_committee):
 
 def test_cheating_committee_validates_to_exact_zero():
     cheat = surrogate.CheatingCommittee("pair_damping_cross", GRID, ENV, ORACLE)
-    vm = surrogate.validate_on_grid(cheat, ORACLE, counts=(3, 3, 4, 3))
+    vm = surrogate.validate_on_grid(cheat, hydro.ReferenceProvider(), counts=(3, 3, 4, 3))
     assert vm.max == 0.0
     assert vm.mean == 0.0
     assert vm.mse.shape == (108,)
@@ -311,6 +311,7 @@ def test_validate_on_grid_blocking_keeps_bits(damping_committee, monkeypatch):
 
 class CountingOracle(hydro.ReferenceProvider):
     def __init__(self):
+        super().__init__()
         self.pair_rows = []
         self.single_calls = 0
 
@@ -528,20 +529,21 @@ def test_cheating_provider_reconstructs_the_reference():
     # the learned reconstruction, fed oracle curves, gives the oracle back
     # to rounding; the worst case is excitation[..., 1] via k l cos(theta)
     provider = cheating_provider()
+    reference = hydro.ReferenceProvider()
     for radius, slenderness in surrogate.tensor_grid("single", (4, 3)):
         geom = hydro.WecGeometry(radius, slenderness)
-        got, want = provider.single(geom, GRID, ENV), ORACLE.single(geom, GRID, ENV)
+        got, want = provider.single(geom, GRID, ENV), reference.single(geom, GRID, ENV)
         for name in ("added_mass", "damping", "excitation"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
         lo, hi = surrogate.separation_interval(radius)
         sep, theta = np.geomspace(lo, hi, 20), np.linspace(-np.pi, np.pi, 20)
         got = provider.pair(geom, sep, theta, GRID, ENV)
-        want = ORACLE.pair(geom, sep, theta, GRID, ENV)
+        want = reference.pair(geom, sep, theta, GRID, ENV)
         for name in ("added_mass", "damping", "excitation"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
         layout = five_body_layout(radius)
         got = mbe.compose_farm(provider, geom, layout, GRID, ENV)
-        want = mbe.compose_farm(ORACLE, geom, layout, GRID, ENV)
+        want = mbe.compose_farm(reference, geom, layout, GRID, ENV)
         for name in ("added_mass", "damping", "excitation"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12)
 
