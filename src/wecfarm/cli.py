@@ -594,6 +594,11 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out-dir", dest="out_dir", default=argparse.SUPPRESS)
+    # the coefficient provider of every command that evaluates designs
+    provider = argparse.ArgumentParser(add_help=False)
+    provider.add_argument("--provider", choices=("reference", "surrogate"), default="reference")
+    provider.add_argument("--models", default=None,
+                          help="committee directory for --provider surrogate")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sites = sub.add_parser("sites", help="site climate tools").add_subparsers(
@@ -618,45 +623,38 @@ def build_parser():
                      help="validate the oracle against itself (must be exactly zero)")
     val.set_defaults(func=cmd_surrogate_validate)
 
-    opt = sub.add_parser("optimize", parents=[common], help="run one GA study")
+    opt = sub.add_parser("optimize", parents=[common, provider], help="run one GA study")
     opt.add_argument("--config", required=True, help="study JSON")
     opt.add_argument("--site", required=True, help="site climate JSON")
-    opt.add_argument("--provider", choices=("reference", "surrogate"), default="reference")
-    opt.add_argument("--models", default=None, help="committee directory for --provider surrogate")
     opt.set_defaults(func=cmd_optimize)
 
     ana = sub.add_parser("analyze", help="benchmark and appendix analyses").add_subparsers(
         dest="subcommand", required=True
     )
-    bench = ana.add_parser("benchmark", parents=[common], help="surrogate-vs-reference objective error")
+    bench = ana.add_parser("benchmark", parents=[common, provider],
+                           help="surrogate-vs-reference objective error")
     bench.add_argument("--config", default=None)
     bench.add_argument("--site", required=True)
-    bench.add_argument("--provider", choices=("reference", "surrogate"), default="reference")
-    bench.add_argument("--models", default=None)
     bench.add_argument("--cheat", action="store_true",
                        help="benchmark the reference against itself (errors exactly zero)")
     bench.set_defaults(func=cmd_analyze_benchmark)
-    rnd = ana.add_parser("random-layouts", parents=[common], help="objective histogram over random layouts")
+    rnd = ana.add_parser("random-layouts", parents=[common, provider],
+                         help="objective histogram over random layouts")
     rnd.add_argument("--design", required=True)
     rnd.add_argument("--site", required=True)
     rnd.add_argument("--n", type=int, default=250)
-    rnd.add_argument("--provider", choices=("reference", "surrogate"), default="reference")
-    rnd.add_argument("--models", default=None)
     rnd.set_defaults(func=cmd_analyze_random_layouts)
-    sens = ana.add_parser("sensitivity", parents=[common], help="objective map around one device")
+    sens = ana.add_parser("sensitivity", parents=[common, provider],
+                          help="objective map around one device")
     sens.add_argument("--design", required=True)
     sens.add_argument("--site", required=True)
     sens.add_argument("--wec", type=int, required=True)
     sens.add_argument("--resolution", type=int, default=15)
-    sens.add_argument("--provider", choices=("reference", "surrogate"), default="reference")
-    sens.add_argument("--models", default=None)
     sens.set_defaults(func=cmd_analyze_sensitivity)
 
-    ev = sub.add_parser("eval", parents=[common], help="evaluate one stored design")
+    ev = sub.add_parser("eval", parents=[common, provider], help="evaluate one stored design")
     ev.add_argument("--design", required=True)
     ev.add_argument("--site", required=True)
-    ev.add_argument("--provider", choices=("reference", "surrogate"), default="reference")
-    ev.add_argument("--models", default=None)
     ev.set_defaults(func=cmd_eval)
     return parser
 

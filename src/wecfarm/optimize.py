@@ -103,14 +103,9 @@ def design_hash(design):
 # --- constraints and evaluation -------------------------------------------
 
 
-def min_distance_violations(layout, geom, separation=None):
-    """Per-pair shortfall of the passage constraint, max(0, 2R + s - l).
-
-    `separation`, when given, is the layout's pair_table separation.
-    """
-    if separation is None:
-        separation = mbe.pair_table(layout)[2]
-    return np.maximum(0.0, 2.0 * geom.radius + SAFE_PASSAGE - separation)
+def min_distance_violations(layout, geom):
+    """Per-pair shortfall of the passage constraint, max(0, 2R + s - l)."""
+    return np.maximum(0.0, 2.0 * geom.radius + SAFE_PASSAGE - layout.pairs[2])
 
 
 @dataclass
@@ -177,15 +172,14 @@ def evaluate_design(
     by their constraint penalty.
     """
     eff = eff or EfficiencyChain()
-    separation = mbe.pair_table(design.layout)[2]
-    violations = min_distance_violations(design.layout, design.geometry, separation)
+    violations = min_distance_violations(design.layout, design.geometry)
     provenance = {
         "provider": getattr(provider, "name", type(provider).__name__),
         "seed": seed,
         "config_hash": design_hash(design),
     }
 
-    if np.any(separation <= 2.0 * design.geometry.radius):
+    if np.any(design.layout.pairs[2] <= 2.0 * design.geometry.radius):
         zeros = np.zeros(design.n_devices)
         return EvaluationResult(0.0, 0.0, zeros, float("nan"), violations, provenance)
 

@@ -98,17 +98,9 @@ def input_dimension(kind):
     return 2 if kind == "single" else 4
 
 
-_wave_cache = {}
-
-
 def _wave_numbers(grid, env):
-    key = (grid.values.tobytes(), env.water_depth, env.gravity, env.water_density)
-    cached = _wave_cache.get(key)
-    if cached is None:
-        k = solve_dispersion(grid.values, env)
-        cached = (k, group_velocity(grid.values, env, k=k))
-        _wave_cache[key] = cached
-    return cached
+    k = solve_dispersion(grid.values, env)
+    return k, group_velocity(grid.values, env, k=k)
 
 
 def scale_vectors(target_id, inputs, grid, env):
@@ -118,7 +110,6 @@ def scale_vectors(target_id, inputs, grid, env):
     them at prediction time without touching the reference model.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    k, vg = _wave_numbers(grid, env)
     radius = inputs[:, 0]
     draft = inputs[:, 0] / inputs[:, 1]
     f0 = env.water_density * env.gravity * np.pi * radius**2
@@ -129,9 +120,12 @@ def scale_vectors(target_id, inputs, grid, env):
         ).copy()
     if key == "force":
         return np.broadcast_to(f0[:, None], (inputs.shape[0], grid.n)).copy()
+    k, vg = _wave_numbers(grid, env)
     return k[None, :] * f0[:, None] ** 2 / (4.0 * env.water_density * env.gravity * vg[None, :])
 
 
+# kept for its traffic: the six pair maps of a dataset share its isolated
+# curves; without it study2-sur setup_s rose from 0.96 to 1.11 s
 _single_curve_cache = {}
 
 
@@ -508,8 +502,7 @@ class Committee:
 
 
 def _phase_reference(grid, env):
-    k, _ = _wave_numbers(grid, env)
-    return np.ascontiguousarray(k[::PHASE_FEATURE_STRIDE])
+    return np.ascontiguousarray(solve_dispersion(grid.values, env)[::PHASE_FEATURE_STRIDE])
 
 
 def _nondimensional_targets(dataset):
@@ -749,6 +742,9 @@ class SurrogateProvider:
     ``feature_key``) share one feature pass, which holds the blocks of
     both phase multipliers, so a pair query makes one J0/Y0 feature pass
     instead of six; the outputs are the same bit for bit.
+
+    It solves the wavenumbers of its committees' grid once, when built,
+    and hands out copies of the single answers it keeps.
     """
 
     name = "surrogate"
@@ -766,6 +762,7 @@ class SurrogateProvider:
                 raise ValueError(f"committee {tid} trained on a different frequency grid")
         self.grid = ref.grid
         self.env = ref.env
+        self._k, self._vg = _wave_numbers(self.grid, self.env)
 
     def _check(self, grid, env):
         if not grid.matches(self.grid):
@@ -795,9 +792,17 @@ class SurrogateProvider:
     def single(self, geom, grid, env):
         self._check(grid, env)
         key = (geom.radius, geom.slenderness)
-        hit = self._singles.get(key)
-        if hit is not None:
-            return hit
+        held = self._singles.get(key)
+        if held is None:
+            held = self._predicted_single(geom, grid, env)
+            if len(self._singles) > 128:
+                self._singles.clear()
+            self._singles[key] = held
+        return SingleBodyCoefficients(
+            grid, held.added_mass.copy(), held.damping.copy(), held.excitation.copy()
+        )
+
+    def _predicted_single(self, geom, grid, env):
         u = np.array([[geom.radius, geom.slenderness]])
         maps = self._maps(SINGLE_TARGET_IDS, u)
 
@@ -812,15 +817,12 @@ class SurrogateProvider:
             curve("single_damping") * scale_vectors("single_damping", u, grid, env)[0], 0.0
         )
         if self.haskind_projection:
-            k, vg = _wave_numbers(grid, env)
-            damping = k * np.abs(f_hat) ** 2 / (4.0 * env.water_density * env.gravity * vg)
-        result = SingleBodyCoefficients(
+            damping = (
+                self._k * np.abs(f_hat) ** 2 / (4.0 * env.water_density * env.gravity * self._vg)
+            )
+        return SingleBodyCoefficients(
             grid=grid, added_mass=added, damping=damping, excitation=f_hat
         )
-        if len(self._singles) > 128:
-            self._singles.clear()
-        self._singles[key] = result
-        return result
 
     def pair(self, geom, separation, heading_angle, grid, env):
         """Pair coefficients for scalar or (P,) separations and headings.
@@ -845,10 +847,9 @@ class SurrogateProvider:
         factor = 1.0 + maps["pair_excitation_re"] + 1j * maps["pair_excitation_im"]
         f1 = single.excitation * factor
 
-        k, _ = _wave_numbers(grid, env)
         excitation = np.empty(l.shape + (grid.n, 2), dtype=np.complex128)
         excitation[..., 0] = f1
-        excitation[..., 1] = f1 * np.exp(-1j * k * l[:, None] * np.cos(theta)[:, None])
+        excitation[..., 1] = f1 * np.exp(-1j * self._k * l[:, None] * np.cos(theta)[:, None])
         return pair_result(
             grid, l, theta, batched, diagonal=(a11, b11), cross=(a12, b12), excitation=excitation
         )

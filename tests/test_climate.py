@@ -6,6 +6,10 @@ re-computation of sea-state power.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,31 @@ class TestJonswap:
         a = climate.jonswap_density(om, 1.5, 9.0)
         b = climate.jonswap_density(om, 3.0, 9.0)
         assert np.allclose(b, 4.0 * a, rtol=1e-12)
+
+    def test_hs_vector_rows_equal_scalar_calls(self):
+        om = np.linspace(0.2, 3.0, 50)
+        hs = np.array([0.7, 1.5, 3.2])
+        rows = climate.jonswap_density(om, hs, 9.0)
+        assert rows.shape == (3, 50)
+        for i in range(3):
+            assert rows[i].tobytes() == climate.jonswap_density(om, hs[i], 9.0).tobytes()
+
+    def test_density_does_not_depend_on_earlier_calls(self):
+        # the density at a Tp 3e-13 away from 8.0, from a fresh interpreter
+        # that never evaluated Tp = 8.0, and here after Tp = 8.0 ran
+        script = (
+            "import sys, numpy as np\n"
+            "from wecfarm import climate\n"
+            "om = np.linspace(0.05, 4.0, 200)\n"
+            "sys.stdout.write(climate.jonswap_density(om, 2.0, 8.0 + 3e-13).tobytes().hex())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(climate.__file__).parents[1]))
+        fresh = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        om = np.linspace(0.05, 4.0, 200)
+        climate.jonswap_density(om, 2.0, 8.0)
+        assert climate.jonswap_density(om, 2.0, 8.0 + 3e-13).tobytes().hex() == fresh
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -205,7 +234,18 @@ class TestBuildSiteClimate:
         assert mat.shape == (16, grid.values.size)
         row = climate.jonswap_density(grid.values, site.grid.hs_nodes[1], site.grid.tp_nodes[2])
         assert np.array_equal(mat[1 * 4 + 2], row)
+        for i, hs in enumerate(site.grid.hs_nodes):
+            for j, tp in enumerate(site.grid.tp_nodes):
+                row = climate.jonswap_density(grid.values, hs, tp)
+                assert mat[i * 4 + j].tobytes() == row.tobytes()
         assert site.spectral_matrix(grid) is mat
+
+    @pytest.mark.parametrize("axis, value", [("hs_nodes", 0.0), ("tp_nodes", -2.0)])
+    def test_spectral_matrix_rejects_non_positive_nodes(self, axis, value):
+        site = climate.build_site_climate(make_records(), 4, BOUNDS, 30)
+        getattr(site.grid, axis)[1] = value
+        with pytest.raises(ValueError, match="strictly positive"):
+            site.spectral_matrix(hydro.FrequencyGrid.default())
 
 
 class TestLifetimePower:

@@ -1,8 +1,13 @@
-"""Every name a package module or script imports is used in that file.
+"""Every name a package module or script imports is used in that file,
+and no package module keeps process-wide state it was not meant to.
 
 There is no linter in the toolchain, so this walks the syntax tree of
 each module instead: a name bound by an import statement must appear
-as a name somewhere else in the module, or in its ``__all__``.
+as a name somewhere else in the module, or in its ``__all__``. A
+module-level empty mutable container is a cache or registry shared by
+every caller in the process; only the caches named in
+``ALLOWED_MODULE_STATE`` may exist, each with a comment stating the
+measured traffic that keeps it.
 """
 
 import ast
@@ -14,9 +19,9 @@ import wecfarm
 
 ROOT = Path(__file__).resolve().parents[1]
 # the package, then the stand-alone scripts that no test imports
-MODULES = sorted(Path(wecfarm.__file__).parent.glob("*.py")) + sorted(
-    [*(ROOT / "scripts").glob("*.py"), ROOT / "data" / "make_records.py"]
-)
+PACKAGE = sorted(Path(wecfarm.__file__).parent.glob("*.py"))
+MODULES = PACKAGE + sorted([*(ROOT / "scripts").glob("*.py"), ROOT / "data" / "make_records.py"])
+ALLOWED_MODULE_STATE = {("hydro.py", "_dispersion_cache"), ("surrogate.py", "_single_curve_cache")}
 
 
 def imported_names(tree):
@@ -29,6 +34,33 @@ def imported_names(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound.append((alias.asname or alias.name, node.lineno))
+    return bound
+
+
+def empty_containers(tree):
+    """(bound name, line) for every module-level name bound to {}, [],
+    dict(), list() or set()."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty = (
+            (isinstance(value, ast.Dict) and not value.keys)
+            or (isinstance(value, ast.List) and not value.elts)
+            or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set")
+                and not value.args
+                and not value.keywords
+            )
+        )
+        if empty:
+            bound += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
     return bound
 
 
@@ -54,3 +86,24 @@ def test_checker_flags_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\nloads('1')\n")
     used = used_names(tree)
     assert [name for name, _ in imported_names(tree) if name not in used] == ["os", "dumps"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_keeps_no_unlisted_state(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{name} (line {line})"
+        for name, line in empty_containers(tree)
+        if (path.name, name) not in ALLOWED_MODULE_STATE
+    ]
+    assert not found, f"{path.name} binds module-level mutable state: {', '.join(found)}"
+
+
+def test_checker_flags_module_level_containers():
+    tree = ast.parse(
+        "_a = {}\n_b: list = []\n_c = _d = dict()\n_e = set()\n_f = list()\n"
+        "_g = {1: 2}\n_h = [0]\n_i = dict(a=1)\n_j = ()\n"
+        "def f():\n    k = {}\n"
+        "class C:\n    m = []\n"
+    )
+    assert [name for name, _ in empty_containers(tree)] == ["_a", "_b", "_c", "_d", "_e", "_f"]

@@ -416,3 +416,12 @@ def test_pair_table_matches_pair_geometry():
         assert (sep[i], theta[i]) == mbe.pair_geometry(layout, p[i], q[i])
     empty = mbe.pair_table(mbe.Layout(np.zeros((1, 2))))
     assert all(a.size == 0 for a in empty)
+    # the layout keeps that table, over a read-only copy of its positions
+    source = rng.uniform(-100.0, 100.0, (6, 2))
+    layout = mbe.Layout(source)
+    for kept, fresh in zip(layout.pairs, mbe.pair_table(layout), strict=True):
+        assert kept.dtype == fresh.dtype and kept.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        layout.positions[0, 0] = 1.0
+    source[0, 0] += 1.0
+    assert layout.positions[0, 0] != source[0, 0]

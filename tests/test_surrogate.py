@@ -520,6 +520,22 @@ def test_cheating_provider_pair_batch_is_bitwise():
         assert np.array_equal(batch.excitation[i], one.excitation)
 
 
+def test_mutating_a_surrogate_answer_leaves_the_next_unchanged():
+    provider, fresh = cheating_provider(), cheating_provider()
+    geom = hydro.WecGeometry(3.0, 6.0)
+    sep, theta = PAIR_BATCH
+    for _ in range(2):
+        for got in (provider.single(geom, GRID, ENV), provider.pair(geom, sep, theta, GRID, ENV)):
+            for name in ("added_mass", "damping", "excitation"):
+                getattr(got, name)[...] = 0.0
+    for got, want in (
+        (provider.single(geom, GRID, ENV), fresh.single(geom, GRID, ENV)),
+        (provider.pair(geom, sep, theta, GRID, ENV), fresh.pair(geom, sep, theta, GRID, ENV)),
+    ):
+        for name in ("added_mass", "damping", "excitation"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def five_body_layout(radius):
     unit = np.array([[0.0, 0.0], [1.0, 0.3], [0.2, 1.1], [-0.9, 0.6], [0.5, -1.2]])
     return mbe.Layout(unit * (2.0 * radius + 12.0))
