@@ -131,8 +131,7 @@ def _load_committees(models_dir, manifest):
 
 
 def _provider(args, manifest, config=None):
-    mode = getattr(args, "provider", "reference")
-    if mode == "reference":
+    if args.provider == "reference":
         return hydro.ReferenceProvider(), "reference"
     if not args.models:
         raise ConfigError("--models is required when --provider surrogate")

@@ -50,11 +50,13 @@ def jonswap_density(omega, hs, tp):
     hs^2/16 to better than 1e-6 relative. An (n,) array of Hs gives
     one row per Hs, each equal bit for bit to its scalar call.
     """
-    if np.any(np.asarray(hs) <= 0) or tp <= 0:
-        raise ValueError("hs and tp must be strictly positive")
+    # written so that NaN and inf fail the checks, as NaN fails every comparison
+    hs_array = np.asarray(hs)
+    if not (np.all((hs_array > 0) & (hs_array < np.inf)) and 0 < tp < np.inf):
+        raise ValueError("hs and tp must be finite and strictly positive")
     om = np.asarray(omega, dtype=np.float64)
-    if np.any(om <= 0):
-        raise ValueError("omega must be strictly positive")
+    if not np.all((om > 0) & (om < np.inf)):
+        raise ValueError("omega must be finite and strictly positive")
     scale = (hs * hs / 16.0) / _shape_moment(tp)
     return np.multiply.outer(scale, _jonswap_shape(om, tp))
 
@@ -138,7 +140,8 @@ class SiteClimate:
 
         Shape (n_states, n_omega), cached per grid; states enumerate the
         (Hs, Tp) tensor nodes in row-major order. One jonswap_density
-        call per Tp node covers every Hs node; a non-positive node raises.
+        call per Tp node covers every Hs node; a node that is not finite
+        and strictly positive raises.
         """
         key = grid.values.tobytes()
         cached = self._spectra.get(key)

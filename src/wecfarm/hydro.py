@@ -65,25 +65,46 @@ class Environment:
             raise ValueError("environment constants must be strictly positive")
 
 
+# the plant box: radius and slenderness are the design variables, and the
+# derived draft bound couples slenderness to radius
+RADIUS_BOUNDS = (0.5, 10.0)
+SLENDERNESS_BOUNDS = (0.2, 10.0)
+DRAFT_BOUNDS = (0.5, 20.0)
+
+
+def slenderness_interval(radius):
+    """Admissible slenderness at a radius: the box row cut by the draft bound."""
+    return (
+        np.maximum(SLENDERNESS_BOUNDS[0], radius / DRAFT_BOUNDS[1]),
+        np.minimum(SLENDERNESS_BOUNDS[1], radius / DRAFT_BOUNDS[0]),
+    )
+
+
+def _box_text(bounds):
+    return f"[{bounds[0]:g}, {bounds[1]:g}]"
+
+
 @dataclass
 class WecGeometry:
     """Buoy plant variables: radius R and slenderness R/D.
 
     The draft D = radius/slenderness is derived; constructors reject
-    geometries whose draft leaves [0.5, 20] m or whose primary variables
-    leave the design box [0.5, 10] x [0.2, 10].
+    geometries whose draft leaves DRAFT_BOUNDS or whose primary
+    variables leave RADIUS_BOUNDS x SLENDERNESS_BOUNDS.
     """
 
     radius: float
     slenderness: float
 
     def __post_init__(self):
-        if not 0.5 <= self.radius <= 10.0:
-            raise GeometryError(f"radius {self.radius} outside [0.5, 10]")
-        if not 0.2 <= self.slenderness <= 10.0:
-            raise GeometryError(f"slenderness {self.slenderness} outside [0.2, 10]")
-        if not 0.5 <= self.draft <= 20.0:
-            raise GeometryError(f"draft {self.draft:.3f} outside [0.5, 20]")
+        if not RADIUS_BOUNDS[0] <= self.radius <= RADIUS_BOUNDS[1]:
+            raise GeometryError(f"radius {self.radius} outside {_box_text(RADIUS_BOUNDS)}")
+        if not SLENDERNESS_BOUNDS[0] <= self.slenderness <= SLENDERNESS_BOUNDS[1]:
+            raise GeometryError(
+                f"slenderness {self.slenderness} outside {_box_text(SLENDERNESS_BOUNDS)}"
+            )
+        if not DRAFT_BOUNDS[0] <= self.draft <= DRAFT_BOUNDS[1]:
+            raise GeometryError(f"draft {self.draft:.3f} outside {_box_text(DRAFT_BOUNDS)}")
 
     @property
     def draft(self):

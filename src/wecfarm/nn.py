@@ -17,7 +17,7 @@ SCALE_FLOOR = 1e-12
 
 @dataclass
 class AffineScaler:
-    """Per-column shift and scale with an exact inverse."""
+    """Per-column shift and scale."""
 
     mean: np.ndarray
     scale: np.ndarray
@@ -29,9 +29,6 @@ class AffineScaler:
 
     def transform(self, x):
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.scale
-
-    def inverse(self, z):
-        return np.asarray(z, dtype=np.float64) * self.scale + self.mean
 
     def to_dict(self):
         return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}

@@ -30,8 +30,7 @@ from .dynamics import (
     regular_wave_power,
     solve_motion,
 )
-from .hydro import WecGeometry
-from .surrogate import RADIUS_BOUNDS, slenderness_interval
+from .hydro import RADIUS_BOUNDS, SLENDERNESS_BOUNDS, WecGeometry, slenderness_interval
 
 SAFE_PASSAGE = 10.0  # added to the diameter for the centre-to-centre minimum
 FARM_AREA_PER_DEVICE = 20000.0  # m^2, sets the square search box
@@ -266,17 +265,20 @@ class StudySpec:
             self.inject_genes = genes
 
 
+def _control_pairs(study, n_devices):
+    """(stiffness, damping) gene pairs in a study's control block."""
+    return {"I": 0, "II": 1, "III": n_devices}[study]
+
+
 def gene_count(study, n_devices):
-    control = {"I": 0, "II": 2, "III": 2 * n_devices}[study]
-    return 2 + control + 2 * (n_devices - 1)
+    return 2 + 2 * _control_pairs(study, n_devices) + 2 * (n_devices - 1)
 
 
 def gene_bounds(study, n_devices):
     """Per-gene (lo, hi) rows: plant, control block, free positions."""
     half = farm_half_width(n_devices)
-    rows = [RADIUS_BOUNDS, (0.2, 10.0)]
-    n_ctrl = {"I": 0, "II": 1, "III": n_devices}[study]
-    rows += [PTO_STIFFNESS_BOUNDS, PTO_DAMPING_BOUNDS] * n_ctrl
+    rows = [RADIUS_BOUNDS, SLENDERNESS_BOUNDS]
+    rows += [PTO_STIFFNESS_BOUNDS, PTO_DAMPING_BOUNDS] * _control_pairs(study, n_devices)
     rows += [(0.0, half), (-half, half)] * (n_devices - 1)
     return np.array(rows)
 
@@ -290,17 +292,14 @@ def decode(study, genes, n_devices, fixed_control=None, site_id="site"):
     lo, hi = slenderness_interval(radius)
     geom = WecGeometry(radius, float(np.clip(genes[1], lo, hi)))
 
-    if study == "I":
-        k, b = fixed_control
-        pto = PtoSettings(np.array([k]), np.array([b]))
-        rest = genes[2:]
-    elif study == "II":
-        pto = PtoSettings(genes[2:3], genes[3:4])
-        rest = genes[4:]
-    else:
-        block = genes[2 : 2 + 2 * n_devices].reshape(n_devices, 2)
-        pto = PtoSettings(block[:, 0].copy(), block[:, 1].copy(), mode="per-device")
-        rest = genes[2 + 2 * n_devices :]
+    n_ctrl = _control_pairs(study, n_devices)
+    if n_ctrl:
+        block = genes[2 : 2 + 2 * n_ctrl].reshape(n_ctrl, 2)
+    else:  # study I has no control genes and reads its frozen (k, b)
+        block = np.reshape(fixed_control, (1, 2))
+    mode = "per-device" if study == "III" else "farm-uniform"
+    pto = PtoSettings(block[:, 0].copy(), block[:, 1].copy(), mode=mode)
+    rest = genes[2 + 2 * n_ctrl :]
 
     pos = np.vstack([[0.0, 0.0], rest.reshape(n_devices - 1, 2)])
     # bound clipping can park two devices on the same corner; nudge the
@@ -322,11 +321,7 @@ def encode(study, design):
     n = design.n_devices
     k, b = design.pto.arrays_for(n)
     genes = [design.geometry.radius, design.geometry.slenderness]
-    if study == "II":
-        genes += [k[0], b[0]]
-    elif study == "III":
-        for d in range(n):
-            genes += [k[d], b[d]]
+    genes += np.column_stack([k, b])[: _control_pairs(study, n)].ravel().tolist()
     genes += design.layout.positions[1:].ravel().tolist()
     return np.array(genes)
 

@@ -19,6 +19,7 @@ committee members disagree most.
 
 import json
 import warnings
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -26,6 +27,8 @@ import numpy as np
 from . import kernels, nn
 from .hydro import (
     INTERACTION_RANGE_RADII,
+    RADIUS_BOUNDS,
+    SLENDERNESS_BOUNDS,
     Environment,
     FrequencyGrid,
     SingleBodyCoefficients,
@@ -34,12 +37,10 @@ from .hydro import (
     pair_inputs,
     pair_result,
     single_coefficients,
+    slenderness_interval,
     solve_dispersion,
 )
 
-RADIUS_BOUNDS = (0.5, 10.0)
-SLENDERNESS_BOUNDS = (0.2, 10.0)
-DRAFT_BOUNDS = (0.5, 20.0)
 SEPARATION_MAX = 360.0
 HEADING_BOUNDS = (-np.pi, np.pi)
 
@@ -48,50 +49,34 @@ PHASE_FEATURE_STRIDE = 3
 
 SCHEMA_VERSION = 1
 
-SINGLE_TARGET_IDS = (
-    "single_added_mass",
-    "single_damping",
-    "single_excitation_re",
-    "single_excitation_im",
-)
-PAIR_TARGET_IDS = (
-    "pair_added_mass_diag",
-    "pair_damping_diag",
-    "pair_added_mass_cross",
-    "pair_damping_cross",
-    "pair_excitation_re",
-    "pair_excitation_im",
-)
-ALL_TARGET_IDS = SINGLE_TARGET_IDS + PAIR_TARGET_IDS
+# The ten maps, each defined once: its kind, its curve in an oracle answer
+# of that kind, and its normalization. A single map names its geometry
+# scale (scale_vectors); a pair map names its (base, scale) among the
+# isolated curves "a", "b", "b/w" (damping over frequency) and "f" of the
+# same body (affine_vectors), a None base being zero.
+_Map = namedtuple("_Map", "kind curve norm")
+_MAPS = {
+    "single_added_mass": _Map("single", lambda c: c.added_mass, "mass"),
+    "single_damping": _Map("single", lambda c: c.damping, "damping"),
+    "single_excitation_re": _Map("single", lambda c: np.real(c.excitation), "force"),
+    "single_excitation_im": _Map("single", lambda c: np.imag(c.excitation), "force"),
+    "pair_added_mass_diag": _Map("pair", lambda c: c.added_mass[..., 0, 0], ("a", "b/w")),
+    "pair_damping_diag": _Map("pair", lambda c: c.damping[..., 0, 0], ("b", "b")),
+    "pair_added_mass_cross": _Map("pair", lambda c: c.added_mass[..., 0, 1], (None, "b/w")),
+    "pair_damping_cross": _Map("pair", lambda c: c.damping[..., 0, 1], (None, "b")),
+    "pair_excitation_re": _Map("pair", lambda c: np.real(c.excitation[..., 0]), ("f", "f")),
+    "pair_excitation_im": _Map("pair", lambda c: np.imag(c.excitation[..., 0]), (None, "f")),
+}
+SINGLE_TARGET_IDS = tuple(tid for tid, m in _MAPS.items() if m.kind == "single")
+PAIR_TARGET_IDS = tuple(tid for tid, m in _MAPS.items() if m.kind == "pair")
+ALL_TARGET_IDS = tuple(_MAPS)
 _TARGET_IDS = {"single": SINGLE_TARGET_IDS, "pair": PAIR_TARGET_IDS}
-
-_EXTRACTORS = {
-    "single_added_mass": lambda c: c.added_mass,
-    "single_damping": lambda c: c.damping,
-    "single_excitation_re": lambda c: np.real(c.excitation),
-    "single_excitation_im": lambda c: np.imag(c.excitation),
-    "pair_added_mass_diag": lambda c: c.added_mass[..., 0, 0],
-    "pair_damping_diag": lambda c: c.damping[..., 0, 0],
-    "pair_added_mass_cross": lambda c: c.added_mass[..., 0, 1],
-    "pair_damping_cross": lambda c: c.damping[..., 0, 1],
-    "pair_excitation_re": lambda c: np.real(c.excitation[..., 0]),
-    "pair_excitation_im": lambda c: np.imag(c.excitation[..., 0]),
-}
-
-_SCALE_KEYS = {
-    "single_added_mass": "mass",
-    "single_damping": "damping",
-    "single_excitation_re": "force",
-    "single_excitation_im": "force",
-}
 
 
 def target_kind(target_id):
-    if target_id in SINGLE_TARGET_IDS:
-        return "single"
-    if target_id in PAIR_TARGET_IDS:
-        return "pair"
-    raise KeyError(f"unknown target {target_id!r}")
+    if target_id not in _MAPS:
+        raise KeyError(f"unknown target {target_id!r}")
+    return _MAPS[target_id].kind
 
 
 def input_dimension(kind):
@@ -111,17 +96,15 @@ def scale_vectors(target_id, inputs, grid, env):
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     radius = inputs[:, 0]
-    draft = inputs[:, 0] / inputs[:, 1]
     f0 = env.water_density * env.gravity * np.pi * radius**2
-    key = _SCALE_KEYS[target_id]
-    if key == "mass":
-        return np.broadcast_to(
-            (env.water_density * np.pi * radius**2 * draft)[:, None], (inputs.shape[0], grid.n)
-        ).copy()
-    if key == "force":
-        return np.broadcast_to(f0[:, None], (inputs.shape[0], grid.n)).copy()
-    k, vg = _wave_numbers(grid, env)
-    return k[None, :] * f0[:, None] ** 2 / (4.0 * env.water_density * env.gravity * vg[None, :])
+    key = _MAPS[target_id].norm
+    if key == "damping":
+        k, vg = _wave_numbers(grid, env)
+        return k[None, :] * f0[:, None] ** 2 / (4.0 * env.water_density * env.gravity * vg[None, :])
+    draft = inputs[:, 0] / inputs[:, 1]
+    # a pair map's norm is no key here, and raises KeyError
+    per_row = {"mass": env.water_density * np.pi * radius**2 * draft, "force": f0}[key]
+    return np.broadcast_to(per_row[:, None], (inputs.shape[0], grid.n)).copy()
 
 
 # kept for its traffic: the six pair maps of a dataset share its isolated
@@ -159,33 +142,18 @@ def affine_vectors(target_id, inputs, grid, env):
     evaluated while labelling and validating, never at prediction time.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if target_id in SINGLE_TARGET_IDS:
+    if target_kind(target_id) == "single":
         scale = scale_vectors(target_id, inputs, grid, env)
         return np.zeros_like(scale), scale
     a_s, b_s, f_s = _isolated_curves(inputs, grid, env)
-    om = grid.values[None, :]
-    if target_id == "pair_added_mass_diag":
-        return a_s, b_s / om
-    if target_id == "pair_damping_diag":
-        return b_s, b_s
-    if target_id == "pair_added_mass_cross":
-        return np.zeros_like(b_s), b_s / om
-    if target_id == "pair_damping_cross":
-        return np.zeros_like(b_s), b_s
-    if target_id == "pair_excitation_re":
-        return f_s, f_s
-    return np.zeros_like(f_s), f_s
+    base_key, scale_key = _MAPS[target_id].norm
+    curves = {"a": a_s, "b": b_s, "f": f_s}
+    scale = b_s / grid.values[None, :] if scale_key == "b/w" else curves[scale_key]
+    base = np.zeros_like(scale) if base_key is None else curves[base_key]
+    return base, scale
 
 
 # --- input box and sampling ----------------------------------------------
-
-
-def slenderness_interval(radius):
-    # the draft bound [0.5, 20] couples slenderness to radius
-    return (
-        np.maximum(SLENDERNESS_BOUNDS[0], radius / DRAFT_BOUNDS[1]),
-        np.minimum(SLENDERNESS_BOUNDS[1], radius / DRAFT_BOUNDS[0]),
-    )
 
 
 def separation_interval(radius):
@@ -297,32 +265,40 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _label_rows(kind, inputs, grid, env, oracle, target_ids):
-    """One oracle query per input row; the named maps' curves, each (n, n_w)."""
+def _label_rows(kind, inputs, groups, grid, env, oracle, target_ids):
+    """The named maps' oracle curves over the input rows, each (n, n_w).
+
+    Each of ``groups`` (slices or index lists of rows sharing R and
+    slenderness) is one oracle query: one ``single`` call, or one ``pair``
+    call with the group's (P,) separations and headings.
+    """
     out = {tid: np.empty((inputs.shape[0], grid.n)) for tid in target_ids}
-    for i, row in enumerate(inputs):
-        geom = WecGeometry(row[0], row[1])
+    for rows in groups:
+        block = inputs[rows]
+        geom = WecGeometry(block[0, 0], block[0, 1])
         if kind == "single":
             coeffs = oracle.single(geom, grid, env)
         else:
-            coeffs = oracle.pair(geom, row[2], row[3], grid, env)
+            coeffs = oracle.pair(geom, block[:, 2], block[:, 3], grid, env)
         for tid in target_ids:
-            out[tid][i] = _EXTRACTORS[tid](coeffs)
+            out[tid][rows] = _MAPS[tid].curve(coeffs)
     return out
 
 
 def label_inputs(target_id, inputs, grid, env, oracle):
-    """Query the oracle provider and extract one target map."""
+    """Query the oracle provider, once per row, and extract one target map."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     kind = target_kind(target_id)
-    return _label_rows(kind, inputs, grid, env, oracle, (target_id,))[target_id]
+    rows = (slice(i, i + 1) for i in range(inputs.shape[0]))
+    return _label_rows(kind, inputs, rows, grid, env, oracle, (target_id,))[target_id]
 
 
 def build_datasets(kind, n, seed, grid, env, oracle, edge_fraction=0.0):
-    """One oracle sweep labelling every map of the given kind."""
+    """One oracle sweep, one query per row, labelling every map of the given kind."""
     rng = np.random.default_rng(seed)
     inputs = sample_inputs(kind, n, rng, edge_fraction=edge_fraction)
-    outs = _label_rows(kind, inputs, grid, env, oracle, _TARGET_IDS[kind])
+    rows = (slice(i, i + 1) for i in range(n))
+    outs = _label_rows(kind, inputs, rows, grid, env, oracle, _TARGET_IDS[kind])
     return {tid: Dataset(tid, inputs, out, grid, env) for tid, out in outs.items()}
 
 
@@ -669,13 +645,13 @@ class CheatingCommittee:
     """Oracle in committee clothing; every member answers identically.
 
     Its features are the oracle's raw curves of every map of its kind,
-    from one oracle call per distinct (R, slenderness). Committees over
-    the same oracle and kind share that block, so a provider made of
-    them sends one single and one pair query per layout. ``apply`` puts
-    the raw curves through the same affine transform as real
-    committees, so the validation error is zero bit for bit, and the
-    provider rebuilds coefficients from them as it does from learned
-    predictions.
+    labelled by ``_label_rows`` with one row group, so one oracle call,
+    per distinct (R, slenderness). Committees over the same oracle and
+    kind share that block, so a provider made of them sends one single
+    and one pair query per layout. ``apply`` puts the raw curves through
+    the same affine transform as real committees, so the validation
+    error is zero bit for bit, and the provider rebuilds coefficients
+    from them as it does from learned predictions.
     """
 
     def __init__(self, target_id, grid, env, oracle):
@@ -697,22 +673,13 @@ class CheatingCommittee:
     def features(self, inputs):
         """Oracle curves of every map of this kind, keyed by target id."""
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        ids = _TARGET_IDS[self.kind]
         groups = {}
         for i, (radius, slenderness) in enumerate(inputs[:, :2]):
             groups.setdefault((radius, slenderness), []).append(i)
-        out = {tid: np.empty((inputs.shape[0], self.grid.n)) for tid in ids}
-        for (radius, slenderness), rows in groups.items():
-            geom = WecGeometry(radius, slenderness)
-            if self.kind == "single":
-                coeffs = self.oracle.single(geom, self.grid, self.env)
-            else:
-                coeffs = self.oracle.pair(
-                    geom, inputs[rows, 2], inputs[rows, 3], self.grid, self.env
-                )
-            for tid in ids:
-                out[tid][rows] = _EXTRACTORS[tid](coeffs)
-        return out
+        return _label_rows(
+            self.kind, inputs, groups.values(), self.grid, self.env, self.oracle,
+            _TARGET_IDS[self.kind],
+        )
 
     def apply(self, inputs, features=None):
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -839,6 +806,9 @@ class SurrogateProvider:
         )
         maps = self._maps(PAIR_TARGET_IDS, u)
         single = self.single(geom, grid, env)
+        # the inverse of the pair normalizations in _MAPS, written out by
+        # hand: b (1 + t) and the complex excitation factor are not
+        # base + scale t bit for bit, and damping is clipped
         b_over_om = single.damping / grid.values
         a11 = single.added_mass + b_over_om * maps["pair_added_mass_diag"]
         b11 = np.maximum(single.damping * (1.0 + maps["pair_damping_diag"]), 0.0)

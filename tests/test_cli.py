@@ -164,6 +164,23 @@ def test_eval_rejects_a_design_with_nan_stiffness(site_path, design_path, tmp_pa
     assert not (tmp_path / "out" / "evaluation.json").exists()
 
 
+@pytest.mark.parametrize("axis, value", [("tp_nodes", float("nan")), ("hs_nodes", float("inf"))])
+def test_eval_on_a_site_with_a_non_finite_node_is_validation_error(
+    site_path, design_path, tmp_path, capsys, axis, value
+):
+    doc = json.load(open(site_path))
+    doc[axis][3] = value
+    bad_site = tmp_path / "site.json"
+    bad_site.write_text(json.dumps(doc))
+    rc = cli.main([
+        "eval", "--design", design_path, "--site", str(bad_site),
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 1
+    assert "strictly positive" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "evaluation.json").exists()
+
+
 def test_out_root_env_var(site_path, design_path, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path))
     monkeypatch.chdir(tmp_path)

@@ -93,6 +93,14 @@ class TestJonswap:
             climate.jonswap_density(np.array([1.0]), 2.0, -1.0)
         with pytest.raises(ValueError):
             climate.jonswap_density(np.array([0.0, 1.0]), 2.0, 8.0)
+        # NaN and inf fail too, as no comparison with NaN is true
+        for hs, tp in [(np.nan, 8.0), (np.inf, 8.0), (np.array([2.0, np.nan]), 8.0),
+                       (2.0, np.nan), (2.0, np.inf)]:
+            with pytest.raises(ValueError, match="strictly positive"):
+                climate.jonswap_density(np.array([1.0]), hs, tp)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="omega"):
+                climate.jonswap_density(np.array([0.5, bad]), 2.0, 8.0)
 
 
 class TestIrregularPower:
@@ -338,6 +346,18 @@ class TestPersistence:
         assert "NaN" in path.read_text()
         with pytest.raises(ValueError, match="probabilities"):
             climate.load_site(path)
+
+    @pytest.mark.parametrize("axis, value", [("tp_nodes", np.nan), ("hs_nodes", np.inf)])
+    def test_site_file_with_a_non_finite_node_fails_its_spectra(self, tmp_path, axis, value):
+        site = climate.build_site_climate(make_records(), 12, BOUNDS, 30, site_id="alpha")
+        path = tmp_path / "site.json"
+        climate.save_site(site, path)
+        doc = json.loads(path.read_text())
+        doc[axis][3] = value
+        path.write_text(json.dumps(doc))
+        back = climate.load_site(path)
+        with pytest.raises(ValueError, match="strictly positive"):
+            back.spectral_matrix(hydro.FrequencyGrid.default())
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "site.json"

@@ -1,5 +1,6 @@
 """Every name a package module or script imports is used in that file,
-and no package module keeps process-wide state it was not meant to.
+no package module keeps process-wide state it was not meant to, and
+the learned model is imported only by the command line.
 
 There is no linter in the toolchain, so this walks the syntax tree of
 each module instead: a name bound by an import statement must appear
@@ -7,7 +8,9 @@ as a name somewhere else in the module, or in its ``__all__``. A
 module-level empty mutable container is a cache or registry shared by
 every caller in the process; only the caches named in
 ``ALLOWED_MODULE_STATE`` may exist, each with a comment stating the
-measured traffic that keeps it.
+measured traffic that keeps it. The surrogate module builds on the
+physics modules, never the other way round, so inside the package only
+the modules in ``SURROGATE_IMPORTERS`` may import it.
 """
 
 import ast
@@ -22,6 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(Path(wecfarm.__file__).parent.glob("*.py"))
 MODULES = PACKAGE + sorted([*(ROOT / "scripts").glob("*.py"), ROOT / "data" / "make_records.py"])
 ALLOWED_MODULE_STATE = {("hydro.py", "_dispersion_cache"), ("surrogate.py", "_single_curve_cache")}
+SURROGATE_IMPORTERS = {"cli.py"}
 
 
 def imported_names(tree):
@@ -62,6 +66,30 @@ def empty_containers(tree):
         if empty:
             bound += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
     return bound
+
+
+def package_imports(tree):
+    """(package module, line) for every import of a wecfarm module, relative
+    (``from . import x``, ``from .x import y``) or absolute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [
+                (alias.name.split(".")[1], node.lineno)
+                for alias in node.names
+                if alias.name.startswith("wecfarm.")
+            ]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "wecfarm" and not module.startswith("wecfarm."):
+                    continue
+                module = module.removeprefix("wecfarm").removeprefix(".")
+            if module:
+                found.append((module.split(".")[0], node.lineno))
+            else:
+                found += [(alias.name, node.lineno) for alias in node.names]
+    return found
 
 
 def used_names(tree):
@@ -107,3 +135,24 @@ def test_checker_flags_module_level_containers():
         "class C:\n    m = []\n"
     )
     assert [name for name, _ in empty_containers(tree)] == ["_a", "_b", "_c", "_d", "_e", "_f"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_command_line_imports_the_surrogate(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [line for module, line in package_imports(tree) if module == "surrogate"]
+    if path.name not in SURROGATE_IMPORTERS:
+        assert not lines, f"{path.name} imports the surrogate module (line {lines[0]})"
+
+
+def test_checker_flags_every_form_of_a_package_import():
+    tree = ast.parse(
+        "from . import hydro, surrogate as s\nfrom .surrogate import ALL_TARGET_IDS\n"
+        "import wecfarm.surrogate\nfrom wecfarm import nn\nfrom wecfarm.mbe import Layout\n"
+        "import numpy\nfrom numpy import linalg\nimport wecfarmer\n"
+        "def f():\n    from . import kernels\n"
+    )
+    assert package_imports(tree) == [
+        ("hydro", 1), ("surrogate", 1), ("surrogate", 2), ("surrogate", 3), ("nn", 4),
+        ("mbe", 5), ("kernels", 10),
+    ]

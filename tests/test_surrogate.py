@@ -27,7 +27,8 @@ def test_affine_scaler_round_trip():
     rng = np.random.default_rng(0)
     data = rng.normal(3.0, 2.5, size=(40, 6))
     scaler = nn.AffineScaler.fit(data)
-    assert np.allclose(scaler.inverse(scaler.transform(data)), data, rtol=0, atol=1e-12)
+    back = scaler.transform(data) * scaler.scale + scaler.mean
+    assert np.allclose(back, data, rtol=0, atol=1e-12)
     z = scaler.transform(data)
     assert abs(z.mean()) < 1e-12
     back = nn.AffineScaler.from_dict(scaler.to_dict())
@@ -38,7 +39,7 @@ def test_affine_scaler_floors_constant_columns():
     data = np.ones((30, 3))
     scaler = nn.AffineScaler.fit(data)
     assert np.all(scaler.scale == nn.SCALE_FLOOR)
-    assert np.allclose(scaler.inverse(scaler.transform(data)), data)
+    assert np.allclose(scaler.transform(data) * scaler.scale + scaler.mean, data)
 
 
 def test_epoch_schedule_covers_and_repeats():
@@ -334,6 +335,128 @@ def test_cheating_committee_batches_oracle_per_geometry():
     assert oracle.pair_rows == [3, 1]  # one query per distinct (R, slenderness)
     expected = surrogate.label_inputs("pair_excitation_im", inputs, GRID, ENV, ORACLE)
     assert raw.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["single", "pair"])
+def test_labelling_sends_one_oracle_query_per_row(kind):
+    # surrogate-train's timed item is one oracle pair query per labelled
+    # row; rows that share a geometry are still queried one by one
+    inputs = surrogate.sample_inputs(kind, 6, 8)
+    inputs = np.vstack([inputs, inputs[:2]])
+    if kind == "pair":
+        inputs[-2:, 2] += 1.0
+    n = inputs.shape[0]
+    expected = ([] if kind == "single" else [1] * n), (n if kind == "single" else 0)
+    oracle = CountingOracle()
+    surrogate.label_inputs(surrogate._TARGET_IDS[kind][-1], inputs, GRID, ENV, oracle)
+    assert (oracle.pair_rows, oracle.single_calls) == expected
+    oracle = CountingOracle()
+    surrogate.build_datasets(kind, n, 8, GRID, ENV, oracle)
+    assert (oracle.pair_rows, oracle.single_calls) == expected
+
+
+# The ten maps as they were defined before the map table, frozen: every
+# entry of surrogate._MAPS must give the same curve and (base, scale)
+# bit for bit.
+FROZEN_CURVES = {
+    "single_added_mass": lambda c: c.added_mass,
+    "single_damping": lambda c: c.damping,
+    "single_excitation_re": lambda c: np.real(c.excitation),
+    "single_excitation_im": lambda c: np.imag(c.excitation),
+    "pair_added_mass_diag": lambda c: c.added_mass[..., 0, 0],
+    "pair_damping_diag": lambda c: c.damping[..., 0, 0],
+    "pair_added_mass_cross": lambda c: c.added_mass[..., 0, 1],
+    "pair_damping_cross": lambda c: c.damping[..., 0, 1],
+    "pair_excitation_re": lambda c: np.real(c.excitation[..., 0]),
+    "pair_excitation_im": lambda c: np.imag(c.excitation[..., 0]),
+}
+FROZEN_SCALE_KEYS = {
+    "single_added_mass": "mass",
+    "single_damping": "damping",
+    "single_excitation_re": "force",
+    "single_excitation_im": "force",
+}
+
+
+def frozen_affine_vectors(target_id, inputs, grid, env):
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    if target_id in FROZEN_SCALE_KEYS:
+        radius = inputs[:, 0]
+        draft = inputs[:, 0] / inputs[:, 1]
+        f0 = env.water_density * env.gravity * np.pi * radius**2
+        key = FROZEN_SCALE_KEYS[target_id]
+        if key == "mass":
+            scale = np.broadcast_to(
+                (env.water_density * np.pi * radius**2 * draft)[:, None], (inputs.shape[0], grid.n)
+            ).copy()
+        elif key == "force":
+            scale = np.broadcast_to(f0[:, None], (inputs.shape[0], grid.n)).copy()
+        else:
+            k = hydro.solve_dispersion(grid.values, env)
+            vg = hydro.group_velocity(grid.values, env, k=k)
+            denominator = 4.0 * env.water_density * env.gravity * vg[None, :]
+            scale = k[None, :] * f0[:, None] ** 2 / denominator
+        return np.zeros_like(scale), scale
+    a_s, b_s, f_s = surrogate._isolated_curves(inputs, grid, env)
+    om = grid.values[None, :]
+    return {
+        "pair_added_mass_diag": lambda: (a_s, b_s / om),
+        "pair_damping_diag": lambda: (b_s, b_s),
+        "pair_added_mass_cross": lambda: (np.zeros_like(b_s), b_s / om),
+        "pair_damping_cross": lambda: (np.zeros_like(b_s), b_s),
+        "pair_excitation_re": lambda: (f_s, f_s),
+        "pair_excitation_im": lambda: (np.zeros_like(f_s), f_s),
+    }[target_id]()
+
+
+def map_table_mismatches():
+    """Target ids whose table entry differs from its frozen definition."""
+    bad = set()
+    answers = {}
+    for kind in ("single", "pair"):
+        inputs = surrogate.sample_inputs(kind, 5, 21, edge_fraction=0.4)
+        if kind == "single":
+            answers[kind] = [ORACLE.single(hydro.WecGeometry(*row), GRID, ENV) for row in inputs]
+        else:
+            # scalar and (P,) queries: the curves take either shape
+            answers[kind] = [
+                ORACLE.pair(hydro.WecGeometry(r, s), l, theta, GRID, ENV)
+                for r, s, l, theta in inputs
+            ]
+            geom = hydro.WecGeometry(*inputs[0, :2])
+            answers[kind].append(ORACLE.pair(geom, inputs[:, 2] + 30.0, inputs[:, 3], GRID, ENV))
+        for tid in surrogate._TARGET_IDS[kind]:
+            entry = surrogate._MAPS[tid]
+            got = [entry.curve(c) for c in answers[kind]]
+            want = [FROZEN_CURVES[tid](c) for c in answers[kind]]
+            got += surrogate.affine_vectors(tid, inputs, GRID, ENV)
+            want += frozen_affine_vectors(tid, inputs, GRID, ENV)
+            if entry.kind != kind or any(
+                g.shape != w.shape or g.tobytes() != w.tobytes() for g, w in zip(got, want)
+            ):
+                bad.add(tid)
+    return bad
+
+
+def test_map_table_reproduces_the_frozen_definitions():
+    assert surrogate.ALL_TARGET_IDS == tuple(FROZEN_CURVES)
+    assert surrogate.SINGLE_TARGET_IDS == tuple(FROZEN_SCALE_KEYS)
+    assert map_table_mismatches() == set()
+
+
+def test_map_table_check_flags_a_mutated_entry(monkeypatch):
+    maps = surrogate._MAPS
+    monkeypatch.setitem(maps, "single_excitation_im", maps["single_excitation_re"])
+    monkeypatch.setitem(
+        maps, "pair_added_mass_cross", maps["pair_added_mass_cross"]._replace(norm=("a", "b/w"))
+    )
+    cross_curve = FROZEN_CURVES["pair_damping_cross"]
+    monkeypatch.setitem(
+        maps, "pair_damping_diag", maps["pair_damping_diag"]._replace(curve=cross_curve)
+    )
+    assert map_table_mismatches() == {
+        "single_excitation_im", "pair_added_mass_cross", "pair_damping_diag"
+    }
 
 
 def test_isolated_curves_cache_keys_the_whole_environment():
@@ -638,8 +761,11 @@ def forward_with_temporaries(x, weights):
 def apply_by_stacking(committee, inputs):
     feats = features_of_one_multiplier(committee, inputs, committee.phase_multiplier)
     z_in = committee.input_scaler.transform(feats)
-    curves = committee.output_scaler.inverse(
+    scaler = committee.output_scaler
+    curves = (
         np.stack([forward_with_temporaries(z_in, m.weights) for m in committee.members])
+        * scaler.scale
+        + scaler.mean
     )
     disagreement = np.mean(np.var(curves, axis=0), axis=1) / committee.pooled_scale**2
     box = surrogate.input_box(committee.kind)
