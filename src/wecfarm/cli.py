@@ -132,12 +132,12 @@ def _load_committees(models_dir, manifest):
 
 def _provider(args, manifest, config=None):
     if args.provider == "reference":
-        return hydro.ReferenceProvider(), "reference"
+        return hydro.ReferenceProvider()
     if not args.models:
         raise ConfigError("--models is required when --provider surrogate")
     committees = _load_committees(args.models, manifest)
     projection = bool(config.get("haskind_projection", False)) if config else False
-    return surrogate.SurrogateProvider(committees, haskind_projection=projection), "surrogate"
+    return surrogate.SurrogateProvider(committees, haskind_projection=projection)
 
 
 def _load_site(path, manifest):
@@ -239,8 +239,10 @@ def cmd_surrogate_validate(args):
             tid: surrogate.CheatingCommittee(tid, grid, env, oracle)
             for tid in surrogate.ALL_TARGET_IDS
         }
-    else:
+    elif args.models:
         sources = _load_committees(args.models, manifest)
+    else:
+        raise ConfigError("surrogate validate needs --models or --cheat")
 
     for tid in surrogate.ALL_TARGET_IDS:
         committee = sources[tid]
@@ -304,26 +306,26 @@ def cmd_optimize(args):
     out = _out_dir(args, "study")
 
     site = _load_site(args.site, manifest)
-    provider, mode = _provider(args, manifest, config)
+    provider = _provider(args, manifest, config)
     grid = _frequency_grid(config)
     env = hydro.Environment()
 
+    study = config.get("study")
+    if study not in optimize.STUDIES:
+        raise ConfigError(f"study must be one of {optimize.STUDIES}, got {study!r}")
     inject = None
     if config.get("inject_design"):
         donor = _load_design(config["inject_design"], manifest)
-        inject = optimize.encode(config["study"], donor)
-    try:
-        spec = optimize.StudySpec(
-            study=config["study"],
-            site=site,
-            n_devices=int(config.get("n_devices", 5)),
-            fixed_control=tuple(config["fixed_control"]) if config.get("fixed_control") else None,
-            ga=_ga_config(config.get("ga", {}), seed),
-            provider_mode=mode,
-            inject_genes=inject,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"study config missing {exc}")
+        inject = optimize.encode(study, donor)
+    spec = optimize.StudySpec(
+        study=study,
+        site=site,
+        n_devices=int(config.get("n_devices", 5)),
+        fixed_control=tuple(config["fixed_control"]) if config.get("fixed_control") else None,
+        ga=_ga_config(config.get("ga", {}), seed),
+        provider_mode=provider.name,
+        inject_genes=inject,
+    )
 
     def progress(row):
         if row["generation"] % 10 == 0:
@@ -406,10 +408,11 @@ def cmd_analyze_benchmark(args):
         # one's memo of the same query
         against, mode = hydro.ReferenceProvider(), "cheating-reference"
     else:
-        against, mode = _provider(args, manifest, config)
-        if mode != "surrogate":
+        against = _provider(args, manifest, config)
+        if against.name != "surrogate":
             raise ConfigError("benchmark compares the surrogate against the reference; "
                               "pass --provider surrogate with --models, or --cheat")
+        mode = against.name
 
     stats = optimize.power_error_benchmark(
         int(config.get("n", 1000)),
@@ -469,7 +472,7 @@ def cmd_analyze_random_layouts(args):
 
     site = _load_site(args.site, manifest)
     design = _load_design(args.design, manifest)
-    provider, mode = _provider(args, manifest)
+    provider = _provider(args, manifest)
     grid = _frequency_grid({})
     env = hydro.Environment()
 
@@ -478,7 +481,7 @@ def cmd_analyze_random_layouts(args):
     )
     doc = {
         "schema_version": 1,
-        "provider": mode,
+        "provider": provider.name,
         "n": args.n,
         "seed": seed,
         "design_pv": hist.design_pv,
@@ -510,7 +513,7 @@ def cmd_analyze_sensitivity(args):
 
     site = _load_site(args.site, manifest)
     design = _load_design(args.design, manifest)
-    provider, mode = _provider(args, manifest)
+    provider = _provider(args, manifest)
     grid = _frequency_grid({})
     env = hydro.Environment()
 
@@ -519,7 +522,7 @@ def cmd_analyze_sensitivity(args):
     )
     doc = {
         "schema_version": 1,
-        "provider": mode,
+        "provider": provider.name,
         "wec_index": args.wec,
         "resolution": args.resolution,
         "design_position": sm.design_position.tolist(),
@@ -555,14 +558,14 @@ def cmd_eval(args):
 
     site = _load_site(args.site, manifest)
     design = _load_design(args.design, manifest)
-    provider, mode = _provider(args, manifest)
+    provider = _provider(args, manifest)
     grid = _frequency_grid({})
     env = hydro.Environment()
 
     result = optimize.evaluate_design(design, grid, env, provider, site, seed=args.seed)
     doc = {
         "schema_version": 1,
-        "provider": mode,
+        "provider": provider.name,
         "p_a": result.p_a,
         "p_v": result.p_v,
         "q_factor": result.q_factor,

@@ -84,27 +84,35 @@ def _box_text(bounds):
     return f"[{bounds[0]:g}, {bounds[1]:g}]"
 
 
+def _first_outside(name, values, bounds, fmt=""):
+    """GeometryError naming the first value outside the closed bounds, if any.
+
+    Written so that NaN fails the check, as it fails every comparison.
+    """
+    inside = (bounds[0] <= values) & (values <= bounds[1])
+    if not np.asarray(inside).all():
+        first = np.ravel(values)[np.argmin(inside)]
+        raise GeometryError(f"{name} {first:{fmt}} outside {_box_text(bounds)}")
+
+
 @dataclass
 class WecGeometry:
     """Buoy plant variables: radius R and slenderness R/D.
 
-    The draft D = radius/slenderness is derived; constructors reject
-    geometries whose draft leaves DRAFT_BOUNDS or whose primary
-    variables leave RADIUS_BOUNDS x SLENDERNESS_BOUNDS.
+    Both are floats for one plant or (U,) arrays for a batch of U
+    plants. The draft D = radius/slenderness is derived; constructors
+    reject geometries whose draft leaves DRAFT_BOUNDS or whose primary
+    variables leave RADIUS_BOUNDS x SLENDERNESS_BOUNDS, naming the
+    first offending value of a batch.
     """
 
     radius: float
     slenderness: float
 
     def __post_init__(self):
-        if not RADIUS_BOUNDS[0] <= self.radius <= RADIUS_BOUNDS[1]:
-            raise GeometryError(f"radius {self.radius} outside {_box_text(RADIUS_BOUNDS)}")
-        if not SLENDERNESS_BOUNDS[0] <= self.slenderness <= SLENDERNESS_BOUNDS[1]:
-            raise GeometryError(
-                f"slenderness {self.slenderness} outside {_box_text(SLENDERNESS_BOUNDS)}"
-            )
-        if not DRAFT_BOUNDS[0] <= self.draft <= DRAFT_BOUNDS[1]:
-            raise GeometryError(f"draft {self.draft:.3f} outside {_box_text(DRAFT_BOUNDS)}")
+        _first_outside("radius", self.radius, RADIUS_BOUNDS)
+        _first_outside("slenderness", self.slenderness, SLENDERNESS_BOUNDS)
+        _first_outside("draft", self.draft, DRAFT_BOUNDS, ".3f")
 
     @property
     def draft(self):
@@ -302,9 +310,7 @@ def group_velocity(omega, env, k=None):
     return n * om / k
 
 
-def _excitation_magnitude(geom, env, k):
-    r = geom.radius
-    d = geom.draft
+def _excitation_magnitude(r, d, env, k):
     h = env.water_depth
     f0 = env.water_density * env.gravity * np.pi * r * r
     kr = k * r
@@ -324,6 +330,10 @@ def single_coefficients(geom, grid, env, k=None):
     construction. Added mass is the documented smooth form
     rho pi R^2 D (0.5 + 0.3 e^(-kR)).
 
+    A scalar plant gives (n_w,) curves; a batch of U plants, radius and
+    slenderness (U,) arrays, gives (U, n_w) curves, row i equal bit for
+    bit to the scalar query of plant i.
+
     `k`, when given, is the wavenumber on the grid, as returned by
     solve_dispersion; it saves a second solve for callers that need it
     too.
@@ -332,15 +342,13 @@ def single_coefficients(geom, grid, env, k=None):
     if k is None:
         k = solve_dispersion(om, env)
     vg = group_velocity(om, env, k=k)
-    fmag = _excitation_magnitude(geom, env, k)
+    # plants on a leading axis; a scalar plant broadcasts as one row of (n_w,)
+    r = np.asarray(geom.radius)[..., None]
+    d = np.asarray(geom.draft)[..., None]
+    fmag = _excitation_magnitude(r, d, env, k)
     damping = k * fmag * fmag / (4.0 * env.water_density * env.gravity * vg)
-    r = geom.radius
     added = (
-        env.water_density
-        * np.pi
-        * r
-        * r
-        * geom.draft
+        env.water_density * np.pi * r * r * d
         * (ADDED_MASS_BASE + ADDED_MASS_DECAY * np.exp(-k * r))
     )
     return SingleBodyCoefficients(

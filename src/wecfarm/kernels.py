@@ -143,9 +143,8 @@ def solve_batch(a, b):
 # ---------------------------------------------------------------------------
 # Two-hidden-layer tanh regressors. The caller supplies the initialized
 # weights, the minibatch index schedule and the learning rate; training
-# mutates the weight arrays in place and returns the final full-set MSE
-# in scaled units. Keeping the schedule outside the kernel makes a run
-# a function of its seed alone.
+# mutates the weight arrays in place. Keeping the schedule outside the
+# kernel makes a run a function of its seed alone.
 
 
 def mlp_forward(x, weights):
@@ -168,8 +167,7 @@ def mlp_train(x, y, weights, batches, lr):
     """Train the network in place on a fixed minibatch schedule with Adam.
 
     `batches` is an integer array of shape (steps, batch_size) holding
-    row indices into x and y. Returns the final mean-squared error over
-    the full set, in scaled units.
+    row indices into x and y.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -204,5 +202,3 @@ def mlp_train(x, y, weights, batches, lr):
             v *= beta2
             v += (1.0 - beta2) * g * g
             w -= lr * (m / k1) / (np.sqrt(v / k2) + eps)
-    diff = mlp_forward(x, weights) - y
-    return np.sum(diff * diff) / (y.shape[0] * y.shape[1])

@@ -77,7 +77,7 @@ class Regressor:
         return cls(he_init([n_in, h1, h2, n_out], rng))
 
     def train(self, x, y, schedule, learning_rate):
-        return float(kernels.mlp_train(x, y, self.weights, schedule, learning_rate))
+        kernels.mlp_train(x, y, self.weights, schedule, learning_rate)
 
     def predict(self, x):
         return kernels.mlp_forward(np.asarray(x, dtype=np.float64), self.weights)

@@ -58,9 +58,10 @@ class DesignPoint:
         if not np.array_equal(pos[0], [0.0, 0.0]):
             raise ValueError("first device must sit at the origin")
         half = farm_half_width(self.layout.n)
-        if np.any(pos[:, 0] < 0.0) or np.any(pos[:, 0] > half):
+        # written so that NaN fails the checks, as it fails every comparison
+        if not np.all((pos[:, 0] >= 0.0) & (pos[:, 0] <= half)):
             raise ValueError(f"x positions must lie in [0, {half:.3f}]")
-        if np.any(np.abs(pos[:, 1]) > half):
+        if not np.all(np.abs(pos[:, 1]) <= half):
             raise ValueError(f"y positions must lie in [-{half:.3f}, {half:.3f}]")
         self.pto.arrays_for(self.layout.n)  # dimension check
 

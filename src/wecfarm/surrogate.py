@@ -107,30 +107,12 @@ def scale_vectors(target_id, inputs, grid, env):
     return np.broadcast_to(per_row[:, None], (inputs.shape[0], grid.n)).copy()
 
 
-# kept for its traffic: the six pair maps of a dataset share its isolated
-# curves; without it study2-sur setup_s rose from 0.96 to 1.11 s
-_single_curve_cache = {}
-
-
 def _isolated_curves(inputs, grid, env):
-    """True isolated-body curves per row, cached by geometry."""
+    """True isolated-body curves per row, one closed-form pass over the distinct plants."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    n = inputs.shape[0]
-    a_s = np.empty((n, grid.n))
-    b_s = np.empty((n, grid.n))
-    f_s = np.empty((n, grid.n))
-    grid_key = grid.values.tobytes()
-    for i, row in enumerate(inputs):
-        key = (row[0], row[1], grid_key, env.water_depth, env.gravity, env.water_density)
-        hit = _single_curve_cache.get(key)
-        if hit is None:
-            if len(_single_curve_cache) > 4096:
-                _single_curve_cache.clear()
-            c = single_coefficients(WecGeometry(row[0], row[1]), grid, env)
-            hit = (c.added_mass, c.damping, np.ascontiguousarray(np.real(c.excitation)))
-            _single_curve_cache[key] = hit
-        a_s[i], b_s[i], f_s[i] = hit
-    return a_s, b_s, f_s
+    plants, rows = np.unique(inputs[:, :2], axis=0, return_inverse=True)
+    c = single_coefficients(WecGeometry(plants[:, 0], plants[:, 1]), grid, env)
+    return c.added_mass[rows], c.damping[rows], np.real(c.excitation)[rows]
 
 
 def affine_vectors(target_id, inputs, grid, env):
@@ -499,6 +481,8 @@ def _fit_members(committee, feats, targets, epochs, round_index):
     Each member takes ``epochs * (n_boot // min(batch, n_boot))`` Adam
     steps in total, where ``n_boot = round(bootstrap * n_samples)``: the
     ragged tail of every epoch is dropped (see ``nn.epoch_schedule``).
+    ``member_mse`` is each member's final MSE over its own bootstrap
+    rows, in scaled units.
     """
     z_in_all = committee.input_scaler.transform(feats)
     z_out_all = committee.output_scaler.transform(targets)
@@ -517,13 +501,13 @@ def _fit_members(committee, feats, targets, epochs, round_index):
         x, y = z_in_all[sel], z_out_all[sel]
         steps = schedule.shape[0]
         pos = 0
-        last = 0.0
         for seg, (fraction, seg_lr) in enumerate(segments):
             end = steps if seg == len(segments) - 1 else pos + int(round(fraction * steps))
             if end > pos:
-                last = member.train(x, y, schedule[pos:end], seg_lr)
+                member.train(x, y, schedule[pos:end], seg_lr)
             pos = end
-        mses.append(last)
+        diff = kernels.mlp_forward(x, member.weights) - y
+        mses.append(float(np.sum(diff * diff) / (y.shape[0] * y.shape[1])))
     committee.member_mse = mses
 
 

@@ -150,18 +150,26 @@ def test_eval_overlapping_design_writes_strict_json(site_path, tmp_path, capsys)
 
 
 def test_eval_rejects_a_design_with_nan_stiffness(site_path, design_path, tmp_path, capsys):
-    doc = json.load(open(design_path))
-    doc["pto_stiffness"] = [float("nan")]
-    design_file = tmp_path / "nan.json"
-    design_file.write_text(json.dumps(doc))
-    assert "NaN" in design_file.read_text()
-    rc = cli.main([
-        "eval", "--design", str(design_file), "--site", site_path,
-        "--out-dir", str(tmp_path / "out"),
-    ])
-    assert rc == 1
-    assert "stiffness" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "evaluation.json").exists()
+    # a NaN stiffness, and a NaN device position
+    for name, field, index, word in [
+        ("stiffness", "pto_stiffness", None, "stiffness"),
+        ("position", "positions", (2, 0), "x positions"),
+    ]:
+        doc = json.load(open(design_path))
+        if index is None:
+            doc[field] = [float("nan")]
+        else:
+            doc[field][index[0]][index[1]] = float("nan")
+        design_file = tmp_path / f"nan_{name}.json"
+        design_file.write_text(json.dumps(doc))
+        assert "NaN" in design_file.read_text()
+        out = tmp_path / f"out_{name}"
+        rc = cli.main([
+            "eval", "--design", str(design_file), "--site", site_path, "--out-dir", str(out),
+        ])
+        assert rc == 1, name
+        assert word in capsys.readouterr().err, name
+        assert not (out / "evaluation.json").exists(), name
 
 
 @pytest.mark.parametrize("axis, value", [("tp_nodes", float("nan")), ("hs_nodes", float("inf"))])
@@ -254,6 +262,23 @@ def test_optimize_study_control_mismatch_is_config_error(site_path, tmp_path, ca
     ])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("study", [None, "IV"], ids=["missing", "unknown"])
+def test_optimize_injection_without_a_known_study_is_config_error(
+    site_path, design_path, tmp_path, capsys, study
+):
+    cfg = {"n_devices": 3, "inject_design": design_path, "ga": {"population": 4, "generations": 1}}
+    if study is not None:
+        cfg["study"] = study
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = cli.main([
+        "optimize", "--config", str(cfg_path), "--site", site_path,
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert rc == 1
+    assert "study must be one of" in capsys.readouterr().err
 
 
 def test_benchmark_cheating_is_exactly_zero(site_path, tmp_path, capsys):
@@ -363,6 +388,12 @@ def test_surrogate_train_writes_models(tmp_path, monkeypatch, capsys):
     ])
     assert rc == 2
     assert "above the" in capsys.readouterr().err
+
+
+def test_surrogate_validate_without_models_or_cheat_is_config_error(tmp_path, capsys):
+    rc = cli.main(["surrogate", "validate", "--out-dir", str(tmp_path / "val")])
+    assert rc == 1
+    assert "--models or --cheat" in capsys.readouterr().err
 
 
 def test_surrogate_validate_cheat_is_zero(tmp_path, capsys):

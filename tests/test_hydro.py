@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from wecfarm import hydro
 from wecfarm.hydro import Environment, FrequencyGrid, GeometryError, WecGeometry
@@ -35,6 +37,38 @@ class TestGeometry:
         # radius 9 at slenderness 0.4 gives draft 22.5 m
         with pytest.raises(GeometryError):
             WecGeometry(9.0, 0.4)
+
+    @pytest.mark.parametrize(
+        "radius, slenderness, message",
+        [
+            (0.4, 1.0, "radius 0.4 outside [0.5, 10]"),
+            (float("nan"), 1.0, "radius nan outside [0.5, 10]"),
+            (3.0, 11.0, "slenderness 11.0 outside [0.2, 10]"),
+            (3.0, float("nan"), "slenderness nan outside [0.2, 10]"),
+            (9.0, 0.4, "draft 22.500 outside [0.5, 20]"),
+        ],
+    )
+    def test_scalar_messages(self, radius, slenderness, message):
+        with pytest.raises(GeometryError) as err:
+            WecGeometry(radius, slenderness)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "first, later, message",
+        [
+            ((10.5, 2.0), (0.2, 1.0), "radius 10.5 outside [0.5, 10]"),
+            ((float("nan"), 2.0), (0.2, 1.0), "radius nan outside [0.5, 10]"),
+            ((3.0, 0.1), (3.0, 12.0), "slenderness 0.1 outside [0.2, 10]"),
+            ((3.0, float("nan")), (3.0, 12.0), "slenderness nan outside [0.2, 10]"),
+            ((9.0, 0.4), (0.5, 5.0), "draft 22.500 outside [0.5, 20]"),
+        ],
+        ids=["radius", "nan-radius", "slenderness", "nan-slenderness", "draft"],
+    )
+    def test_batch_with_a_bad_plant_names_the_first(self, first, later, message):
+        plants = np.array([[3.0, 6.0], first, [2.0, 0.5], later])
+        with pytest.raises(GeometryError) as err:
+            WecGeometry(plants[:, 0], plants[:, 1])
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("name", ["water_depth", "gravity", "water_density"])
@@ -181,6 +215,38 @@ class TestSingleCoefficients:
         for geom in random_geometries(rng, 50):
             c = hydro.single_coefficients(geom, GRID, ENV)
             assert np.all(c.damping >= 0)
+
+
+@st.composite
+def plants(draw):
+    """(radius, slenderness) inside the box, often on a corner or a draft edge."""
+    radius = draw(st.one_of(st.sampled_from(hydro.RADIUS_BOUNDS), st.floats(*hydro.RADIUS_BOUNDS)))
+    lo, hi = (float(v) for v in hydro.slenderness_interval(radius))
+    return radius, draw(st.one_of(st.sampled_from((lo, hi)), st.floats(lo, hi)))
+
+
+# fixed examples, no example database, and no explain phase
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.generate, Phase.shrink),
+)
+
+
+@PROPERTY
+@given(st.lists(plants(), min_size=1, max_size=6))
+def test_batched_single_rows_equal_scalar_queries_bitwise(batch):
+    radius, slenderness = (np.array(col) for col in zip(*batch))
+    grid = FrequencyGrid.default(count=40)
+    many = hydro.single_coefficients(WecGeometry(radius, slenderness), grid, ENV)
+    for i, (r, s) in enumerate(batch):
+        one = hydro.single_coefficients(WecGeometry(r, s), grid, ENV)
+        for name in ("added_mass", "damping", "excitation"):
+            got, want = getattr(many, name), getattr(one, name)
+            assert got.shape == (len(batch), grid.n) and want.shape == (grid.n,)
+            assert got[i].tobytes() == want.tobytes(), name
 
 
 class TestPairCoefficients:

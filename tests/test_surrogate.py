@@ -1,7 +1,7 @@
 """Committee learning, active sampling and the learned provider.
 
 Full-budget training belongs to a planned acceptance suite (ROADMAP
-item 5). Here the committees are small and the checks target contracts:
+item 2). Here the committees are small and the checks target contracts:
 determinism, tie-breaking, scaling round-trips, provider structure. The
 one tight fit check is test_committee_fits_linear_map.
 """
@@ -459,9 +459,30 @@ def test_map_table_check_flags_a_mutated_entry(monkeypatch):
     }
 
 
+def frozen_isolated_curves(inputs, grid, env):
+    # Frozen copy of the per-row loop that first computed the curves: one
+    # scalar single_coefficients query per row.
+    n = inputs.shape[0]
+    a_s, b_s, f_s = np.empty((n, grid.n)), np.empty((n, grid.n)), np.empty((n, grid.n))
+    for i, row in enumerate(inputs):
+        c = hydro.single_coefficients(hydro.WecGeometry(row[0], row[1]), grid, env)
+        a_s[i], b_s[i], f_s[i] = c.added_mass, c.damping, np.real(c.excitation)
+    return a_s, b_s, f_s
+
+
+@pytest.mark.parametrize("kind, counts", [("pair", (3, 3, 4, 2)), ("single", (5, 4))])
+def test_isolated_curves_equal_the_per_row_loop(kind, counts):
+    # a tensor grid repeats each plant once per (separation, heading)
+    inputs = surrogate.tensor_grid(kind, counts)[::-1]
+    got = surrogate._isolated_curves(inputs, GRID, ENV)
+    want = frozen_isolated_curves(inputs, GRID, ENV)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_isolated_curves_cache_keys_the_whole_environment():
     inputs = np.array([[3.0, 6.0, 25.0, 0.7]])
-    surrogate.affine_vectors("pair_damping_diag", inputs, GRID, ENV)  # fills the cache
+    surrogate.affine_vectors("pair_damping_diag", inputs, GRID, ENV)
     other = hydro.Environment(water_density=1000.0, gravity=9.80665)
     _, scale = surrogate.affine_vectors("pair_damping_diag", inputs, GRID, other)
     fresh = hydro.single_coefficients(hydro.WecGeometry(3.0, 6.0), GRID, other)
