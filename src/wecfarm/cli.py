@@ -32,14 +32,6 @@ class ConfigError(ValueError):
 # --- plumbing -------------------------------------------------------------
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _now():
     return datetime.now(timezone.utc).isoformat()
 
@@ -54,12 +46,6 @@ def _load_json(path, what="config"):
         raise ConfigError(f"{path}: invalid JSON ({exc})")
 
 
-def _out_dir(args, default_leaf):
-    root = args.out_dir or os.path.join(os.environ.get(OUT_ROOT_ENV, "runs"), default_leaf)
-    os.makedirs(root, exist_ok=True)
-    return root
-
-
 def _strict(doc):
     """Copy of `doc` with non-finite floats as None, so it dumps as strict JSON."""
     if isinstance(doc, float):
@@ -71,35 +57,59 @@ def _strict(doc):
     return doc
 
 
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(_strict(doc), fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return path
+class Run:
+    """One command's run directory and the manifest.json that records it.
 
+    The directory is `--out-dir`, else `leaf` under $WECFARM_OUT (or
+    under `runs`). Every input is digested through `read` and every
+    artifact is named through `path`, `json` or `csv`, so `finish` lists
+    exactly what the command read and wrote. The `--config` file, when
+    the command took one, is the first input.
+    """
 
-class Manifest:
-    """Collects inputs/outputs during a command and writes manifest.json."""
-
-    def __init__(self, command, seed, config_doc):
+    def __init__(self, args, command, leaf, config, seed):
+        self.dir = args.out_dir or os.path.join(os.environ.get(OUT_ROOT_ENV, "runs"), leaf)
+        os.makedirs(self.dir, exist_ok=True)
         self.command = command
         self.seed = seed
         self.started = _now()
         self.config_hash = hashlib.sha256(
-            json.dumps(config_doc, sort_keys=True).encode()
+            json.dumps(config, sort_keys=True).encode()
         ).hexdigest()[:16]
         self.inputs = {}
         self.outputs = []
+        if getattr(args, "config", None):
+            self.read(args.config)
 
     def read(self, path):
-        self.inputs[str(path)] = _sha256(path)
+        h = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                h.update(chunk)
+        self.inputs[str(path)] = h.hexdigest()
         return path
 
-    def wrote(self, path):
-        self.outputs.append(str(path))
+    def path(self, name):
+        path = os.path.join(self.dir, name)
+        self.outputs.append(path)
         return path
 
-    def write(self, out_dir):
+    def json(self, name, doc):
+        with open(self.path(name), "w") as fh:
+            json.dump(_strict(doc), fh, indent=1, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+
+    def csv(self, name, header, rows):
+        """Floats, numpy's included, as `repr(float(v))`; anything else as is."""
+        with open(self.path(name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(
+                    [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+                )
+
+    def finish(self):
         doc = {
             "artifact_version": ARTIFACT_VERSION,
             "command": self.command,
@@ -110,7 +120,8 @@ class Manifest:
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
         }
-        return _write_json(os.path.join(out_dir, "manifest.json"), doc)
+        # the list is taken before the manifest names itself
+        self.json("manifest.json", doc)
 
 
 def _frequency_grid(config):
@@ -120,39 +131,45 @@ def _frequency_grid(config):
     return hydro.FrequencyGrid.default(count=count)
 
 
-def _load_committees(models_dir, manifest):
+def _load_committees(models_dir, run):
     committees = {}
     for tid in surrogate.ALL_TARGET_IDS:
         path = os.path.join(models_dir, f"committee_{tid}.json")
         if not os.path.exists(path):
             raise ConfigError(f"missing model file {path}; run `wecfarm surrogate train` first")
-        committees[tid] = surrogate.load_committee(manifest.read(path))
+        committees[tid] = surrogate.load_committee(run.read(path))
     return committees
 
 
-def _provider(args, manifest, config=None):
+def _provider(args, run, config=None):
     if args.provider == "reference":
         return hydro.ReferenceProvider()
     if not args.models:
         raise ConfigError("--models is required when --provider surrogate")
-    committees = _load_committees(args.models, manifest)
+    committees = _load_committees(args.models, run)
     projection = bool(config.get("haskind_projection", False)) if config else False
     return surrogate.SurrogateProvider(committees, haskind_projection=projection)
 
 
-def _load_site(path, manifest):
+def _load_site(path, run):
     try:
-        return climate.load_site(manifest.read(path))
+        return climate.load_site(run.read(path))
     except FileNotFoundError:
         raise ConfigError(f"site file not found: {path}")
 
 
-def _load_design(path, manifest):
-    doc = _load_json(manifest.read(path), what="design")
+def _load_design(path, run):
+    doc = _load_json(run.read(path), what="design")
     try:
         return optimize.design_from_dict(doc)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: not a valid design file ({exc})")
+
+
+def _design_run(args, command, leaf, config, seed):
+    """Run, site, design and provider of a command on one stored design."""
+    run = Run(args, command, leaf, config, seed)
+    return run, _load_site(args.site, run), _load_design(args.design, run), _provider(args, run)
 
 
 # --- commands -------------------------------------------------------------
@@ -160,10 +177,9 @@ def _load_design(path, manifest):
 
 def cmd_sites_build(args):
     config = _load_json(args.config)
-    manifest = Manifest("sites build", args.seed, config)
-    out = _out_dir(args, "site")
+    run = Run(args, "sites build", "site", config, args.seed)
 
-    records = climate.read_records_csv(manifest.read(args.records))
+    records = climate.read_records_csv(run.read(args.records))
     bounds = config.get("bounds")
     if bounds is None:
         raise ConfigError("site config needs 'bounds': [[hs_lo, hs_hi], [tp_lo, tp_hi]]")
@@ -174,21 +190,18 @@ def cmd_sites_build(args):
         years=int(config.get("years", 30)),
         site_id=config.get("site_id", "site"),
     )
-    site_path = os.path.join(out, f"{site.site_id}.json")
+    site_path = run.path(f"{site.site_id}.json")
     climate.save_site(site, site_path)
-    manifest.wrote(site_path)
-    manifest.wrote(
-        svg.write_heatmap(
-            os.path.join(out, f"{site.site_id}_probability.svg"),
-            site.grid.hs_nodes,
-            site.grid.tp_nodes,
-            site.probability,
-            title=f"sea-state probability: {site.site_id}",
-            xlabel="Hs [m]",
-            ylabel="Tp [s]",
-        )
+    svg.write_heatmap(
+        run.path(f"{site.site_id}_probability.svg"),
+        site.grid.hs_nodes,
+        site.grid.tp_nodes,
+        site.probability,
+        title=f"sea-state probability: {site.site_id}",
+        xlabel="Hs [m]",
+        ylabel="Tp [s]",
     )
-    manifest.write(out)
+    run.finish()
     print(f"site {site.site_id}: {records.shape[0]} records -> {site_path}")
     return 0
 
@@ -196,8 +209,7 @@ def cmd_sites_build(args):
 def cmd_surrogate_train(args):
     config = _load_json(args.config) if args.config else {}
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    manifest = Manifest("surrogate train", seed, config)
-    out = _out_dir(args, "models")
+    run = Run(args, "surrogate train", "models", config, seed)
 
     grid = _frequency_grid(config)
     env = hydro.Environment()
@@ -213,21 +225,16 @@ def cmd_surrogate_train(args):
         seed, grid, env, oracle, kinds=kinds, progress=progress
     )
     for tid, committee in committees.items():
-        path = os.path.join(out, f"committee_{tid}.json")
-        surrogate.save_committee(committee, path)
-        manifest.wrote(path)
-        data_path = os.path.join(out, f"dataset_{tid}.csv")
-        surrogate.save_dataset(committee.dataset, data_path)
-        manifest.wrote(data_path)
-    manifest.write(out)
-    print(f"trained {len(committees)} committees -> {out}")
+        surrogate.save_committee(committee, run.path(f"committee_{tid}.json"))
+        surrogate.save_dataset(committee.dataset, run.path(f"dataset_{tid}.csv"))
+    run.finish()
+    print(f"trained {len(committees)} committees -> {run.dir}")
     return 0
 
 
 def cmd_surrogate_validate(args):
     config = _load_json(args.config) if args.config else {}
-    manifest = Manifest("surrogate validate", args.seed, config)
-    out = _out_dir(args, "validation")
+    run = Run(args, "surrogate validate", "validation", config, args.seed)
 
     env = hydro.Environment()
     oracle = hydro.ReferenceProvider()
@@ -240,13 +247,12 @@ def cmd_surrogate_validate(args):
             for tid in surrogate.ALL_TARGET_IDS
         }
     elif args.models:
-        sources = _load_committees(args.models, manifest)
+        sources = _load_committees(args.models, run)
     else:
         raise ConfigError("surrogate validate needs --models or --cheat")
 
     for tid in surrogate.ALL_TARGET_IDS:
-        committee = sources[tid]
-        vm = surrogate.validate_on_grid(committee, oracle)
+        vm = surrogate.validate_on_grid(sources[tid], oracle)
         rows.append({"target_id": tid, "mean_mse": vm.mean, "max_mse": vm.max})
         print(f"{tid}: mean={vm.mean:.3e} max={vm.max:.3e}", flush=True)
         if vm.mean > MSE_GATE:
@@ -254,34 +260,29 @@ def cmd_surrogate_validate(args):
         if surrogate.target_kind(tid) == "single":
             r_nodes = np.unique(vm.points[:, 0])
             matrix = vm.mse.reshape(r_nodes.size, -1)
-            manifest.wrote(
-                svg.write_heatmap(
-                    os.path.join(out, f"mse_{tid}.svg"),
-                    r_nodes,
-                    np.linspace(0.0, 1.0, matrix.shape[1]),
-                    matrix,
-                    title=f"validation MSE: {tid}",
-                    xlabel="radius [m]",
-                    ylabel="slenderness (unit coordinate)",
-                )
+            svg.write_heatmap(
+                run.path(f"mse_{tid}.svg"),
+                r_nodes,
+                np.linspace(0.0, 1.0, matrix.shape[1]),
+                matrix,
+                title=f"validation MSE: {tid}",
+                xlabel="radius [m]",
+                ylabel="slenderness (unit coordinate)",
             )
         else:
-            manifest.wrote(
-                svg.write_histogram(
-                    os.path.join(out, f"mse_{tid}.svg"),
-                    np.log10(np.maximum(vm.mse, 1e-16)),
-                    title=f"validation MSE: {tid}",
-                    xlabel="log10 per-point MSE",
-                )
+            svg.write_histogram(
+                run.path(f"mse_{tid}.svg"),
+                np.log10(np.maximum(vm.mse, 1e-16)),
+                title=f"validation MSE: {tid}",
+                xlabel="log10 per-point MSE",
             )
-    summary = {
+    run.json("validation.json", {
         "schema_version": 1,
         "gate": MSE_GATE,
         "maps": rows,
         "failed": failed,
-    }
-    manifest.wrote(_write_json(os.path.join(out, "validation.json"), summary))
-    manifest.write(out)
+    })
+    run.finish()
     if failed:
         print(f"error: {len(failed)} map(s) above the {MSE_GATE:g} gate: {', '.join(failed)}",
               file=sys.stderr)
@@ -302,20 +303,17 @@ def _ga_config(doc, seed):
 def cmd_optimize(args):
     config = _load_json(args.config)
     seed = args.seed if args.seed is not None else config.get("ga", {}).get("seed", 0)
-    manifest = Manifest("optimize", seed, config)
-    out = _out_dir(args, "study")
+    run = Run(args, "optimize", "study", config, seed)
 
-    site = _load_site(args.site, manifest)
-    provider = _provider(args, manifest, config)
+    site = _load_site(args.site, run)
+    provider = _provider(args, run, config)
     grid = _frequency_grid(config)
     env = hydro.Environment()
 
     study = config.get("study")
-    if study not in optimize.STUDIES:
-        raise ConfigError(f"study must be one of {optimize.STUDIES}, got {study!r}")
     inject = None
     if config.get("inject_design"):
-        donor = _load_design(config["inject_design"], manifest)
+        donor = _load_design(config["inject_design"], run)
         inject = optimize.encode(study, donor)
     spec = optimize.StudySpec(
         study=study,
@@ -334,25 +332,16 @@ def cmd_optimize(args):
 
     result = optimize.run_ga(spec, grid, env, provider, progress=progress)
 
-    manifest.wrote(_write_json(os.path.join(out, "config_snapshot.json"), config))
-    hist_path = os.path.join(out, "history.csv")
-    with open(hist_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["generation", "best_fitness", "median_fitness",
-                        "feasible_fraction", "best_pv"],
-        )
-        writer.writeheader()
-        for row in result.history:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
-    manifest.wrote(hist_path)
+    run.json("config_snapshot.json", config)
+    columns = ["generation", "best_fitness", "median_fitness", "feasible_fraction", "best_pv"]
+    run.csv("history.csv", columns, ([row[k] for k in columns] for row in result.history))
 
-    ev = result.best_result
-    best_doc = {
+    best, ev = result.best_design, result.best_result
+    run.json("best_design.json", {
         "schema_version": 1,
         "study": spec.study,
         "seed": spec.ga.seed,
-        **optimize.design_to_dict(result.best_design),
+        **optimize.design_to_dict(best),
         "evaluation": {
             "p_a": ev.p_a,
             "p_v": ev.p_v,
@@ -364,100 +353,78 @@ def cmd_optimize(args):
         },
         "best_fitness": result.best_fitness,
         "evaluations": result.evaluations,
-    }
-    manifest.wrote(_write_json(os.path.join(out, "best_design.json"), best_doc))
-    manifest.wrote(
-        svg.write_layout(
-            os.path.join(out, "layout.svg"),
-            result.best_design.layout.positions,
-            result.best_design.geometry.radius,
-            optimize.farm_half_width(spec.n_devices),
-            title=f"study {spec.study} best layout (p_v {ev.p_v:.4g} W/m^3)",
-        )
+    })
+    svg.write_layout(
+        run.path("layout.svg"),
+        best.layout.positions,
+        best.geometry.radius,
+        optimize.farm_half_width(spec.n_devices),
+        title=f"study {spec.study} best layout (p_v {ev.p_v:.4g} W/m^3)",
     )
-    manifest.wrote(svg.write_convergence(os.path.join(out, "convergence.svg"), result.history))
+    svg.write_convergence(run.path("convergence.svg"), result.history)
     if spec.study == "III":
-        pto_path = os.path.join(out, "pto_per_device.csv")
-        with open(pto_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["device", "x", "y", "stiffness", "damping", "lifetime_power"])
-            k_arr, b_arr = result.best_design.pto.arrays_for(spec.n_devices)
-            for d in range(spec.n_devices):
-                x, y = result.best_design.layout.positions[d]
-                writer.writerow([d, repr(x), repr(y), repr(k_arr[d]), repr(b_arr[d]),
-                                 repr(float(ev.per_device_power[d]))])
-        manifest.wrote(pto_path)
-    manifest.write(out)
+        k_arr, b_arr = best.pto.arrays_for(spec.n_devices)
+        run.csv(
+            "pto_per_device.csv",
+            ["device", "x", "y", "stiffness", "damping", "lifetime_power"],
+            ([d, x, y, k, b, p] for d, ((x, y), k, b, p) in
+             enumerate(zip(best.layout.positions, k_arr, b_arr, ev.per_device_power))),
+        )
+    run.finish()
     print(f"study {spec.study}: best p_v {ev.p_v:.6g} W/m^3, "
-          f"feasible={ev.feasible}, q={ev.q_factor:.4f} -> {out}")
+          f"feasible={ev.feasible}, q={ev.q_factor:.4f} -> {run.dir}")
     return 0
 
 
 def cmd_analyze_benchmark(args):
     config = _load_json(args.config) if args.config else {}
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    manifest = Manifest("analyze benchmark", seed, config)
-    out = _out_dir(args, "benchmark")
+    run = Run(args, "analyze benchmark", "benchmark", config, seed)
 
-    site = _load_site(args.site, manifest)
-    grid = _frequency_grid(config)
-    env = hydro.Environment()
-    reference = hydro.ReferenceProvider()
+    site = _load_site(args.site, run)
     if args.cheat:
         # a second instance, so the comparison does not read the first
         # one's memo of the same query
         against, mode = hydro.ReferenceProvider(), "cheating-reference"
     else:
-        against = _provider(args, manifest, config)
+        against = _provider(args, run, config)
         if against.name != "surrogate":
             raise ConfigError("benchmark compares the surrogate against the reference; "
                               "pass --provider surrogate with --models, or --cheat")
         mode = against.name
 
+    n = int(config.get("n", 1000))
     stats = optimize.power_error_benchmark(
-        int(config.get("n", 1000)),
-        grid,
-        env,
-        reference,
-        against,
-        site,
-        n_devices=int(config.get("n_devices", 5)),
-        seed=seed,
+        n, _frequency_grid(config), hydro.Environment(), hydro.ReferenceProvider(), against, site,
+        n_devices=int(config.get("n_devices", 5)), seed=seed,
     )
-    doc = {
+    run.json("benchmark.json", {
         "schema_version": 1,
         "mode": mode,
-        "n": int(config.get("n", 1000)),
+        "n": n,
         "seed": seed,
         "skipped": stats.skipped,
         "percentiles": {str(k): v for k, v in stats.percentiles.items()},
-    }
-    manifest.wrote(_write_json(os.path.join(out, "benchmark.json"), doc))
-    err_path = os.path.join(out, "errors.csv")
-    with open(err_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pv_reference", "pv_surrogate", "relative_error"])
-        for (ref, sur), err in zip(stats.pv_pairs, stats.errors):
-            writer.writerow([repr(ref), repr(sur), repr(err)])
-    manifest.wrote(err_path)
-    manifest.wrote(
-        svg.write_histogram(
-            os.path.join(out, "error_histogram.svg"),
-            stats.errors,
-            title=f"relative objective error ({mode})",
-            xlabel="|pv_s - pv_r| / pv_r",
-        )
+    })
+    run.csv(
+        "errors.csv",
+        ["pv_reference", "pv_surrogate", "relative_error"],
+        ([ref, sur, err] for (ref, sur), err in zip(stats.pv_pairs, stats.errors)),
     )
-    manifest.wrote(
-        svg.write_scatter(
-            os.path.join(out, "scatter.svg"),
-            stats.pv_pairs,
-            title="surrogate vs reference objective",
-            xlabel="reference p_v [W/m^3]",
-            ylabel="surrogate p_v [W/m^3]",
-        )
+    svg.write_histogram(
+        run.path("error_histogram.svg"),
+        stats.errors,
+        title=f"relative objective error ({mode})",
+        xlabel="|pv_s - pv_r| / pv_r",
     )
-    manifest.write(out)
+    svg.write_scatter(
+        run.path("scatter.svg"),
+        stats.pv_pairs,
+        title="surrogate vs reference objective",
+        xlabel="reference p_v [W/m^3]",
+        ylabel="surrogate p_v [W/m^3]",
+    )
+    run.finish()
     print(f"benchmark ({mode}): p50={stats.percentiles[50]:.3e} "
           f"p95={stats.percentiles[95]:.3e} p99={stats.percentiles[99]:.3e} "
           f"skipped={stats.skipped}")
@@ -465,21 +432,14 @@ def cmd_analyze_benchmark(args):
 
 
 def cmd_analyze_random_layouts(args):
-    config = {"n": args.n}
     seed = args.seed if args.seed is not None else 0
-    manifest = Manifest("analyze random-layouts", seed, config)
-    out = _out_dir(args, "random-layouts")
-
-    site = _load_site(args.site, manifest)
-    design = _load_design(args.design, manifest)
-    provider = _provider(args, manifest)
-    grid = _frequency_grid({})
-    env = hydro.Environment()
-
-    hist = optimize.random_layout_analysis(
-        design, args.n, provider, grid, env, site, seed=seed
+    run, site, design, provider = _design_run(
+        args, "analyze random-layouts", "random-layouts", {"n": args.n}, seed
     )
-    doc = {
+    hist = optimize.random_layout_analysis(
+        design, args.n, provider, _frequency_grid({}), hydro.Environment(), site, seed=seed
+    )
+    run.json("random_layouts.json", {
         "schema_version": 1,
         "provider": provider.name,
         "n": args.n,
@@ -488,39 +448,31 @@ def cmd_analyze_random_layouts(args):
         "percentile": hist.percentile,
         "random_pv_min": float(hist.values.min()),
         "random_pv_max": float(hist.values.max()),
-    }
-    manifest.wrote(_write_json(os.path.join(out, "random_layouts.json"), doc))
-    manifest.wrote(
-        svg.write_histogram(
-            os.path.join(out, "random_layouts.svg"),
-            hist.values,
-            title=f"objective of {args.n} random feasible layouts",
-            xlabel="p_v [W/m^3]",
-            marker=hist.design_pv,
-            marker_label=f"design ({hist.percentile:.1f} pct)",
-        )
+    })
+    svg.write_histogram(
+        run.path("random_layouts.svg"),
+        hist.values,
+        title=f"objective of {args.n} random feasible layouts",
+        xlabel="p_v [W/m^3]",
+        marker=hist.design_pv,
+        marker_label=f"design ({hist.percentile:.1f} pct)",
     )
-    manifest.write(out)
+    run.finish()
     print(f"design p_v {hist.design_pv:.6g} ranks at the {hist.percentile:.1f}th percentile "
           f"of {args.n} random layouts")
     return 0
 
 
 def cmd_analyze_sensitivity(args):
-    config = {"wec_index": args.wec, "resolution": args.resolution}
-    manifest = Manifest("analyze sensitivity", args.seed, config)
-    out = _out_dir(args, "sensitivity")
-
-    site = _load_site(args.site, manifest)
-    design = _load_design(args.design, manifest)
-    provider = _provider(args, manifest)
-    grid = _frequency_grid({})
-    env = hydro.Environment()
-
-    sm = optimize.sensitivity_map(
-        design, args.wec, args.resolution, provider, grid, env, site
+    run, site, design, provider = _design_run(
+        args, "analyze sensitivity", "sensitivity",
+        {"wec_index": args.wec, "resolution": args.resolution}, args.seed,
     )
-    doc = {
+    sm = optimize.sensitivity_map(
+        design, args.wec, args.resolution, provider, _frequency_grid({}), hydro.Environment(),
+        site,
+    )
+    run.json("sensitivity.json", {
         "schema_version": 1,
         "provider": provider.name,
         "wec_index": args.wec,
@@ -533,36 +485,27 @@ def cmd_analyze_sensitivity(args):
         "x_axis": sm.x_axis.tolist(),
         "y_axis": sm.y_axis.tolist(),
         "values": sm.values.tolist(),
-    }
-    manifest.wrote(_write_json(os.path.join(out, "sensitivity.json"), doc))
-    manifest.wrote(
-        svg.write_heatmap(
-            os.path.join(out, "sensitivity.svg"),
-            sm.x_axis,
-            sm.y_axis,
-            sm.values,
-            title=f"objective vs device {args.wec} position",
-            xlabel="x [m]",
-            ylabel="y [m]",
-        )
+    })
+    svg.write_heatmap(
+        run.path("sensitivity.svg"),
+        sm.x_axis,
+        sm.y_axis,
+        sm.values,
+        title=f"objective vs device {args.wec} position",
+        xlabel="x [m]",
+        ylabel="y [m]",
     )
-    manifest.write(out)
+    run.finish()
     print(f"argmax offset {sm.argmax_offset:.2f} m from the design position "
           f"(p_v {sm.design_pv:.6g} vs {sm.argmax_pv:.6g} at grid argmax)")
     return 0
 
 
 def cmd_eval(args):
-    manifest = Manifest("eval", args.seed, {})
-    out = _out_dir(args, "eval")
-
-    site = _load_site(args.site, manifest)
-    design = _load_design(args.design, manifest)
-    provider = _provider(args, manifest)
-    grid = _frequency_grid({})
-    env = hydro.Environment()
-
-    result = optimize.evaluate_design(design, grid, env, provider, site, seed=args.seed)
+    run, site, design, provider = _design_run(args, "eval", "eval", {}, args.seed)
+    result = optimize.evaluate_design(
+        design, _frequency_grid({}), hydro.Environment(), provider, site, seed=args.seed
+    )
     doc = {
         "schema_version": 1,
         "provider": provider.name,
@@ -574,8 +517,8 @@ def cmd_eval(args):
         "violations": result.violations.tolist(),
         "provenance": result.provenance,
     }
-    manifest.wrote(_write_json(os.path.join(out, "evaluation.json"), doc))
-    manifest.write(out)
+    run.json("evaluation.json", doc)
+    run.finish()
     print(json.dumps(_strict(doc), sort_keys=True, allow_nan=False))
     return 0
 
@@ -590,7 +533,9 @@ def build_parser():
     )
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out-dir", default=None,
-                        help=f"run directory (default: ${OUT_ROOT_ENV}/<command>)")
+                        help=f"run directory (default: the command's folder under ${OUT_ROOT_ENV}, or "
+                             "under runs when it is unset: site, models, validation, study, "
+                             "benchmark, random-layouts, sensitivity or eval)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # child parser from clobbering a value given up front
     common = argparse.ArgumentParser(add_help=False)
@@ -601,6 +546,10 @@ def build_parser():
     provider.add_argument("--provider", choices=("reference", "surrogate"), default="reference")
     provider.add_argument("--models", default=None,
                           help="committee directory for --provider surrogate")
+    # the inputs of every command that works on one stored design
+    stored = argparse.ArgumentParser(add_help=False, parents=[common, provider])
+    stored.add_argument("--design", required=True)
+    stored.add_argument("--site", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sites = sub.add_parser("sites", help="site climate tools").add_subparsers(
@@ -640,23 +589,17 @@ def build_parser():
     bench.add_argument("--cheat", action="store_true",
                        help="benchmark the reference against itself (errors exactly zero)")
     bench.set_defaults(func=cmd_analyze_benchmark)
-    rnd = ana.add_parser("random-layouts", parents=[common, provider],
+    rnd = ana.add_parser("random-layouts", parents=[stored],
                          help="objective histogram over random layouts")
-    rnd.add_argument("--design", required=True)
-    rnd.add_argument("--site", required=True)
     rnd.add_argument("--n", type=int, default=250)
     rnd.set_defaults(func=cmd_analyze_random_layouts)
-    sens = ana.add_parser("sensitivity", parents=[common, provider],
+    sens = ana.add_parser("sensitivity", parents=[stored],
                           help="objective map around one device")
-    sens.add_argument("--design", required=True)
-    sens.add_argument("--site", required=True)
     sens.add_argument("--wec", type=int, required=True)
     sens.add_argument("--resolution", type=int, default=15)
     sens.set_defaults(func=cmd_analyze_sensitivity)
 
-    ev = sub.add_parser("eval", parents=[common, provider], help="evaluate one stored design")
-    ev.add_argument("--design", required=True)
-    ev.add_argument("--site", required=True)
+    ev = sub.add_parser("eval", parents=[stored], help="evaluate one stored design")
     ev.set_defaults(func=cmd_eval)
     return parser
 

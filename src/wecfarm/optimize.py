@@ -268,6 +268,8 @@ class StudySpec:
 
 def _control_pairs(study, n_devices):
     """(stiffness, damping) gene pairs in a study's control block."""
+    if study not in STUDIES:
+        raise ValueError(f"study must be one of {STUDIES}, got {study!r}")
     return {"I": 0, "II": 1, "III": n_devices}[study]
 
 
@@ -499,9 +501,7 @@ class BenchmarkStats:
     seed: int
 
 
-def power_error_benchmark(
-    n, grid, env, reference, surrogate, site, n_devices=5, seed=0, eff=None
-):
+def power_error_benchmark(n, grid, env, reference, surrogate, site, n_devices=5, seed=0):
     """Relative objective error of the surrogate pipeline on random designs.
 
     Both pipelines share the identical composition and dynamics path, so
@@ -515,11 +515,11 @@ def power_error_benchmark(
     errors, pairs, skipped = [], [], 0
     for _ in range(n):
         design = sample_design(n_devices, rng, site_id=site.site_id)
-        ref = evaluate_design(design, grid, env, reference, site, eff=eff, with_q=False)
+        ref = evaluate_design(design, grid, env, reference, site, with_q=False)
         if ref.p_v <= 0.0:
             skipped += 1
             continue
-        sur = evaluate_design(design, grid, env, surrogate, site, eff=eff, with_q=False)
+        sur = evaluate_design(design, grid, env, surrogate, site, with_q=False)
         errors.append(abs(sur.p_v - ref.p_v) / ref.p_v)
         pairs.append((ref.p_v, sur.p_v))
     errors = np.array(errors)
@@ -535,20 +535,18 @@ class LayoutHistogram:
     seed: int
 
 
-def random_layout_analysis(design, n, provider, grid, env, site, seed=0, eff=None):
+def random_layout_analysis(design, n, provider, grid, env, site, seed=0):
     """Objective of n random feasible layouts sharing the design's plant
     and control, plus the design's own percentile rank among them."""
     if n < 100:
         raise ValueError("layout analysis needs at least 100 samples")
     rng = np.random.default_rng(seed)
-    own = evaluate_design(design, grid, env, provider, site, eff=eff, with_q=False)
+    own = evaluate_design(design, grid, env, provider, site, with_q=False)
     values = np.empty(n)
     for i in range(n):
         layout = _sample_feasible_layout(design.n_devices, design.geometry.radius, rng)
         trial = DesignPoint(design.geometry, design.pto, layout, design.site_id)
-        values[i] = evaluate_design(
-            trial, grid, env, provider, site, eff=eff, with_q=False
-        ).p_v
+        values[i] = evaluate_design(trial, grid, env, provider, site, with_q=False).p_v
     percentile = 100.0 * float(np.mean(values < own.p_v))
     return LayoutHistogram(values, own.p_v, percentile, seed)
 
@@ -568,7 +566,7 @@ class SensitivityMap:
         return float(np.nanmax(self.values))
 
 
-def sensitivity_map(design, wec_index, resolution, provider, grid, env, site, eff=None):
+def sensitivity_map(design, wec_index, resolution, provider, grid, env, site):
     """Objective over perturbed positions of one device, others fixed."""
     if wec_index == 0:
         raise ValueError("first device is pinned at the origin and cannot move")
@@ -591,11 +589,9 @@ def sensitivity_map(design, wec_index, resolution, provider, grid, env, site, ef
             pos = design.layout.positions.copy()
             pos[wec_index] = cand
             trial = DesignPoint(design.geometry, design.pto, mbe.Layout(pos), design.site_id)
-            values[i, j] = evaluate_design(
-                trial, grid, env, provider, site, eff=eff, with_q=False
-            ).p_v
+            values[i, j] = evaluate_design(trial, grid, env, provider, site, with_q=False).p_v
 
-    own = evaluate_design(design, grid, env, provider, site, eff=eff, with_q=False)
+    own = evaluate_design(design, grid, env, provider, site, with_q=False)
     flat = np.nanargmax(values)
     arg = np.array([x_axis[flat // resolution], y_axis[flat % resolution]])
     offset = float(np.hypot(*(arg - design.layout.positions[wec_index])))

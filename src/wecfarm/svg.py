@@ -42,6 +42,11 @@ def _document(body, width=CANVAS, height=CANVAS):
     )
 
 
+def _save(path, body):
+    with open(path, "w") as fh:
+        fh.write(_document(body))
+
+
 def _text(x, y, s, size=12, anchor="start"):
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" '
@@ -121,9 +126,7 @@ def write_layout(path, positions, radius, half_width, title="layout"):
             f'r="{_fmt(max(radius * px_per_m, 2.0))}" fill="{fill}" fill-opacity="0.8"/>\n'
         )
         body.append(_text(frame.x(x) + 6, frame.y(y) - 6, str(d), size=10))
-    with open(path, "w") as fh:
-        fh.write(_document(body))
-    return path
+    _save(path, body)
 
 
 def write_heatmap(path, x_nodes, y_nodes, values, title, xlabel, ylabel):
@@ -153,9 +156,7 @@ def write_heatmap(path, x_nodes, y_nodes, values, title, xlabel, ylabel):
             )
     body += frame.axes(title, xlabel, ylabel)
     body.append(_text(CANVAS - MARGIN, MARGIN - 6, f"min {_fmt(lo)}  max {_fmt(hi)}", size=10, anchor="end"))
-    with open(path, "w") as fh:
-        fh.write(_document(body))
-    return path
+    _save(path, body)
 
 
 def write_histogram(path, values, title, xlabel, bins=30, marker=None, marker_label=""):
@@ -186,9 +187,7 @@ def write_histogram(path, values, title, xlabel, bins=30, marker=None, marker_la
         body.append(_line(mx, MARGIN, mx, base, color="#c23b22", width=2.0))
         if marker_label:
             body.append(_text(mx + 4, MARGIN + 14, marker_label, size=10))
-    with open(path, "w") as fh:
-        fh.write(_document(body))
-    return path
+    _save(path, body)
 
 
 def write_convergence(path, history, title="convergence"):
@@ -212,9 +211,7 @@ def write_convergence(path, history, title="convergence"):
     body.append(poly(np.clip(median, lo, hi), "#999999"))
     body.append(poly(best, "#c23b22"))
     body.append(_text(CANVAS - MARGIN, MARGIN - 6, "best red, median grey", size=10, anchor="end"))
-    with open(path, "w") as fh:
-        fh.write(_document(body))
-    return path
+    _save(path, body)
 
 
 def write_scatter(path, pairs, title, xlabel, ylabel):
@@ -234,6 +231,4 @@ def write_scatter(path, pairs, title, xlabel, ylabel):
             f'<circle cx="{_fmt(frame.x(x))}" cy="{_fmt(frame.y(y))}" r="2" '
             f'fill="#2a6f97" fill-opacity="0.6"/>\n'
         )
-    with open(path, "w") as fh:
-        fh.write(_document(body))
-    return path
+    _save(path, body)

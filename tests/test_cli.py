@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -16,6 +17,29 @@ DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 def sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def assert_manifest_complete(out):
+    """Every output the manifest lists exists, and every file in the run
+    directory is a listed output, a listed input or the manifest itself
+    (which does not list itself). Returns the manifest."""
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    outputs = {os.path.abspath(p) for p in manifest["outputs"]}
+    inputs = {os.path.abspath(p) for p in manifest["inputs"]}
+    assert os.path.abspath(os.path.join(out, "manifest.json")) not in outputs
+    for path in outputs:
+        assert os.path.isfile(path), path
+    for name in os.listdir(out):
+        path = os.path.abspath(os.path.join(out, name))
+        assert name == "manifest.json" or path in outputs | inputs, name
+    return manifest
+
+
+def read_numeric_csv(path):
+    """Header and rows of a CSV; every data cell must parse with float()."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, [[float(cell) for cell in row] for row in rows]
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +74,13 @@ def test_sites_build_outputs_and_manifest(site_path):
     site = climate.load_site(site_path)
     assert site.site_id == "alpha"
     assert site.probability.shape == (20, 20)
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = assert_manifest_complete(out)
     assert manifest["command"] == "sites build"
-    records = os.path.join(DATA, "site_alpha.csv")
     recorded = {os.path.basename(k): v for k, v in manifest["inputs"].items()}
-    assert recorded["site_alpha.csv"] == sha256(records)
+    assert recorded["site_alpha.csv"] == sha256(os.path.join(DATA, "site_alpha.csv"))
+    assert recorded["site_alpha_config.json"] == sha256(
+        os.path.join(DATA, "site_alpha_config.json")
+    )
     assert any(p.endswith("alpha_probability.svg") for p in manifest["outputs"])
     # exactly one manifest in the run directory
     assert sum(f == "manifest.json" for f in os.listdir(out)) == 1
@@ -119,7 +145,7 @@ def test_eval_prints_result_and_writes_manifest(site_path, design_path, tmp_path
     assert doc["p_v"] > 0 and doc["feasible"] is True
     on_disk = json.load(open(tmp_path / "evaluation.json"))
     assert on_disk == doc
-    manifest = json.load(open(tmp_path / "manifest.json"))
+    manifest = assert_manifest_complete(str(tmp_path))
     assert str(tmp_path / "evaluation.json") in manifest["outputs"]
 
 
@@ -227,6 +253,36 @@ def test_optimize_run_artifacts(site_path, tmp_path, capsys):
     assert len(lines) == 1 + 2  # header plus one row per generation
     for name in ("layout.svg", "convergence.svg", "config_snapshot.json", "manifest.json"):
         assert os.path.exists(os.path.join(out, name)), name
+    assert_manifest_complete(out)
+
+
+def test_optimize_study_three_writes_a_numeric_control_table(site_path, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert _run_tiny_study(site_path, out, study="III") == 0
+    capsys.readouterr()
+    best = json.load(open(os.path.join(out, "best_design.json")))
+    header, rows = read_numeric_csv(os.path.join(out, "pto_per_device.csv"))
+    assert header == ["device", "x", "y", "stiffness", "damping", "lifetime_power"]
+    assert [row[0] for row in rows] == [0.0, 1.0, 2.0]
+    assert [row[1:3] for row in rows] == best["positions"]
+    assert [row[3] for row in rows] == best["pto_stiffness"]
+    assert [row[4] for row in rows] == best["pto_damping"]
+    assert [row[5] for row in rows] == best["evaluation"]["per_device_power"]
+    read_numeric_csv(os.path.join(out, "history.csv"))
+    manifest = assert_manifest_complete(out)
+    config = os.path.join(out, "study.json")
+    assert manifest["inputs"][config] == sha256(config)
+
+
+def test_optimize_with_a_missing_config_makes_no_run_directory(site_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main([
+        "optimize", "--config", str(tmp_path / "nope.json"), "--site", site_path,
+        "--out-dir", str(out),
+    ])
+    assert rc == 1
+    assert "config file not found" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_optimize_rerun_is_numerically_identical(site_path, tmp_path, capsys):
@@ -294,11 +350,14 @@ def test_benchmark_cheating_is_exactly_zero(site_path, tmp_path, capsys):
     doc = json.load(open(os.path.join(out, "benchmark.json")))
     assert doc["percentiles"]["99"] == 0.0
     assert doc["skipped"] == 0
-    with open(os.path.join(out, "errors.csv")) as fh:
-        rows = fh.read().strip().splitlines()
-    assert len(rows) == 101
+    header, rows = read_numeric_csv(os.path.join(out, "errors.csv"))
+    assert header == ["pv_reference", "pv_surrogate", "relative_error"]
+    assert len(rows) == 100
+    assert all(ref == sur and err == 0.0 for ref, sur, err in rows)
     assert os.path.exists(os.path.join(out, "error_histogram.svg"))
     assert os.path.exists(os.path.join(out, "scatter.svg"))
+    manifest = assert_manifest_complete(out)
+    assert manifest["inputs"][str(cfg)] == sha256(cfg)
 
 
 def test_benchmark_without_models_is_config_error(site_path, tmp_path, capsys):
@@ -319,6 +378,7 @@ def test_random_layouts_deterministic(site_path, design_path, tmp_path, capsys):
             "--site", site_path, "--n", "100", "--seed", "2", "--out-dir", out,
         ])
         assert rc == 0
+        assert_manifest_complete(out)
         outs.append(json.load(open(os.path.join(out, "random_layouts.json"))))
     capsys.readouterr()
     assert outs[0] == outs[1]
@@ -342,6 +402,7 @@ def test_sensitivity_artifacts(site_path, design_path, tmp_path, capsys):
     assert len(doc["values"]) == 10 and len(doc["values"][0]) == 10
     assert doc["argmax_offset"] >= 0.0
     assert os.path.exists(os.path.join(out, "sensitivity.svg"))
+    assert_manifest_complete(out)
     texts = [open(os.path.join(o, "sensitivity.json"), "rb").read() for o in outs]
     assert texts[0] == texts[1]
 
@@ -379,7 +440,7 @@ def test_surrogate_train_writes_models(tmp_path, monkeypatch, capsys):
     for tid in surrogate.ALL_TARGET_IDS:
         assert os.path.exists(os.path.join(out, f"committee_{tid}.json")), tid
         assert os.path.exists(os.path.join(out, f"dataset_{tid}.csv")), tid
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = assert_manifest_complete(out)
     assert len(manifest["outputs"]) == 20
 
     # under-trained committees must fail the validation gate

@@ -179,6 +179,9 @@ def test_gene_counts_per_study():
     assert optimize.gene_count("II", 5) == 12
     assert optimize.gene_count("III", 5) == 20
     assert optimize.gene_bounds("III", 5).shape == (20, 2)
+    for call in (optimize.gene_count, optimize.gene_bounds):
+        with pytest.raises(ValueError, match=r"study must be one of \('I', 'II', 'III'\)"):
+            call("IV", 3)
 
 
 def test_decode_repairs_slenderness():
