@@ -61,15 +61,15 @@ class Run:
     """One command's run directory and the manifest.json that records it.
 
     The directory is `--out-dir`, else `leaf` under $WECFARM_OUT (or
-    under `runs`). Every input is digested through `read` and every
-    artifact is named through `path`, `json` or `csv`, so `finish` lists
-    exactly what the command read and wrote. The `--config` file, when
-    the command took one, is the first input.
+    under `runs`); it is made when the first artifact is named. Every
+    input is digested through `read` and every artifact is named
+    through `path`, `json` or `csv`, so `finish` lists exactly what the
+    command read and wrote. The `--config` file, when the command took
+    one, is the first input.
     """
 
     def __init__(self, args, command, leaf, config, seed):
         self.dir = args.out_dir or os.path.join(os.environ.get(OUT_ROOT_ENV, "runs"), leaf)
-        os.makedirs(self.dir, exist_ok=True)
         self.command = command
         self.seed = seed
         self.started = _now()
@@ -90,6 +90,9 @@ class Run:
         return path
 
     def path(self, name):
+        # made with the first output, so a command that fails on its
+        # inputs leaves no empty run directory behind
+        os.makedirs(self.dir, exist_ok=True)
         path = os.path.join(self.dir, name)
         self.outputs.append(path)
         return path

@@ -14,11 +14,12 @@ A coefficient provider answers two queries on a frequency grid:
 The reference provider below uses documented closed forms (see
 model_ledger_text); any object with the same `single`/`pair` methods
 can stand in, which is how the learned committees plug into the rest
-of the pipeline. It remembers its previous `single` answer and the rows
-of its previous `pair` query, because a layout step or a sensitivity
-map moves one device at a time: at N = 10 that leaves 36 of the 45 pair
-rows as they were, and only the other 9 are computed. The memo never
-holds more than one query.
+of the pipeline. It remembers the isolated body of its last plant,
+whether a `single` or a `pair` query derived it, and the rows of its
+previous `pair` query, because a layout step or a sensitivity map moves
+one device at a time: at N = 10 that leaves 36 of the 45 pair rows as
+they were, and only the other 9 are computed. The memo never holds more
+than one query.
 
 Conventions: water depth h, gravity g, density rho; unit-amplitude
 incident wave travelling along +x with phase zero at the origin; heave
@@ -417,16 +418,18 @@ def pair_coefficients(geom, separation, heading_angle, grid, env, single=None):
 class ReferenceProvider:
     """Closed-form coefficient provider used as the labelling oracle.
 
-    It remembers its previous `single` answer and the rows of its
-    previous `pair` query. A layout step or a sensitivity map moves one
-    device while the plant, the control and the other devices stay
-    fixed, so most rows of a pair query repeat the query before it. A
-    row is keyed exactly, by the bits of its separation and heading,
-    and a query is reused only when radius, slenderness, grid values
-    and environment constants are equal too. Only the missing rows are
-    computed, in one pair_coefficients call, and the memo then holds
-    this query's rows and nothing else, so it is bounded by one query.
-    Every answer is bit-identical to a fresh provider's, and the memo
+    It remembers the isolated body of its last plant and the rows of
+    its previous `pair` query. The isolated body is held whether a
+    `single` query or the rows missing from a `pair` query derived it,
+    so one-row labels of one plant compute it once. A layout step or a
+    sensitivity map moves one device while the plant, the control and
+    the other devices stay fixed, so most rows of a pair query repeat
+    the query before it. A row is keyed exactly, by the bits of its
+    separation and heading, and a query is reused only when radius,
+    slenderness, grid values and environment constants are equal too.
+    Only the missing rows are computed, in one pair_coefficients call,
+    and the memo then holds this query's rows and nothing else, so it
+    is bounded by one query. Every answer is bit-identical to a fresh provider's, and the memo
     keeps its own copies, so a caller may modify what it gets back.
     """
 
@@ -437,10 +440,7 @@ class ReferenceProvider:
         self._pairs = None  # (context, {row key: row}, (added, damping, excitation))
 
     def single(self, geom, grid, env):
-        context = _context(geom, grid, env)
-        if self._single is None or self._single[0] != context:
-            self._single = (context, single_coefficients(geom, grid, env))
-        held = self._single[1]
+        held = self._held_single(geom, grid, env, _context(geom, grid, env))
         return SingleBodyCoefficients(
             grid, held.added_mass.copy(), held.damping.copy(), held.excitation.copy()
         )
@@ -474,11 +474,15 @@ class ReferenceProvider:
         )
         return _pair_answer(grid, l, theta, batched, *arrays)
 
+    def _held_single(self, geom, grid, env, context):
+        """The isolated body of this context, computed once and then held."""
+        if self._single is None or self._single[0] != context:
+            self._single = (context, single_coefficients(geom, grid, env))
+        return self._single[1]
+
     def _computed(self, geom, l, theta, grid, env, context):
-        """pair_coefficients arrays of these rows, reusing the held single."""
-        single = None
-        if self._single is not None and self._single[0] == context:
-            single = self._single[1]
+        """pair_coefficients arrays of these rows, through the held single."""
+        single = self._held_single(geom, grid, env, context)
         c = pair_coefficients(geom, l, theta, grid, env, single=single)
         return c.added_mass, c.damping, c.excitation
 

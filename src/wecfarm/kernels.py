@@ -163,20 +163,40 @@ def mlp_forward(x, weights):
     return out
 
 
+def _views(flat, shapes):
+    """Consecutive views of a flat buffer, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + int(np.prod(shape))
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
 def mlp_train(x, y, weights, batches, lr):
     """Train the network in place on a fixed minibatch schedule with Adam.
 
     `batches` is an integer array of shape (steps, batch_size) holding
-    row indices into x and y.
+    row indices into x and y. The six weight arrays are updated in
+    place and keep their identity.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     batches = np.ascontiguousarray(batches, dtype=np.int64)
     lr = float(lr)
-    w1, b1, w2, b2, w3, b3 = weights
-    # Adam (Kingma & Ba 2015): first and second moments per weight array
-    moments = [np.zeros_like(w) for w in weights]
-    squares = [np.zeros_like(w) for w in weights]
+    # One block holds the flat weights, their gradient, Adam's first and
+    # second moments (Kingma & Ba 2015; zero at every call) and two
+    # scratch vectors, so a step's update is 14 ufuncs over the whole
+    # parameter vector. One block, not six buffers: under glibc the six
+    # were faulted in afresh on every call (620 minor page faults per
+    # 7-step pair-topology call, against under 50).
+    shapes = [w.shape for w in weights]
+    flat, grad, m, v, num, den = np.zeros((6, sum(w.size for w in weights)))
+    trained = _views(flat, shapes)
+    for view, w in zip(trained, weights):
+        view[...] = w
+    w1, b1, w2, b2, w3, b3 = trained
+    gw1, gb1, gw2, gb2, gw3, gb3 = _views(grad, shapes)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     c1 = c2 = 1.0
     for idx in batches:
@@ -187,18 +207,32 @@ def mlp_train(x, y, weights, batches, lr):
         d3 = (2.0 / (yb.shape[0] * yb.shape[1])) * (h2 @ w3 + b3 - yb)
         d2 = (d3 @ w3.T) * (1.0 - h2 * h2)
         d1 = (d2 @ w2.T) * (1.0 - h1 * h1)
-        grads = [
-            xb.T @ d1, np.sum(d1, axis=0),
-            h1.T @ d2, np.sum(d2, axis=0),
-            h2.T @ d3, np.sum(d3, axis=0),
-        ]
+        np.matmul(xb.T, d1, out=gw1)
+        np.sum(d1, axis=0, out=gb1)
+        np.matmul(h1.T, d2, out=gw2)
+        np.sum(d2, axis=0, out=gb2)
+        np.matmul(h2.T, d3, out=gw3)
+        np.sum(d3, axis=0, out=gb3)
         c1 *= beta1
         c2 *= beta2
         k1 = 1.0 - c1
         k2 = 1.0 - c2
-        for w, g, m, v in zip(weights, grads, moments, squares):
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            w -= lr * (m / k1) / (np.sqrt(v / k2) + eps)
+        # m = beta1 m + (1 - beta1) g
+        m *= beta1
+        np.multiply(1.0 - beta1, grad, out=num)
+        m += num
+        # v = beta2 v + ((1 - beta2) g) g
+        v *= beta2
+        np.multiply(1.0 - beta2, grad, out=num)
+        num *= grad
+        v += num
+        # w -= (lr (m / k1)) / (sqrt(v / k2) + eps)
+        np.divide(m, k1, out=num)
+        np.multiply(lr, num, out=num)
+        np.divide(v, k2, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        num /= den
+        flat -= num
+    for w, view in zip(weights, trained):
+        w[...] = view

@@ -127,12 +127,14 @@ def test_usage_error_maps_to_validation_exit(capsys):
 
 
 def test_missing_site_file_is_validation_error(design_path, tmp_path, capsys):
+    out = tmp_path / "run"
     rc = cli.main([
         "eval", "--design", design_path, "--site", str(tmp_path / "nope.json"),
-        "--out-dir", str(tmp_path / "run"),
+        "--out-dir", str(out),
     ])
     assert rc == 1
     assert "site file not found" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_prints_result_and_writes_manifest(site_path, design_path, tmp_path, capsys):
@@ -282,6 +284,21 @@ def test_optimize_with_a_missing_config_makes_no_run_directory(site_path, tmp_pa
     ])
     assert rc == 1
     assert "config file not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_with_no_models_makes_no_run_directory(site_path, tmp_path, capsys):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"study": "II", "n_devices": 3, "ga": {"population": 4}}))
+    models = tmp_path / "models"
+    models.mkdir()
+    out = tmp_path / "run"
+    rc = cli.main([
+        "optimize", "--config", str(cfg), "--site", site_path,
+        "--provider", "surrogate", "--models", str(models), "--out-dir", str(out),
+    ])
+    assert rc == 1
+    assert "missing model file" in capsys.readouterr().err
     assert not out.exists()
 
 

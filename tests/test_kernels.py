@@ -341,5 +341,52 @@ def test_mlp_train_matches_the_unrolled_adam_reference_bitwise(sizes, n, batch, 
         assert w.tobytes() == w_ref.tobytes()
 
 
+def test_mlp_train_with_no_steps_leaves_the_weights_as_they_were():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(20, 3))
+    y = rng.normal(size=(20, 4))
+    weights = nn.he_init([3, 8, 8, 4], rng)
+    frozen = [w.copy() for w in weights]
+    assert kernels.mlp_train(x, y, weights, np.empty((0, 8), dtype=np.int64), 2e-3) is None
+    for w, w_ref in zip(weights, frozen, strict=True):
+        assert w.tobytes() == w_ref.tobytes()
+
+
+def test_mlp_train_updates_the_callers_arrays_in_place():
+    # the regressor's weight list and its six arrays stay the same
+    # objects; only their values change
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(40, 3))
+    y = rng.normal(size=(40, 4))
+    member = nn.Regressor.initialized(3, (8, 8), 4, rng)
+    listed = member.weights
+    arrays = list(listed)
+    frozen = [w.copy() for w in arrays]
+    member.train(x, y, nn.epoch_schedule(40, 16, 5, rng), 2e-3)
+    assert member.weights is listed
+    for w, same, before in zip(member.weights, arrays, frozen, strict=True):
+        assert w is same
+        assert not np.array_equal(w, before)
+
+
+def test_mlp_train_in_two_segments_matches_the_reference_bitwise():
+    # the committee fit trains each member over consecutive segments of
+    # one schedule, each at its own rate; Adam's moments restart per call
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(96, 5))
+    y = np.sin(x @ rng.normal(size=(5, 7)))
+    schedule = nn.epoch_schedule(96, 32, 10, rng)
+    weights = nn.he_init([5, 16, 16, 7], rng)
+    frozen = [w.copy() for w in weights]
+    segments = ((schedule[:18], 2e-3), (schedule[18:], 5e-4))
+    for batches, lr in segments:
+        kernels.mlp_train(x, y, weights, batches, lr)
+    for batches, lr in segments:
+        expected = _unrolled_adam_reference(x, y, *frozen, batches, lr)
+    assert np.float64(full_set_mse(x, y, weights)).tobytes() == np.float64(expected).tobytes()
+    for w, w_ref in zip(weights, frozen, strict=True):
+        assert w.tobytes() == w_ref.tobytes()
+
+
 def test_backend_reports_a_name():
     assert kernels.backend() == "numpy"

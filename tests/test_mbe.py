@@ -380,6 +380,23 @@ class TestReferenceProviderMemo:
         geom = data.draw(geometries())
         layout = data.draw(feasible_layouts(geom, n_min=3, n_max=6))
         _, _, sep, theta = mbe.pair_table(layout)
+        names = ("added_mass", "damping", "excitation")
+        # pair first: the pair query derives the single the provider holds,
+        # and neither answer may alias it
+        provider = ReferenceProvider()
+        got = provider.pair(geom, sep, theta, GRID, ENV)
+        for name in names:
+            getattr(got, name)[...] = 0.0
+        single = provider.single(geom, GRID, ENV)
+        fresh = hydro.single_coefficients(geom, GRID, ENV)
+        for name in names:
+            assert getattr(single, name).tobytes() == getattr(fresh, name).tobytes()
+            getattr(single, name)[...] = 0.0
+        # new rows, so the next pair query computes through the held single
+        got = provider.pair(geom, 1.5 * sep, theta, GRID, ENV)
+        want = hydro.pair_coefficients(geom, 1.5 * sep, theta, GRID, ENV)
+        for name in names:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         provider = ReferenceProvider()
         # a full miss, then a partial hit (one row dropped), then a full hit
         for rows in (slice(None), slice(1, None), slice(1, None)):

@@ -355,6 +355,33 @@ def test_labelling_sends_one_oracle_query_per_row(kind):
     assert (oracle.pair_rows, oracle.single_calls) == expected
 
 
+def test_one_row_pair_labels_derive_each_plant_once(monkeypatch):
+    # tensor_grid orders its rows by plant, 6 rows per plant here, and
+    # labelling queries them one at a time: the oracle derives a plant's
+    # isolated body from its first pair query and holds it for the rest
+    inputs = surrogate.tensor_grid("pair", (2, 2, 3, 2))
+    assert inputs.shape[0] == 24
+    assert len({tuple(row) for row in inputs[:, :2]}) == 4
+    calls = []
+    counted = hydro.single_coefficients
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return counted(*args, **kwargs)
+
+    for tid in surrogate._TARGET_IDS["pair"]:
+        monkeypatch.setattr(hydro, "single_coefficients", counting)
+        calls.clear()
+        labels = surrogate.label_inputs(tid, inputs, GRID, ENV, hydro.ReferenceProvider())
+        assert len(calls) == 4, tid
+        monkeypatch.undo()
+        for i in range(inputs.shape[0]):
+            fresh = surrogate.label_inputs(
+                tid, inputs[i : i + 1], GRID, ENV, hydro.ReferenceProvider()
+            )
+            assert labels[i].tobytes() == fresh[0].tobytes(), (tid, i)
+
+
 # The ten maps as they were defined before the map table, frozen: every
 # entry of surrogate._MAPS must give the same curve and (base, scale)
 # bit for bit.
