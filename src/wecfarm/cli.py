@@ -24,6 +24,16 @@ ARTIFACT_VERSION = __version__
 OUT_ROOT_ENV = "WECFARM_OUT"
 MSE_GATE = 1e-2
 
+# the top-level keys each command's --config may hold, all of which it
+# reads; any other key is a ConfigError
+CONFIG_KEYS = {
+    "sites build": ("bounds", "n_gq", "years", "site_id"),
+    "surrogate train": ("frequency_count", "seed"),
+    "surrogate validate": ("frequency_count",),
+    "optimize": ("study", "n_devices", "fixed_control", "ga", "inject_design", "frequency_count"),
+    "analyze benchmark": ("n", "n_devices", "seed", "frequency_count"),
+}
+
 
 class ConfigError(ValueError):
     """Anything wrong with user-supplied configuration or inputs."""
@@ -44,6 +54,18 @@ def _load_json(path, what="config"):
         raise ConfigError(f"{what} file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
+
+
+def _load_config(args, command):
+    """The command's --config document, {} without one; it may hold only CONFIG_KEYS[command]."""
+    config = _load_json(args.config) if args.config else {}
+    if not isinstance(config, dict):
+        raise ConfigError(f"{args.config}: config must be a JSON object")
+    unknown = ", ".join(map(repr, sorted(set(config) - set(CONFIG_KEYS[command]))))
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown config key {unknown}; "
+                          f"{command} reads {', '.join(CONFIG_KEYS[command])}")
+    return config
 
 
 def _strict(doc):
@@ -144,14 +166,12 @@ def _load_committees(models_dir, run):
     return committees
 
 
-def _provider(args, run, config=None):
+def _provider(args, run):
     if args.provider == "reference":
         return hydro.ReferenceProvider()
     if not args.models:
         raise ConfigError("--models is required when --provider surrogate")
-    committees = _load_committees(args.models, run)
-    projection = bool(config.get("haskind_projection", False)) if config else False
-    return surrogate.SurrogateProvider(committees, haskind_projection=projection)
+    return surrogate.SurrogateProvider(_load_committees(args.models, run))
 
 
 def _load_site(path, run):
@@ -179,7 +199,7 @@ def _design_run(args, command, leaf, config, seed):
 
 
 def cmd_sites_build(args):
-    config = _load_json(args.config)
+    config = _load_config(args, "sites build")
     run = Run(args, "sites build", "site", config, args.seed)
 
     records = climate.read_records_csv(run.read(args.records))
@@ -210,23 +230,18 @@ def cmd_sites_build(args):
 
 
 def cmd_surrogate_train(args):
-    config = _load_json(args.config) if args.config else {}
+    config = _load_config(args, "surrogate train")
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     run = Run(args, "surrogate train", "models", config, seed)
 
     grid = _frequency_grid(config)
     env = hydro.Environment()
     oracle = hydro.ReferenceProvider()
-    kinds = tuple(config.get("kinds", ("single", "pair")))
-    if any(k not in ("single", "pair") for k in kinds):
-        raise ConfigError(f"kinds must be drawn from single/pair, got {kinds}")
 
     def progress(message):
         print(f"  {message}", flush=True)
 
-    committees = surrogate.train_standard_committees(
-        seed, grid, env, oracle, kinds=kinds, progress=progress
-    )
+    committees = surrogate.train_standard_committees(seed, grid, env, oracle, progress=progress)
     for tid, committee in committees.items():
         surrogate.save_committee(committee, run.path(f"committee_{tid}.json"))
         surrogate.save_dataset(committee.dataset, run.path(f"dataset_{tid}.csv"))
@@ -236,7 +251,7 @@ def cmd_surrogate_train(args):
 
 
 def cmd_surrogate_validate(args):
-    config = _load_json(args.config) if args.config else {}
+    config = _load_config(args, "surrogate validate")
     run = Run(args, "surrogate validate", "validation", config, args.seed)
 
     env = hydro.Environment()
@@ -304,12 +319,12 @@ def _ga_config(doc, seed):
 
 
 def cmd_optimize(args):
-    config = _load_json(args.config)
+    config = _load_config(args, "optimize")
     seed = args.seed if args.seed is not None else config.get("ga", {}).get("seed", 0)
     run = Run(args, "optimize", "study", config, seed)
 
     site = _load_site(args.site, run)
-    provider = _provider(args, run, config)
+    provider = _provider(args, run)
     grid = _frequency_grid(config)
     env = hydro.Environment()
 
@@ -380,7 +395,7 @@ def cmd_optimize(args):
 
 
 def cmd_analyze_benchmark(args):
-    config = _load_json(args.config) if args.config else {}
+    config = _load_config(args, "analyze benchmark")
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     run = Run(args, "analyze benchmark", "benchmark", config, seed)
 
@@ -390,7 +405,7 @@ def cmd_analyze_benchmark(args):
         # one's memo of the same query
         against, mode = hydro.ReferenceProvider(), "cheating-reference"
     else:
-        against = _provider(args, run, config)
+        against = _provider(args, run)
         if against.name != "surrogate":
             raise ConfigError("benchmark compares the surrogate against the reference; "
                               "pass --provider surrogate with --models, or --cheat")

@@ -320,7 +320,7 @@ def _excitation_magnitude(r, d, env, k):
     return f0 * np.exp(-k * d) * depth_factor * chi
 
 
-def single_coefficients(geom, grid, env, k=None):
+def single_coefficients(geom, grid, env):
     """Isolated-body coefficients on the grid.
 
     The excitation magnitude attenuates the hydrostatic force rho g pi
@@ -334,14 +334,9 @@ def single_coefficients(geom, grid, env, k=None):
     A scalar plant gives (n_w,) curves; a batch of U plants, radius and
     slenderness (U,) arrays, gives (U, n_w) curves, row i equal bit for
     bit to the scalar query of plant i.
-
-    `k`, when given, is the wavenumber on the grid, as returned by
-    solve_dispersion; it saves a second solve for callers that need it
-    too.
     """
     om = grid.values
-    if k is None:
-        k = solve_dispersion(om, env)
+    k = solve_dispersion(om, env)
     vg = group_velocity(om, env, k=k)
     # plants on a leading axis; a scalar plant broadcasts as one row of (n_w,)
     r = np.asarray(geom.radius)[..., None]
@@ -374,9 +369,8 @@ def pair_coefficients(geom, separation, heading_angle, grid, env, single=None):
 
     `separation` and `heading_angle` are scalars or (P,) arrays (see
     the module docstring for the shapes). A batch shares one dispersion
-    solve, which its single-body solve reuses, and its P x n_w arguments
-    kl and 2kl go through one J0 and one Y0 call; every entry equals the
-    scalar query's bit for bit.
+    solve, and its P x n_w arguments kl and 2kl go through one J0 and
+    one Y0 call; every entry equals the scalar query's bit for bit.
 
     `single`, when given, is this geometry's single_coefficients answer
     on the same grid and environment; it saves computing it again.
@@ -385,7 +379,7 @@ def pair_coefficients(geom, separation, heading_angle, grid, env, single=None):
     om = grid.values
     k = solve_dispersion(om, env)
     if single is None:
-        single = single_coefficients(geom, grid, env, k=k)
+        single = single_coefficients(geom, grid, env)
     kl = l[:, None] * k
     envelope = np.exp(-l / (INTERACTION_RANGE_RADII * geom.radius))[:, None]
     bessel_args = np.stack([2.0 * kl, kl])

@@ -83,11 +83,6 @@ def input_dimension(kind):
     return 2 if kind == "single" else 4
 
 
-def _wave_numbers(grid, env):
-    k = solve_dispersion(grid.values, env)
-    return k, group_velocity(grid.values, env, k=k)
-
-
 def scale_vectors(target_id, inputs, grid, env):
     """Geometry-only normalization of the single maps, shape (n, n_w).
 
@@ -99,7 +94,8 @@ def scale_vectors(target_id, inputs, grid, env):
     f0 = env.water_density * env.gravity * np.pi * radius**2
     key = _MAPS[target_id].norm
     if key == "damping":
-        k, vg = _wave_numbers(grid, env)
+        k = solve_dispersion(grid.values, env)
+        vg = group_velocity(grid.values, env, k=k)
         return k[None, :] * f0[:, None] ** 2 / (4.0 * env.water_density * env.gravity * vg[None, :])
     draft = inputs[:, 0] / inputs[:, 1]
     # a pair map's norm is no key here, and raises KeyError
@@ -185,8 +181,8 @@ def sample_inputs(kind, n, rng, edge_fraction=0.0):
     box so the committees see the boundary, where extrapolation error
     would otherwise concentrate.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    # a Generator passes through unchanged; a seed makes a fresh one
+    rng = np.random.default_rng(rng)
     dim = input_dimension(kind)
     u = latin_hypercube(n, dim, rng)
     m = int(round(edge_fraction * n))
@@ -324,10 +320,10 @@ def training_plan(kind):
 EDGE_FRACTION = 0.2
 
 
-def train_standard_committees(seed, grid, env, oracle, kinds=("single", "pair"), progress=None):
+def train_standard_committees(seed, grid, env, oracle, progress=None):
     """Label, train and run the active-learning rounds for every map."""
     committees = {}
-    for kind in kinds:
+    for kind in ("single", "pair"):
         plan = training_plan(kind)
         datasets = build_datasets(
             kind,
@@ -602,18 +598,18 @@ def qbc_round(committee, pool, k, oracle):
 VALIDATE_BLOCK = 256
 
 
-def validate_on_grid(committee, oracle, points=None, counts=None):
+def validate_on_grid(committee, oracle, counts=None):
     """Normalized MSE against the oracle on a tensor sweep of the box.
 
+    ``counts`` are the sweep's points per input dimension, by default
+    21 x 21 for a single map and 6 x 6 x 10 x 5 for a pair map.
     Points are labelled and predicted VALIDATE_BLOCK at a time, which
     bounds the member-curve stack at members x VALIDATE_BLOCK x n_w; the
     per-point errors do not depend on the blocking.
     """
-    if points is None:
-        if counts is None:
-            counts = (21, 21) if committee.kind == "single" else (6, 6, 10, 5)
-        points = tensor_grid(committee.kind, counts)
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if counts is None:
+        counts = (21, 21) if committee.kind == "single" else (6, 6, 10, 5)
+    points = tensor_grid(committee.kind, counts)
     mse = []
     for start in range(0, points.shape[0], VALIDATE_BLOCK):
         rows = points[start : start + VALIDATE_BLOCK]
@@ -644,7 +640,6 @@ class CheatingCommittee:
         self.env = env
         self.oracle = oracle
         self.pooled_scale = 1.0
-        self.zero_variance = False
 
     @property
     def kind(self):
@@ -683,46 +678,42 @@ class SurrogateProvider:
     Pair coefficients are rebuilt from the predicted interaction factors
     and the provider's own predicted singles, so prediction never calls
     the reference model. Damping predictions are clipped to keep the 2x2
-    radiation matrix positive semidefinite; the optional projection
-    rebuilds the single-body damping from the predicted excitation
-    instead of the damping map. Cheating committees take the same
-    reconstruction path, so a provider made of them matches the oracle
-    to rounding (about 1e-14 relative), not bit for bit.
+    radiation matrix positive semidefinite. Cheating committees take the
+    same reconstruction path, so a provider made of them matches the
+    oracle to rounding (about 1e-14 relative), not bit for bit.
 
     Committees of one query that share reference wavenumbers (their
     ``feature_key``) share one feature pass, which holds the blocks of
     both phase multipliers, so a pair query makes one J0/Y0 feature pass
     instead of six; the outputs are the same bit for bit.
 
-    It solves the wavenumbers of its committees' grid once, when built,
-    and hands out copies of the single answers it keeps.
+    Its committees must share one frequency grid and one environment.
+    It solves the wavenumbers of that grid once, when built, and hands
+    out copies of the single answers it keeps.
     """
 
     name = "surrogate"
 
-    def __init__(self, committees, haskind_projection=False):
+    def __init__(self, committees):
         missing = [tid for tid in ALL_TARGET_IDS if tid not in committees]
         if missing:
             raise ValueError(f"missing committees: {', '.join(missing)}")
         self.committees = dict(committees)
-        self.haskind_projection = haskind_projection
         self._singles = {}
         ref = self.committees[ALL_TARGET_IDS[0]]
         for tid in ALL_TARGET_IDS[1:]:
             if not self.committees[tid].grid.matches(ref.grid):
                 raise ValueError(f"committee {tid} trained on a different frequency grid")
+            if self.committees[tid].env != ref.env:
+                raise ValueError(f"committee {tid} trained in a different environment")
         self.grid = ref.grid
         self.env = ref.env
-        self._k, self._vg = _wave_numbers(self.grid, self.env)
+        self._k = solve_dispersion(self.grid.values, self.env)
 
     def _check(self, grid, env):
         if not grid.matches(self.grid):
             raise ValueError("query grid differs from the committees' training grid")
-        if (env.water_depth, env.gravity, env.water_density) != (
-            self.env.water_depth,
-            self.env.gravity,
-            self.env.water_density,
-        ):
+        if env != self.env:
             raise ValueError("query environment differs from the training environment")
 
     def _maps(self, target_ids, u):
@@ -767,10 +758,6 @@ class SurrogateProvider:
         damping = np.maximum(
             curve("single_damping") * scale_vectors("single_damping", u, grid, env)[0], 0.0
         )
-        if self.haskind_projection:
-            damping = (
-                self._k * np.abs(f_hat) ** 2 / (4.0 * env.water_density * env.gravity * self._vg)
-            )
         return SingleBodyCoefficients(
             grid=grid, added_mass=added, damping=damping, excitation=f_hat
         )

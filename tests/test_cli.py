@@ -468,6 +468,53 @@ def test_surrogate_train_writes_models(tmp_path, monkeypatch, capsys):
     assert "above the" in capsys.readouterr().err
 
 
+# one misspelt key per command, and the retired haskind_projection and kinds;
+# the known keys keep each command quick should the check ever let one through
+@pytest.mark.parametrize("command, config, key", [
+    ("sites build", {"bounds": [[0.3, 6.0], [3.5, 13.0]], "frequency_cout": 30}, "frequency_cout"),
+    ("surrogate train", {"frequency_cout": 30}, "frequency_cout"),
+    ("surrogate train", {"kinds": ["single", "pair"]}, "kinds"),
+    ("surrogate validate", {"frequency_count": 10, "frequency_cout": 30}, "frequency_cout"),
+    ("optimize", {"study": "II", "ga": {"population": 4, "generations": 1}, "frequency_cout": 30},
+     "frequency_cout"),
+    ("optimize", {"study": "II", "ga": {"population": 4, "generations": 1},
+                  "haskind_projection": True}, "haskind_projection"),
+    ("analyze benchmark", {"n": 10, "n_devices": 3, "frequency_cout": 30}, "frequency_cout"),
+    ("analyze benchmark", {"n": 10, "n_devices": 3, "haskind_projection": True},
+     "haskind_projection"),
+])
+def test_an_unknown_config_key_is_config_error(
+    site_path, tmp_path, monkeypatch, capsys, command, config, key
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(surrogate, "train_standard_committees", no_training)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    inputs = {
+        "sites build": ["--records", os.path.join(DATA, "site_alpha.csv")],
+        "surrogate validate": ["--cheat"],
+        "optimize": ["--site", site_path],
+        "analyze benchmark": ["--cheat", "--site", site_path],
+    }.get(command, [])
+    out = tmp_path / "run"
+    rc = cli.main(command.split() + ["--config", str(cfg), "--out-dir", str(out)] + inputs)
+    assert rc == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_that_is_not_an_object_is_config_error(site_path, tmp_path, capsys):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(["study", "II"]))
+    rc = cli.main([
+        "optimize", "--config", str(cfg), "--site", site_path, "--out-dir", str(tmp_path / "run"),
+    ])
+    assert rc == 1
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
 def test_surrogate_validate_without_models_or_cheat_is_config_error(tmp_path, capsys):
     rc = cli.main(["surrogate", "validate", "--out-dir", str(tmp_path / "val")])
     assert rc == 1

@@ -1,7 +1,7 @@
 """Committee learning, active sampling and the learned provider.
 
 Full-budget training belongs to a planned acceptance suite (ROADMAP
-item 2). Here the committees are small and the checks target contracts:
+item 4). Here the committees are small and the checks target contracts:
 determinism, tie-breaking, scaling round-trips, provider structure. The
 one tight fit check is test_committee_fits_linear_map.
 """
@@ -74,6 +74,9 @@ def test_sample_inputs_deterministic_and_stratified():
     a = surrogate.sample_inputs("single", 64, 9)
     b = surrogate.sample_inputs("single", 64, 9)
     assert np.array_equal(a, b)
+    # a seed and a Generator made from it draw the same samples
+    c = surrogate.sample_inputs("single", 64, np.random.default_rng(9))
+    assert a.tobytes() == c.tobytes()
     # latin strata: radius column hits each of the 64 bins once
     u = (a[:, 0] - 0.5) / 9.5
     assert sorted(np.floor(u * 64).astype(int)) == list(range(64))
@@ -303,9 +306,9 @@ def test_cheating_committee_validates_to_exact_zero():
 def test_validate_on_grid_blocking_keeps_bits(damping_committee, monkeypatch):
     points = surrogate.tensor_grid("single", (23, 23))  # 529 rows: two full blocks and a tail
     assert surrogate.VALIDATE_BLOCK < points.shape[0]
-    blocked = surrogate.validate_on_grid(damping_committee, ORACLE, points=points)
+    blocked = surrogate.validate_on_grid(damping_committee, ORACLE, counts=(23, 23))
     monkeypatch.setattr(surrogate, "VALIDATE_BLOCK", points.shape[0])
-    whole = surrogate.validate_on_grid(damping_committee, ORACLE, points=points)
+    whole = surrogate.validate_on_grid(damping_committee, ORACLE, counts=(23, 23))
     assert blocked.mse.tobytes() == whole.mse.tobytes()
     assert np.array_equal(blocked.points, points)
 
@@ -856,14 +859,15 @@ def test_apply_equals_stacked_apply_bytewise(tiny_provider, seed):
             assert a.tobytes() == b.tobytes()
 
 
-def test_provider_haskind_projection(tiny_provider):
-    projected = surrogate.SurrogateProvider(tiny_provider.committees, haskind_projection=True)
-    geom = hydro.WecGeometry(2.0, 4.0)
-    sc = projected.single(geom, GRID, ENV)
-    k = hydro.solve_dispersion(GRID.values, ENV)
-    vg = hydro.group_velocity(GRID.values, ENV, k=k)
-    expected = k * np.abs(sc.excitation) ** 2 / (4.0 * ENV.water_density * ENV.gravity * vg)
-    np.testing.assert_allclose(sc.damping, expected, rtol=1e-12)
+def test_provider_rejects_committees_from_another_environment():
+    committees = {
+        tid: surrogate.CheatingCommittee(tid, GRID, ENV, ORACLE) for tid in surrogate.ALL_TARGET_IDS
+    }
+    committees["pair_damping_cross"] = surrogate.CheatingCommittee(
+        "pair_damping_cross", GRID, hydro.Environment(water_depth=30.0), ORACLE
+    )
+    with pytest.raises(ValueError, match="pair_damping_cross trained in a different environment"):
+        surrogate.SurrogateProvider(committees)
 
 
 def test_provider_rejects_mismatched_grid(tiny_provider):
