@@ -32,31 +32,69 @@ def backend():
 # at 40 digits, written by scripts/fit_bessel.py. The worst absolute
 # error against mpmath on [0.01, 500] is 8.9e-16, for Y0 near x = 0.01
 # where (2/pi) ln(x/2) is large; it is at most 4.4e-16 from x = 0.1 and
-# 1.1e-16 from 12. Each element takes the branch its own value selects,
-# with scalar coefficients, so a batch and a scalar call agree bit for
-# bit.
+# 1.1e-16 from 12. Each element takes the branch and the interval its
+# own value selects, so a batch and a scalar call agree bit for bit.
+#
+# A call splits its arguments once, at 12. Below it, one Horner pass
+# serves all three intervals: row k of a term table holds the k-th
+# coefficient of each interval's polynomial, and the rows gathered at
+# the elements' intervals give each element the same operations on the
+# same values, in the same order, as a pass over its interval alone.
+# So a call pays one pass, not one per interval. Rows are gathered as
+# many at a time as fit in _GATHER_BYTES: the whole table for a one-row
+# label, one row at a time for a large feature block, where all 18 rows
+# at once would take 18 times the memory of its arguments. The tables
+# are read-only: a write would change every later Bessel value in the
+# process.
 
 _EDGES = tuple(c + _coeffs.SMALL_HALF_WIDTH for c in _coeffs.SMALL_CENTRES)
 
 
+def _read_only(values):
+    a = np.array(values, dtype=np.float64, order="C")
+    a.flags.writeable = False
+    return a
+
+
+_CENTRES = _read_only(_coeffs.SMALL_CENTRES)
+_J0_TERMS = _read_only(np.transpose(_coeffs.J0))
+_J1X_TERMS = _read_only(np.transpose(_coeffs.J1X))
+_E0_TERMS = _read_only(np.transpose(_coeffs.E0))
+# under glibc's 128 KiB mmap threshold: 18-row blocks of up to 576 KiB
+# raised study2-ref's perfbench peak RSS by 0.5 MB
+_GATHER_BYTES = 1 << 16
+
+
 def _horner(v, coeffs):
-    r = coeffs[0] * v
-    r += coeffs[1]
-    for c in coeffs[2:]:
+    coeffs = iter(coeffs)
+    r = next(coeffs) * v
+    r += next(coeffs)
+    for c in coeffs:
         r *= v
         r += c
     return r
 
 
-def _small(x, which, i):
-    u = x - _coeffs.SMALL_CENTRES[i]
+def _gathered(terms, interval):
+    """Term by term, each element's coefficient for its own interval."""
+    rows = max(1, _GATHER_BYTES // (8 * interval.size))
+    for k in range(0, len(terms), rows):
+        yield from terms[k : k + rows].take(interval, axis=1)
+
+
+def _polynomial(x, which):
+    # each element's interval: the number of inner edges at or below it
+    interval = (x >= _EDGES[0]).astype(np.intp)
+    for edge in _EDGES[1:-1]:
+        interval += x >= edge
+    u = x - _CENTRES.take(interval)
     if which == 0:
-        return _horner(u, _coeffs.J0[i])
+        return _horner(u, _gathered(_J0_TERMS, interval))
     if which == 1:
-        return x * _horner(u, _coeffs.J1X[i])
-    y = _horner(u, _coeffs.J0[i])
+        return x * _horner(u, _gathered(_J1X_TERMS, interval))
+    y = _horner(u, _gathered(_J0_TERMS, interval))
     y *= (2.0 / np.pi) * np.log(0.5 * x)
-    y += _horner(u, _coeffs.E0[i])
+    y += _horner(u, _gathered(_E0_TERMS, interval))
     return y
 
 
@@ -87,14 +125,11 @@ def _large(x, which):
 
 def _bessel_1d(x, which):
     out = np.empty_like(x)
-    below = [x < edge for edge in _EDGES]
-    for i, mask in enumerate(below):
-        if i:
-            mask = mask & ~below[i - 1]
-        if mask.any():
-            out[mask] = _small(x[mask], which, i)
+    below = x < _EDGES[-1]
+    if below.any():
+        out[below] = _polynomial(x[below], which)
     # NaN fails every comparison and lands here, as NaN
-    big = ~below[-1]
+    big = ~below
     if big.any():
         out[big] = _large(x[big], which)
     return out

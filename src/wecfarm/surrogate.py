@@ -409,25 +409,28 @@ class Committee:
         """Committees with equal keys compute equal features."""
         return self.kref.tobytes()
 
-    def features(self, inputs):
-        """Network inputs for both phase multipliers, keyed 1.0 and 2.0.
+    def features(self, inputs, multipliers=(1.0, 2.0)):
+        """Network inputs for each phase multiplier, keyed by multiplier.
 
         A pair block is the inputs followed by the range-damped J0 and Y0
-        of the separation phase l * (multiplier * kref). Both blocks come
-        from one J0 and one Y0 call on the stacked phases [phi, 2 phi];
-        doubling is exact, so each block equals its own per-multiplier
-        computation bit for bit. Single maps take the inputs as they are.
+        of the separation phase l * (multiplier * kref). All blocks come
+        from one J0 and one Y0 call on the stacked phases: by default
+        [phi, 2 phi], which committees of one ``feature_key`` share, and
+        only the committee's own multiplier where nothing else reads the
+        blocks. Doubling is exact, so each block equals its own
+        per-multiplier computation bit for bit. Single maps take the
+        inputs as they are.
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if self.kref.size == 0:
-            return {1.0: inputs, 2.0: inputs}
+            return dict.fromkeys(multipliers, inputs)
         phase = inputs[:, 2:3] * self.kref[None, :]
-        phases = np.stack([phase, 2.0 * phase])
+        phases = np.stack([m * phase for m in multipliers])
         envelope = np.exp(-inputs[:, 2:3] / (INTERACTION_RANGE_RADII * inputs[:, 0:1]))
         j0, y0 = kernels.j0(phases), kernels.y0(phases)
         return {
             m: np.concatenate([inputs, envelope * j0[i], envelope * y0[i]], axis=1)
-            for i, m in enumerate((1.0, 2.0))
+            for i, m in enumerate(multipliers)
         }
 
     def apply(self, inputs, features=None):
@@ -435,11 +438,12 @@ class Committee:
 
         ``features`` is ``self.features(inputs)`` computed by the caller,
         who may share it among committees of equal ``feature_key``; each
-        committee reads the block of its own phase multiplier.
+        committee reads the block of its own phase multiplier. Without
+        it, only that block is computed.
         """
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if features is None:
-            features = self.features(inputs)
+            features = self.features(inputs, (self.phase_multiplier,))
         z_in = self.input_scaler.transform(features[self.phase_multiplier])
         # nondimensional per-member predictions, shape (M, n, n_w)
         curves = np.empty((len(self.members), inputs.shape[0], self.grid.n))
@@ -540,7 +544,8 @@ def train_committee(dataset, config):
         zero_variance=zero_variance,
         dataset=dataset,
     )
-    feats = committee.features(dataset.inputs)[committee.phase_multiplier]
+    multiplier = committee.phase_multiplier
+    feats = committee.features(dataset.inputs, (multiplier,))[multiplier]
     committee.input_scaler = nn.AffineScaler.fit(feats)
     h1, h2 = config.hidden
     for m in range(config.members):
@@ -589,7 +594,8 @@ def qbc_round(committee, pool, k, oracle):
     committee.dataset = augmented
     committee.rounds += 1
     committee.disagreement_history.append(float(disagreement[order[0]]))
-    feats = committee.features(augmented.inputs)[committee.phase_multiplier]
+    multiplier = committee.phase_multiplier
+    feats = committee.features(augmented.inputs, (multiplier,))[multiplier]
     targets = _nondimensional_targets(augmented)
     _fit_members(committee, feats, targets, committee.config.round_epochs, committee.rounds)
     return augmented, committee

@@ -173,6 +173,76 @@ def test_bessel_batch_elements_equal_scalar_calls(fn):
                 assert np.float64(fn(float(x))).tobytes() == v.tobytes()
 
 
+# The kernel as it ran each interval on its own, frozen here: one
+# boolean mask, gather, Horner pass with scalar coefficients and scatter
+# per interval. The one-pass kernel must reproduce it byte for byte; the
+# Hankel branch from 12 up is the kernel's own.
+
+
+def _frozen_horner(v, coeffs):
+    r = coeffs[0] * v
+    r += coeffs[1]
+    for c in coeffs[2:]:
+        r *= v
+        r += c
+    return r
+
+
+def _frozen_small(x, which, i):
+    u = x - _bessel_coeffs.SMALL_CENTRES[i]
+    if which == 0:
+        return _frozen_horner(u, _bessel_coeffs.J0[i])
+    if which == 1:
+        return x * _frozen_horner(u, _bessel_coeffs.J1X[i])
+    y = _frozen_horner(u, _bessel_coeffs.J0[i])
+    y *= (2.0 / np.pi) * np.log(0.5 * x)
+    y += _frozen_horner(u, _bessel_coeffs.E0[i])
+    return y
+
+
+def _frozen_per_interval(x, which):
+    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    out = np.empty_like(x)
+    below = [x < c + _bessel_coeffs.SMALL_HALF_WIDTH for c in _bessel_coeffs.SMALL_CENTRES]
+    for i, mask in enumerate(below):
+        if i:
+            mask = mask & ~below[i - 1]
+        if mask.any():
+            out[mask] = _frozen_small(x[mask], which, i)
+    big = ~below[-1]
+    if big.any():
+        out[big] = kernels._large(x[big], which)
+    return out
+
+
+PINNED_XS = np.concatenate(
+    [DENSE_XS, [1e-300, np.nan, np.inf]]
+    + [_ulp_walk(edge, 1) for edge in (4.0, 8.0, 12.0)]
+)
+
+
+@pytest.mark.parametrize(
+    "fn, which",
+    [(kernels.j0, 0), (kernels.j1, 1), (kernels.y0, 2)],
+    ids=["j0", "j1", "y0"],
+)
+def test_bessel_equals_the_per_interval_kernel_bytewise(fn, which):
+    # (n,) gathers one coefficient row at a time, a pair query's (2, P, n)
+    # four rows at a time and then the last two, and a scalar the whole table
+    order = np.random.default_rng(5).permutation(PINNED_XS.size)
+    stacked = PINNED_XS[order[: 2 * 10 * 150]].reshape(2, 10, 150)
+    with np.errstate(invalid="ignore"):
+        for xs in (PINNED_XS, stacked):
+            got = fn(xs)
+            assert got.shape == xs.shape
+            assert got.tobytes() == _frozen_per_interval(xs, which).tobytes()
+        assert fn(np.empty(0)).shape == (0,)
+        for x in PINNED_XS[-12:]:
+            got = fn(float(x))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == _frozen_per_interval(x, which).tobytes()
+
+
 def test_bessel_tables_are_what_the_fitting_script_writes():
     spec = importlib.util.spec_from_file_location("fit_bessel", ROOT / "scripts" / "fit_bessel.py")
     fit_bessel = importlib.util.module_from_spec(spec)
@@ -182,6 +252,19 @@ def test_bessel_tables_are_what_the_fitting_script_writes():
     # the intervals tile [0, 12) and end at the Hankel switch
     assert kernels._EDGES[-1] == _bessel_coeffs.SWITCH
     assert np.all(np.diff(_bessel_coeffs.SMALL_CENTRES) == 2 * _bessel_coeffs.SMALL_HALF_WIDTH)
+    # the kernel's (term, interval) tables hold the generated tuples, and
+    # no caller can write to them
+    derived = [
+        (kernels._CENTRES, [_bessel_coeffs.SMALL_CENTRES]),
+        (kernels._J0_TERMS, list(zip(*_bessel_coeffs.J0))),
+        (kernels._J1X_TERMS, list(zip(*_bessel_coeffs.J1X))),
+        (kernels._E0_TERMS, list(zip(*_bessel_coeffs.E0))),
+    ]
+    for table, rows in derived:
+        assert np.atleast_2d(table).tolist() == [list(row) for row in rows]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[..., 0] = 0.0
 
 
 def test_bessel_scalar_and_shape_handling():

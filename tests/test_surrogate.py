@@ -859,6 +859,34 @@ def test_apply_equals_stacked_apply_bytewise(tiny_provider, seed):
             assert a.tobytes() == b.tobytes()
 
 
+def test_committee_paths_compute_only_their_own_feature_block(tiny_provider, monkeypatch):
+    # training, the QBC selection and refit, and apply without a shared
+    # block run J0 on the committee's own multiplier block alone; the
+    # provider's shared pass still stacks both
+    stacks = []
+    j0 = kernels.j0
+
+    def recording(x):
+        stacks.append(np.shape(x))
+        return j0(x)
+
+    monkeypatch.setattr(kernels, "j0", recording)
+    for tid in ("pair_added_mass_diag", "pair_damping_cross"):
+        committee = tiny_provider.committees[tid]
+        config = replace(committee.config, epochs=1, round_epochs=1)
+        fresh = surrogate.train_committee(committee.dataset, config)
+        pool = surrogate.sample_inputs("pair", 8, np.random.default_rng(4))
+        _, fresh = surrogate.qbc_round(fresh, pool, 2, ORACLE)
+        fresh.apply(pool)
+    # the oracle's own J0 calls run on the frequency grid, not on kref
+    features = [shape for shape in stacks if shape[-1] == committee.kref.size]
+    assert len(features) == 8
+    assert {shape[0] for shape in features} == {1}
+    geom = hydro.WecGeometry(2.0, 2.0)
+    tiny_provider.pair(geom, np.array([12.0, 30.0]), np.array([0.3, 1.2]), GRID, ENV)
+    assert stacks[-1][0] == 2
+
+
 def test_provider_rejects_committees_from_another_environment():
     committees = {
         tid: surrogate.CheatingCommittee(tid, GRID, ENV, ORACLE) for tid in surrogate.ALL_TARGET_IDS
