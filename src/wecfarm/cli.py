@@ -25,11 +25,13 @@ OUT_ROOT_ENV = "WECFARM_OUT"
 MSE_GATE = 1e-2
 
 # the top-level keys each command's --config may hold, all of which it
-# reads; any other key is a ConfigError
+# reads; any other key is a ConfigError. Stored committees bring their
+# own grid, so validating them reads no key.
 CONFIG_KEYS = {
     "sites build": ("bounds", "n_gq", "years", "site_id"),
     "surrogate train": ("frequency_count", "seed"),
     "surrogate validate": ("frequency_count",),
+    "surrogate validate --models": (),
     "optimize": ("study", "n_devices", "fixed_control", "ga", "inject_design", "frequency_count"),
     "analyze benchmark": ("n", "n_devices", "seed", "frequency_count"),
 }
@@ -64,7 +66,7 @@ def _load_config(args, command):
     unknown = ", ".join(map(repr, sorted(set(config) - set(CONFIG_KEYS[command]))))
     if unknown:
         raise ConfigError(f"{args.config}: unknown config key {unknown}; "
-                          f"{command} reads {', '.join(CONFIG_KEYS[command])}")
+                          f"{command} reads {', '.join(CONFIG_KEYS[command]) or 'no key'}")
     return config
 
 
@@ -251,7 +253,8 @@ def cmd_surrogate_train(args):
 
 
 def cmd_surrogate_validate(args):
-    config = _load_config(args, "surrogate validate")
+    stored = args.models and not args.cheat
+    config = _load_config(args, "surrogate validate --models" if stored else "surrogate validate")
     run = Run(args, "surrogate validate", "validation", config, args.seed)
 
     env = hydro.Environment()

@@ -9,16 +9,17 @@ A coefficient provider answers two queries on a frequency grid:
   bodies. Scalar separation and heading give one pair, (n_w, 2, 2) and
   (n_w, 2); (P,) arrays give P pairs stacked on a leading axis,
   (P, n_w, 2, 2) and (P, n_w, 2), row i equal to the scalar query of
-  row i. A batch fails with GeometryError if any row overlaps.
+  row i. A batch fails with GeometryError if any row overlaps. The
+  answer carries `isolated`, the single-body answer its rows were built
+  from, so a caller that needs both asks once.
 
 The reference provider below uses documented closed forms (see
 model_ledger_text); any object with the same `single`/`pair` methods
 can stand in, which is how the learned committees plug into the rest
-of the pipeline. It remembers the isolated body of its last plant,
-whether a `single` or a `pair` query derived it, and the rows of its
-previous `pair` query, because a layout step or a sensitivity map moves
-one device at a time: at N = 10 that leaves 36 of the 45 pair rows as
-they were, and only the other 9 are computed. The memo never holds more
+of the pipeline. It remembers its previous `pair` query, rows and
+isolated body, because a layout step or a sensitivity map moves one
+device at a time: at N = 10 that leaves 36 of the 45 pair rows as they
+were, and only the other 9 are computed. The memo never holds more
 than one query.
 
 Conventions: water depth h, gravity g, density rho; unit-amplitude
@@ -169,7 +170,8 @@ class PairCoefficients:
     """One pair, or a batch of P pairs on a leading axis.
 
     `separation` and `heading_angle` are floats for one pair and (P,)
-    arrays for a batch.
+    arrays for a batch. `isolated` is the SingleBodyCoefficients of the
+    plant that the rows were built from, on the same grid.
     """
 
     grid: FrequencyGrid
@@ -178,6 +180,7 @@ class PairCoefficients:
     excitation: np.ndarray
     separation: float
     heading_angle: float
+    isolated: SingleBodyCoefficients
 
 
 def pair_inputs(geom, separation, heading_angle):
@@ -204,8 +207,8 @@ def pair_inputs(geom, separation, heading_angle):
     return l, theta, batched
 
 
-def pair_result(grid, l, theta, batched, diagonal, cross, excitation):
-    """PairCoefficients from stacked (P, n_w) curves.
+def pair_result(grid, l, theta, batched, isolated, diagonal, cross, excitation):
+    """PairCoefficients from stacked (P, n_w) curves built from `isolated`.
 
     `diagonal` and `cross` are (added mass, damping) tuples of the
     diagonal and off-diagonal entries of the symmetric 2x2 matrices;
@@ -218,14 +221,14 @@ def pair_result(grid, l, theta, batched, diagonal, cross, excitation):
     for matrix, diag, off in zip((added, damping), diagonal, cross):
         matrix[..., 0, 0] = matrix[..., 1, 1] = diag
         matrix[..., 0, 1] = matrix[..., 1, 0] = off
-    return _pair_answer(grid, l, theta, batched, added, damping, excitation)
+    return _pair_answer(grid, l, theta, batched, isolated, added, damping, excitation)
 
 
-def _pair_answer(grid, l, theta, batched, added, damping, excitation):
+def _pair_answer(grid, l, theta, batched, isolated, added, damping, excitation):
     if batched:
-        return PairCoefficients(grid, added, damping, excitation, l, theta)
+        return PairCoefficients(grid, added, damping, excitation, l, theta, isolated)
     return PairCoefficients(
-        grid, added[0], damping[0], excitation[0], float(l[0]), float(theta[0])
+        grid, added[0], damping[0], excitation[0], float(l[0]), float(theta[0]), isolated
     )
 
 
@@ -355,7 +358,7 @@ def single_coefficients(geom, grid, env):
     )
 
 
-def pair_coefficients(geom, separation, heading_angle, grid, env, single=None):
+def pair_coefficients(geom, separation, heading_angle, grid, env, isolated=None):
     """Two-body coefficients in the pair-local frame.
 
     Cross radiation terms follow the cylindrical spreading kernel,
@@ -372,14 +375,14 @@ def pair_coefficients(geom, separation, heading_angle, grid, env, single=None):
     solve, and its P x n_w arguments kl and 2kl go through one J0 and
     one Y0 call; every entry equals the scalar query's bit for bit.
 
-    `single`, when given, is this geometry's single_coefficients answer
-    on the same grid and environment; it saves computing it again.
+    `isolated`, when given, is this geometry's single_coefficients
+    answer on the same grid and environment; it saves computing it
+    again. The answer carries it, computed or given, as `isolated`.
     """
     l, theta, batched = pair_inputs(geom, separation, heading_angle)
     om = grid.values
     k = solve_dispersion(om, env)
-    if single is None:
-        single = single_coefficients(geom, grid, env)
+    single = single_coefficients(geom, grid, env) if isolated is None else isolated
     kl = l[:, None] * k
     envelope = np.exp(-l / (INTERACTION_RANGE_RADII * geom.radius))[:, None]
     bessel_args = np.stack([2.0 * kl, kl])
@@ -403,6 +406,7 @@ def pair_coefficients(geom, separation, heading_angle, grid, env, single=None):
         l,
         theta,
         batched,
+        single,
         diagonal=(single.added_mass + da11, b_s + db11),
         cross=(a12, b12),
         excitation=excitation,
@@ -412,45 +416,44 @@ def pair_coefficients(geom, separation, heading_angle, grid, env, single=None):
 class ReferenceProvider:
     """Closed-form coefficient provider used as the labelling oracle.
 
-    It remembers the isolated body of its last plant and the rows of
-    its previous `pair` query. The isolated body is held whether a
-    `single` query or the rows missing from a `pair` query derived it,
-    so one-row labels of one plant compute it once. A layout step or a
-    sensitivity map moves one device while the plant, the control and
-    the other devices stay fixed, so most rows of a pair query repeat
-    the query before it. A row is keyed exactly, by the bits of its
-    separation and heading, and a query is reused only when radius,
-    slenderness, grid values and environment constants are equal too.
-    Only the missing rows are computed, in one pair_coefficients call,
-    and the memo then holds this query's rows and nothing else, so it
-    is bounded by one query. Every answer is bit-identical to a fresh provider's, and the memo
-    keeps its own copies, so a caller may modify what it gets back.
+    `single` computes the isolated body. `pair` remembers its previous
+    query: the rows and the isolated body they were built from. A layout
+    step or a sensitivity map moves one device while the plant, the
+    control and the other devices stay fixed, so most rows of a pair
+    query repeat the query before it, and one-row labels of one plant
+    compute its isolated body once. A row is keyed exactly, by the bits
+    of its separation and heading, and a query is reused only when
+    radius, slenderness, grid values and environment constants are
+    equal too. Only the missing rows are computed, in one
+    pair_coefficients call through the held isolated body, and the memo
+    then holds this query's rows and nothing else, so it is bounded by
+    one query. Every answer is bit-identical to a fresh provider's, and
+    the memo keeps its own copies, so a caller may modify what it gets
+    back, `isolated` included.
     """
 
     name = "reference"
 
     def __init__(self):
-        self._single = None  # (context, SingleBodyCoefficients)
-        self._pairs = None  # (context, {row key: row}, (added, damping, excitation))
+        self._pairs = None  # (context, isolated, {row key: row}, (added, damping, excitation))
 
     def single(self, geom, grid, env):
-        held = self._held_single(geom, grid, env, _context(geom, grid, env))
-        return SingleBodyCoefficients(
-            grid, held.added_mass.copy(), held.damping.copy(), held.excitation.copy()
-        )
+        return single_coefficients(geom, grid, env)
 
     def pair(self, geom, separation, heading_angle, grid, env):
         l, theta, batched = pair_inputs(geom, separation, heading_angle)
         context = _context(geom, grid, env)
         # exact row keys: the bits of each separation and heading
         keys = list(zip(l.view(np.int64).tolist(), theta.view(np.int64).tolist()))
-        rows, held = {}, None
         if self._pairs is not None and self._pairs[0] == context:
-            _, rows, held = self._pairs
+            _, isolated, rows, held = self._pairs
+        else:
+            isolated, rows, held = single_coefficients(geom, grid, env), {}, None
         hits = [rows.get(key) for key in keys]
         missing = [i for i, row in enumerate(hits) if row is None]
         if len(missing) == len(keys):
-            arrays = self._computed(geom, l, theta, grid, env, context)
+            c = pair_coefficients(geom, l, theta, grid, env, isolated)
+            arrays = (c.added_mass, c.damping, c.excitation)
         else:
             found = [i for i, row in enumerate(hits) if row is not None]
             reused = [hits[i] for i in found]
@@ -458,27 +461,19 @@ class ReferenceProvider:
             for out, old in zip(arrays, held):
                 out[found] = old[reused]
             if missing:
-                computed = self._computed(geom, l[missing], theta[missing], grid, env, context)
-                for out, new in zip(arrays, computed):
+                c = pair_coefficients(geom, l[missing], theta[missing], grid, env, isolated)
+                for out, new in zip(arrays, (c.added_mass, c.damping, c.excitation)):
                     out[missing] = new
         self._pairs = (
             context,
+            isolated,
             {key: i for i, key in enumerate(keys)},
             tuple(a.copy() for a in arrays),
         )
-        return _pair_answer(grid, l, theta, batched, *arrays)
-
-    def _held_single(self, geom, grid, env, context):
-        """The isolated body of this context, computed once and then held."""
-        if self._single is None or self._single[0] != context:
-            self._single = (context, single_coefficients(geom, grid, env))
-        return self._single[1]
-
-    def _computed(self, geom, l, theta, grid, env, context):
-        """pair_coefficients arrays of these rows, through the held single."""
-        single = self._held_single(geom, grid, env, context)
-        c = pair_coefficients(geom, l, theta, grid, env, single=single)
-        return c.added_mass, c.damping, c.excitation
+        answer = SingleBodyCoefficients(
+            grid, isolated.added_mass.copy(), isolated.damping.copy(), isolated.excitation.copy()
+        )
+        return _pair_answer(grid, l, theta, batched, answer, *arrays)
 
 
 def _context(geom, grid, env):

@@ -1,4 +1,4 @@
-"""Farm-level coefficient matrices from single and pair queries.
+"""Farm-level coefficient matrices from one provider query.
 
 The N-body interaction is truncated at second order: diagonals are the
 isolated values plus the sum of pairwise diagonal shifts, off-diagonals
@@ -84,31 +84,21 @@ def pair_table(layout):
 
 
 def compose_farm(provider, geom, layout, grid, env):
-    """Assemble N-body matrices from one single and one batched pair query.
+    """Assemble N-body matrices from one provider query.
 
     Every pair p < q is taken in the frame of its lower-index body, and
-    all of them go to the provider in a single `pair` call. Pairs whose
-    (l, theta) agree after rounding to 1e-9 share one row of that call,
-    queried at the exact values of the first such pair. Diagonals are
-    seeded with (2 - N) times the isolated values so that each pair's
-    full diagonal adds up to the single-plus-shift composition; for
-    N = 2 this reproduces the pair query bit for bit. Each device adds
-    its N - 1 pair terms in row-major pair order, so every sum rounds
-    the same way for any batching.
+    all of them go to the provider in a single `pair` call, whose answer
+    carries the isolated body; one device alone is one `single` call.
+    Pairs whose (l, theta) agree after rounding to 1e-9 share one row of
+    that call, queried at the exact values of the first such pair.
+    Diagonals are seeded with (2 - N) times the isolated values so that
+    each pair's full diagonal adds up to the single-plus-shift
+    composition; for N = 2 this reproduces the pair query bit for bit.
+    Each device adds its N - 1 pair terms in row-major pair order, so
+    every sum rounds the same way for any batching.
     """
     pos = layout.positions
     n_wec = layout.n
-    single = provider.single(geom, grid, env)
-    k = hydro.solve_dispersion(grid.values, env)
-    phases = np.exp(-1j * np.outer(k, pos[:, 0]))
-
-    # per-device sums, (N, n_w), each seeded with (2 - N) isolated values
-    base = float(2 - n_wec)
-    added_diag = np.tile(base * single.added_mass, (n_wec, 1))
-    damping_diag = np.tile(base * single.damping, (n_wec, 1))
-    excitation = (base * single.excitation) * phases.T
-    added = np.zeros((grid.n, n_wec, n_wec))
-    damping = np.zeros((grid.n, n_wec, n_wec))
     if n_wec > 1:
         ip, iq, separation, heading = layout.pairs
         # first-occurrence dedupe of the rounded keys; every row of the
@@ -122,6 +112,20 @@ def compose_farm(provider, geom, layout, grid, env):
             row.append(rank[key])
         row = np.array(row)
         pc = provider.pair(geom, separation[first], heading[first], grid, env)
+        single = pc.isolated
+    else:
+        single = provider.single(geom, grid, env)
+    k = hydro.solve_dispersion(grid.values, env)
+    phases = np.exp(-1j * np.outer(k, pos[:, 0]))
+
+    # per-device sums, (N, n_w), each seeded with (2 - N) isolated values
+    base = float(2 - n_wec)
+    added_diag = np.tile(base * single.added_mass, (n_wec, 1))
+    damping_diag = np.tile(base * single.damping, (n_wec, 1))
+    excitation = (base * single.excitation) * phases.T
+    added = np.zeros((grid.n, n_wec, n_wec))
+    damping = np.zeros((grid.n, n_wec, n_wec))
+    if n_wec > 1:
         added[:, ip, iq] = added[:, iq, ip] = pc.added_mass[row, :, 0, 1].T
         damping[:, ip, iq] = damping[:, iq, ip] = pc.damping[row, :, 0, 1].T
 

@@ -682,11 +682,12 @@ class SurrogateProvider:
     """Drop-in coefficient provider backed by the ten committees.
 
     Pair coefficients are rebuilt from the predicted interaction factors
-    and the provider's own predicted singles, so prediction never calls
-    the reference model. Damping predictions are clipped to keep the 2x2
-    radiation matrix positive semidefinite. Cheating committees take the
-    same reconstruction path, so a provider made of them matches the
-    oracle to rounding (about 1e-14 relative), not bit for bit.
+    and the provider's own predicted single, which the answer carries as
+    `isolated`, so prediction never calls the reference model. Damping
+    predictions are clipped to keep the 2x2 radiation matrix positive
+    semidefinite. Cheating committees take the same reconstruction path,
+    so a provider made of them matches the oracle to rounding (about
+    1e-14 relative), not bit for bit.
 
     Committees of one query that share reference wavenumbers (their
     ``feature_key``) share one feature pass, which holds the blocks of
@@ -694,8 +695,8 @@ class SurrogateProvider:
     instead of six; the outputs are the same bit for bit.
 
     Its committees must share one frequency grid and one environment.
-    It solves the wavenumbers of that grid once, when built, and hands
-    out copies of the single answers it keeps.
+    It solves the wavenumbers of that grid once, when built, and keeps
+    no answers: every query predicts afresh.
     """
 
     name = "surrogate"
@@ -705,7 +706,6 @@ class SurrogateProvider:
         if missing:
             raise ValueError(f"missing committees: {', '.join(missing)}")
         self.committees = dict(committees)
-        self._singles = {}
         ref = self.committees[ALL_TARGET_IDS[0]]
         for tid in ALL_TARGET_IDS[1:]:
             if not self.committees[tid].grid.matches(ref.grid):
@@ -739,18 +739,6 @@ class SurrogateProvider:
 
     def single(self, geom, grid, env):
         self._check(grid, env)
-        key = (geom.radius, geom.slenderness)
-        held = self._singles.get(key)
-        if held is None:
-            held = self._predicted_single(geom, grid, env)
-            if len(self._singles) > 128:
-                self._singles.clear()
-            self._singles[key] = held
-        return SingleBodyCoefficients(
-            grid, held.added_mass.copy(), held.damping.copy(), held.excitation.copy()
-        )
-
-    def _predicted_single(self, geom, grid, env):
         u = np.array([[geom.radius, geom.slenderness]])
         maps = self._maps(SINGLE_TARGET_IDS, u)
 
@@ -774,7 +762,8 @@ class SurrogateProvider:
         A batch applies each of the six pair committees once, to all P
         rows. The J0/Y0 separation features are computed in one pass for
         both phase multipliers: one block for the four cross and
-        excitation maps, one for the two diagonal maps.
+        excitation maps, one for the two diagonal maps. The single is
+        predicted once and returned as `isolated`.
         """
         self._check(grid, env)
         l, theta, batched = pair_inputs(geom, separation, heading_angle)
@@ -798,7 +787,8 @@ class SurrogateProvider:
         excitation[..., 0] = f1
         excitation[..., 1] = f1 * np.exp(-1j * self._k * l[:, None] * np.cos(theta)[:, None])
         return pair_result(
-            grid, l, theta, batched, diagonal=(a11, b11), cross=(a12, b12), excitation=excitation
+            grid, l, theta, batched, single,
+            diagonal=(a11, b11), cross=(a12, b12), excitation=excitation,
         )
 
 

@@ -521,6 +521,22 @@ def test_surrogate_validate_without_models_or_cheat_is_config_error(tmp_path, ca
     assert "--models or --cheat" in capsys.readouterr().err
 
 
+def test_surrogate_validate_models_reads_no_config_key(tmp_path, capsys):
+    # stored committees bring their own grid; a key that would be ignored
+    # is refused before the models are read or a run directory is made
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frequency_count": 30}))
+    out = tmp_path / "run"
+    rc = cli.main([
+        "surrogate", "validate", "--models", str(tmp_path / "no_models"), "--config", str(cfg),
+        "--out-dir", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "unknown config key 'frequency_count'" in err and "reads no key" in err
+    assert not out.exists()
+
+
 def test_surrogate_validate_cheat_is_zero(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"frequency_count": 30}))

@@ -214,6 +214,30 @@ class TestComposeFarm:
         # one batched call: (l=40, 0) shared by two pairs, plus (l=80, 0)
         assert calls == [2]
 
+    def test_one_provider_query_per_assembly(self):
+        class CountingProvider(ReferenceProvider):
+            def __init__(self):
+                super().__init__()
+                self.queries = []
+
+            def single(self, geom, grid, env):
+                self.queries.append("single")
+                return super().single(geom, grid, env)
+
+            def pair(self, geom, separation, heading_angle, grid, env):
+                self.queries.append("pair")
+                return super().pair(geom, separation, heading_angle, grid, env)
+
+        # the pair answer carries the isolated body, so N >= 2 sends no single
+        for pos, queries in (
+            ([[0.0, 0.0]], ["single"]),
+            ([[0.0, 0.0], [24.0, 18.0]], ["pair"]),
+            ([[0.0, 0.0], [40.0, 0.0], [80.0, 0.0], [10.0, 60.0]], ["pair"]),
+        ):
+            provider = CountingProvider()
+            mbe.compose_farm(provider, GEOM, mbe.Layout(np.array(pos)), GRID, ENV)
+            assert provider.queries == queries
+
 
 def compose_by_scalar_queries(provider, geom, layout, grid, env):
     """compose_farm as a p < q double loop of one-pair queries.
@@ -334,7 +358,8 @@ def answers_bytes(provider, geom, layout, grid, env):
     _, _, sep, theta = mbe.pair_table(layout)
     pair = provider.pair(geom, sep, theta, grid, env)
     arrays = (farm.added_mass, farm.damping, farm.excitation,
-              pair.added_mass, pair.damping, pair.excitation, pair.separation, pair.heading_angle)
+              pair.added_mass, pair.damping, pair.excitation, pair.separation, pair.heading_angle,
+              pair.isolated.added_mass, pair.isolated.damping, pair.isolated.excitation)
     return [a.tobytes() for a in arrays]
 
 
@@ -381,36 +406,46 @@ class TestReferenceProviderMemo:
         layout = data.draw(feasible_layouts(geom, n_min=3, n_max=6))
         _, _, sep, theta = mbe.pair_table(layout)
         names = ("added_mass", "damping", "excitation")
-        # pair first: the pair query derives the single the provider holds,
-        # and neither answer may alias it
-        provider = ReferenceProvider()
-        got = provider.pair(geom, sep, theta, GRID, ENV)
-        for name in names:
-            getattr(got, name)[...] = 0.0
-        single = provider.single(geom, GRID, ENV)
         fresh = hydro.single_coefficients(geom, GRID, ENV)
-        for name in names:
-            assert getattr(single, name).tobytes() == getattr(fresh, name).tobytes()
-            getattr(single, name)[...] = 0.0
-        # new rows, so the next pair query computes through the held single
+
+        def zero(answer):
+            for name in names:
+                getattr(answer, name)[...] = 0.0
+                getattr(answer.isolated, name)[...] = 0.0
+
+        # the memo holds the isolated body, and no answer may alias it
+        provider = ReferenceProvider()
+        zero(provider.pair(geom, sep, theta, GRID, ENV))
+        # new rows, so the next pair query computes through the held body
         got = provider.pair(geom, 1.5 * sep, theta, GRID, ENV)
         want = hydro.pair_coefficients(geom, 1.5 * sep, theta, GRID, ENV)
         for name in names:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert getattr(got.isolated, name).tobytes() == getattr(fresh, name).tobytes()
         provider = ReferenceProvider()
         # a full miss, then a partial hit (one row dropped), then a full hit
         for rows in (slice(None), slice(1, None), slice(1, None)):
             want = hydro.pair_coefficients(geom, sep[rows], theta[rows], GRID, ENV)
             got = provider.pair(geom, sep[rows], theta[rows], GRID, ENV)
-            single = provider.single(geom, GRID, ENV)
+            for name in names:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert getattr(got.isolated, name).tobytes() == getattr(fresh, name).tobytes()
+            zero(got)
+
+    def test_pair_carries_the_single_answer_bitwise(self):
+        provider = ReferenceProvider()
+        single = provider.single(GEOM, GRID, ENV)
+        sep, theta = np.array([20.0, 35.0, 90.0]), np.array([0.3, -1.0, 2.5])
+        # scalar, batched (a new query), full memo hit, partial hit (one row
+        # new), and a new plant, whose isolated body is computed again
+        queries = [(GEOM, sep[0], theta[0]), (GEOM, sep, theta), (GEOM, sep, theta),
+                   (GEOM, np.append(sep[1:], 50.0), np.append(theta[1:], 0.0)),
+                   (WecGeometry(2.0, 1.0), sep, theta)]
+        for geom, l, t in queries:
+            want = single if geom is GEOM else provider.single(geom, GRID, ENV)
+            got = provider.pair(geom, l, t, GRID, ENV).isolated
             for name in ("added_mass", "damping", "excitation"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-                getattr(got, name)[...] = 0.0
-                getattr(single, name)[...] = 0.0
-        again = provider.single(geom, GRID, ENV)
-        fresh = hydro.single_coefficients(geom, GRID, ENV)
-        for name in ("added_mass", "damping", "excitation"):
-            assert getattr(again, name).tobytes() == getattr(fresh, name).tobytes()
 
     def test_memo_holds_one_query(self):
         provider = ReferenceProvider()
@@ -419,9 +454,10 @@ class TestReferenceProviderMemo:
             layout = mbe.Layout(np.vstack([[0.0, 0.0], rng.uniform(-300.0, 300.0, (n_wec - 1, 2))]))
             _, _, sep, theta = mbe.pair_table(layout)
             provider.pair(GEOM, sep, theta, GRID, ENV)
-            _, memo_rows, arrays = provider._pairs
+            _, isolated, memo_rows, arrays = provider._pairs
             assert len(memo_rows) == rows
             assert [a.shape[0] for a in arrays] == [rows] * 3
+            assert isolated.added_mass.shape == (GRID.n,)
 
 
 def test_pair_table_matches_pair_geometry():

@@ -698,14 +698,30 @@ def test_mutating_a_surrogate_answer_leaves_the_next_unchanged():
     provider, fresh = cheating_provider(), cheating_provider()
     geom = hydro.WecGeometry(3.0, 6.0)
     sep, theta = PAIR_BATCH
+    names = ("added_mass", "damping", "excitation")
     for _ in range(2):
-        for got in (provider.single(geom, GRID, ENV), provider.pair(geom, sep, theta, GRID, ENV)):
-            for name in ("added_mass", "damping", "excitation"):
+        pair = provider.pair(geom, sep, theta, GRID, ENV)
+        for got in (provider.single(geom, GRID, ENV), pair, pair.isolated):
+            for name in names:
                 getattr(got, name)[...] = 0.0
+    pair, fresh_pair = (p.pair(geom, sep, theta, GRID, ENV) for p in (provider, fresh))
     for got, want in (
         (provider.single(geom, GRID, ENV), fresh.single(geom, GRID, ENV)),
-        (provider.pair(geom, sep, theta, GRID, ENV), fresh.pair(geom, sep, theta, GRID, ENV)),
+        (pair, fresh_pair),
+        (pair.isolated, fresh_pair.isolated),
     ):
+        for name in names:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("make", ["tiny", "cheating"])
+def test_provider_pair_carries_its_single_bitwise(make, tiny_provider):
+    provider = tiny_provider if make == "tiny" else cheating_provider()
+    geom = hydro.WecGeometry(3.0, 6.0)
+    sep, theta = PAIR_BATCH
+    want = provider.single(geom, GRID, ENV)
+    for got in (provider.pair(geom, sep[1], theta[1], GRID, ENV).isolated,
+                provider.pair(geom, sep, theta, GRID, ENV).isolated):
         for name in ("added_mass", "damping", "excitation"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
@@ -775,13 +791,14 @@ def test_provider_shared_features_keep_bits(tiny_provider):
 def test_provider_pair_computes_one_feature_pass(tiny_provider, monkeypatch):
     geom = hydro.WecGeometry(3.0, 6.0)
     sep, theta = PAIR_BATCH
-    tiny_provider.pair(geom, sep, theta, GRID, ENV)  # the singles are cached from here on
     calls = []
     features = surrogate.Committee.features
 
+    # J0/Y0 passes of the pair committees; single features run no Bessel
     def counting(self, inputs):
         blocks = features(self, inputs)
-        calls.append(sorted(blocks))
+        if self.kind == "pair":
+            calls.append(sorted(blocks))
         return blocks
 
     monkeypatch.setattr(surrogate.Committee, "features", counting)
