@@ -585,7 +585,7 @@ def build_parser():
     sur = sub.add_parser("surrogate", help="committee training and validation").add_subparsers(
         dest="subcommand", required=True
     )
-    train = sur.add_parser("train", parents=[common], help="train the ten coefficient committees")
+    train = sur.add_parser("train", parents=[common], help="train the nine coefficient committees")
     train.add_argument("--config", default=None, help="JSON training overrides")
     train.set_defaults(func=cmd_surrogate_train)
     val = sur.add_parser("validate", parents=[common], help="grid MSE of stored committees vs the reference")

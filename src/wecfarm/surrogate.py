@@ -1,6 +1,6 @@
 """Learned coefficient maps with committee disagreement sampling.
 
-Ten committees stand in for the reference provider: four single-body
+Nine committees stand in for the reference provider: three single-body
 maps over (R, slenderness) and six pair maps over (R, slenderness,
 separation, heading). Single maps are learned against pure geometry
 scales (displaced mass, the radiation scale k F0^2 / (4 rho g v_g),
@@ -49,7 +49,7 @@ PHASE_FEATURE_STRIDE = 3
 
 SCHEMA_VERSION = 1
 
-# The ten maps, each defined once: its kind, its curve in an oracle answer
+# The nine maps, each defined once: its kind, its curve in an oracle answer
 # of that kind, and its normalization. A single map names its geometry
 # scale (scale_vectors); a pair map names its (base, scale) among the
 # isolated curves "a", "b", "b/w" (damping over frequency) and "f" of the
@@ -59,7 +59,6 @@ _MAPS = {
     "single_added_mass": _Map("single", lambda c: c.added_mass, "mass"),
     "single_damping": _Map("single", lambda c: c.damping, "damping"),
     "single_excitation_re": _Map("single", lambda c: np.real(c.excitation), "force"),
-    "single_excitation_im": _Map("single", lambda c: np.imag(c.excitation), "force"),
     "pair_added_mass_diag": _Map("pair", lambda c: c.added_mass[..., 0, 0], ("a", "b/w")),
     "pair_damping_diag": _Map("pair", lambda c: c.damping[..., 0, 0], ("b", "b")),
     "pair_added_mass_cross": _Map("pair", lambda c: c.added_mass[..., 0, 1], (None, "b/w")),
@@ -335,7 +334,8 @@ def train_standard_committees(seed, grid, env, oracle, progress=None):
             edge_fraction=EDGE_FRACTION,
         )
         for tid in _TARGET_IDS[kind]:
-            idx = ALL_TARGET_IDS.index(tid)
+            # index 3 was the retired imaginary single excitation map; pair maps keep their seeds
+            idx = ALL_TARGET_IDS.index(tid) + (kind == "pair")
             committee = train_committee(datasets[tid], default_config(tid, seed=seed * 1000 + idx))
             for rnd in range(plan["rounds"]):
                 pool = sample_inputs(
@@ -679,7 +679,7 @@ class CheatingCommittee:
 
 
 class SurrogateProvider:
-    """Drop-in coefficient provider backed by the ten committees.
+    """Drop-in coefficient provider backed by the nine committees.
 
     Pair coefficients are rebuilt from the predicted interaction factors
     and the provider's own predicted single, which the answer carries as
@@ -742,18 +742,15 @@ class SurrogateProvider:
         u = np.array([[geom.radius, geom.slenderness]])
         maps = self._maps(SINGLE_TARGET_IDS, u)
 
-        def curve(target_id):
-            return maps[target_id][0]
+        def scaled(target_id):
+            return maps[target_id][0] * scale_vectors(target_id, u, grid, env)[0]
 
-        added = curve("single_added_mass") * scale_vectors("single_added_mass", u, grid, env)[0]
-        f_hat = (
-            curve("single_excitation_re") + 1j * curve("single_excitation_im")
-        ) * scale_vectors("single_excitation_re", u, grid, env)[0]
-        damping = np.maximum(
-            curve("single_damping") * scale_vectors("single_damping", u, grid, env)[0], 0.0
-        )
         return SingleBodyCoefficients(
-            grid=grid, added_mass=added, damping=damping, excitation=f_hat
+            grid=grid,
+            added_mass=scaled("single_added_mass"),
+            damping=np.maximum(scaled("single_damping"), 0.0),
+            # the isolated excitation is real: phase 0 at the body centre
+            excitation=scaled("single_excitation_re") + 0j,
         )
 
     def pair(self, geom, separation, heading_angle, grid, env):

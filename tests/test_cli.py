@@ -424,7 +424,9 @@ def test_sensitivity_artifacts(site_path, design_path, tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-def test_surrogate_train_writes_models(tmp_path, monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def tiny_committees():
+    """Under-trained committees of every map, quick to fit."""
     grid = FrequencyGrid.default(count=30)
     env = Environment()
     oracle = ReferenceProvider()
@@ -446,9 +448,12 @@ def test_surrogate_train_writes_models(tmp_path, monkeypatch, capsys):
         config = surrogate.CommitteeConfig(hidden=(8, 8), epochs=10, round_epochs=5, min_samples=10)
         for tid in ids:
             tiny[tid] = surrogate.train_committee(datasets[tid], config)
+    return tiny
 
+
+def test_surrogate_train_writes_models(tiny_committees, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
-        surrogate, "train_standard_committees", lambda *a, **k: tiny
+        surrogate, "train_standard_committees", lambda *a, **k: tiny_committees
     )
     out = str(tmp_path / "models")
     rc = cli.main(["surrogate", "train", "--out-dir", out])
@@ -458,7 +463,7 @@ def test_surrogate_train_writes_models(tmp_path, monkeypatch, capsys):
         assert os.path.exists(os.path.join(out, f"committee_{tid}.json")), tid
         assert os.path.exists(os.path.join(out, f"dataset_{tid}.csv")), tid
     manifest = assert_manifest_complete(out)
-    assert len(manifest["outputs"]) == 20
+    assert len(manifest["outputs"]) == 18
 
     # under-trained committees must fail the validation gate
     rc = cli.main([
@@ -466,6 +471,30 @@ def test_surrogate_train_writes_models(tmp_path, monkeypatch, capsys):
     ])
     assert rc == 2
     assert "above the" in capsys.readouterr().err
+
+
+def test_surrogate_validate_ignores_a_retired_model_file(tiny_committees, tmp_path, capsys):
+    # a model directory from before the imaginary single excitation map was
+    # retired still holds its committee file; only the listed maps are read
+    models = tmp_path / "models"
+    models.mkdir()
+    for tid, committee in tiny_committees.items():
+        surrogate.save_committee(committee, models / f"committee_{tid}.json")
+    doc = json.load(open(models / "committee_single_excitation_re.json"))
+    doc["target_id"] = "single_excitation_im"
+    (models / "committee_single_excitation_im.json").write_text(json.dumps(doc))
+
+    out = tmp_path / "val"
+    rc = cli.main(["surrogate", "validate", "--models", str(models), "--out-dir", str(out)])
+    assert rc == 2  # under-trained, but every listed map was validated
+    capsys.readouterr()
+    manifest = assert_manifest_complete(str(out))
+    assert sorted(os.path.basename(p) for p in manifest["inputs"]) == sorted(
+        f"committee_{tid}.json" for tid in surrogate.ALL_TARGET_IDS
+    )
+    rows = json.load(open(out / "validation.json"))["maps"]
+    assert [row["target_id"] for row in rows] == list(surrogate.ALL_TARGET_IDS)
+    assert len(rows) == 9
 
 
 # one misspelt key per command, and the retired haskind_projection and kinds;
@@ -549,4 +578,4 @@ def test_surrogate_validate_cheat_is_zero(tmp_path, capsys):
     doc = json.load(open(os.path.join(out, "validation.json")))
     assert doc["failed"] == []
     assert all(row["mean_mse"] == 0.0 for row in doc["maps"])
-    assert len(doc["maps"]) == 10
+    assert len(doc["maps"]) == 9

@@ -247,6 +247,10 @@ def test_batched_single_rows_equal_scalar_queries_bitwise(batch):
             got, want = getattr(many, name), getattr(one, name)
             assert got.shape == (len(batch), grid.n) and want.shape == (grid.n,)
             assert got[i].tobytes() == want.tobytes(), name
+        # the isolated excitation is real (phase 0 at the body centre), so
+        # the surrogate learns no map of its imaginary part
+        assert np.all(np.imag(one.excitation) == 0.0)
+    assert np.all(np.imag(many.excitation) == 0.0)
 
 
 class TestPairCoefficients:

@@ -101,7 +101,7 @@ def test_input_box_and_kinds():
     assert surrogate.target_kind("pair_excitation_im") == "pair"
     with pytest.raises(KeyError):
         surrogate.target_kind("nope")
-    assert len(surrogate.ALL_TARGET_IDS) == 10
+    assert len(surrogate.ALL_TARGET_IDS) == 9
 
 
 def test_training_plan_stays_inside_sample_cap():
@@ -197,7 +197,7 @@ def test_committee_config_validation():
 
 def test_zero_variance_dataset_warns_and_trains():
     x = surrogate.sample_inputs("single", 60, 2)
-    data = surrogate.Dataset("single_excitation_im", x, np.zeros((60, GRID.n)), GRID, ENV)
+    data = surrogate.Dataset("single_added_mass", x, np.zeros((60, GRID.n)), GRID, ENV)
     cfg = surrogate.CommitteeConfig(hidden=(8, 8), epochs=20, seed=0)
     with pytest.warns(UserWarning, match="constant outputs"):
         com = surrogate.train_committee(data, cfg)
@@ -385,14 +385,13 @@ def test_one_row_pair_labels_derive_each_plant_once(monkeypatch):
             assert labels[i].tobytes() == fresh[0].tobytes(), (tid, i)
 
 
-# The ten maps as they were defined before the map table, frozen: every
+# The nine maps as they were defined before the map table, frozen: every
 # entry of surrogate._MAPS must give the same curve and (base, scale)
 # bit for bit.
 FROZEN_CURVES = {
     "single_added_mass": lambda c: c.added_mass,
     "single_damping": lambda c: c.damping,
     "single_excitation_re": lambda c: np.real(c.excitation),
-    "single_excitation_im": lambda c: np.imag(c.excitation),
     "pair_added_mass_diag": lambda c: c.added_mass[..., 0, 0],
     "pair_damping_diag": lambda c: c.damping[..., 0, 0],
     "pair_added_mass_cross": lambda c: c.added_mass[..., 0, 1],
@@ -404,7 +403,6 @@ FROZEN_SCALE_KEYS = {
     "single_added_mass": "mass",
     "single_damping": "damping",
     "single_excitation_re": "force",
-    "single_excitation_im": "force",
 }
 
 
@@ -476,7 +474,7 @@ def test_map_table_reproduces_the_frozen_definitions():
 
 def test_map_table_check_flags_a_mutated_entry(monkeypatch):
     maps = surrogate._MAPS
-    monkeypatch.setitem(maps, "single_excitation_im", maps["single_excitation_re"])
+    monkeypatch.setitem(maps, "single_damping", maps["single_damping"]._replace(norm="mass"))
     monkeypatch.setitem(
         maps, "pair_added_mass_cross", maps["pair_added_mass_cross"]._replace(norm=("a", "b/w"))
     )
@@ -485,7 +483,7 @@ def test_map_table_check_flags_a_mutated_entry(monkeypatch):
         maps, "pair_damping_diag", maps["pair_damping_diag"]._replace(curve=cross_curve)
     )
     assert map_table_mismatches() == {
-        "single_excitation_im", "pair_added_mass_cross", "pair_damping_diag"
+        "single_damping", "pair_added_mass_cross", "pair_damping_diag"
     }
 
 
@@ -613,8 +611,6 @@ def test_dataset_csv_rejects_foreign_files(tmp_path):
 
 @pytest.fixture(scope="module")
 def tiny_provider():
-    import warnings
-
     committees = {}
     for kind, n in (("single", 80), ("pair", 100)):
         data = surrogate.build_datasets(kind, n, 17, GRID, ENV, ORACLE, edge_fraction=0.2)
@@ -622,9 +618,7 @@ def tiny_provider():
             cfg = surrogate.CommitteeConfig(
                 hidden=(16, 16), epochs=60, learning_rate=3e-3, seed=13
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # the all-zero map is expected here
-                committees[tid] = surrogate.train_committee(ds, cfg)
+            committees[tid] = surrogate.train_committee(ds, cfg)
     return surrogate.SurrogateProvider(committees)
 
 
@@ -641,6 +635,8 @@ def test_provider_single_structure(tiny_provider):
     assert sc.added_mass.shape == (GRID.n,)
     assert np.all(sc.damping >= 0.0)
     assert sc.excitation.dtype == np.complex128
+    # the isolated excitation is real by construction; no committee learns its zero
+    assert np.all(np.imag(sc.excitation) == 0.0)
 
 
 def test_provider_pair_structure(tiny_provider):
