@@ -70,6 +70,31 @@ def _load_config(args, command):
     return config
 
 
+def _config_int(config, key, default):
+    """config[key] as an int: an integral number such as 5 or 5.0, not 2.7 or "5"."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _config_value(config, key, default, check, what):
+    """config[key], else `default`; a value failing `check` names the key and `what` it must be."""
+    value = config.get(key, default)
+    if not check(value):
+        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _is_pair(value):
+    """A JSON list of two numbers."""
+    return isinstance(value, list) and len(value) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    )
+
+
 def _strict(doc):
     """Copy of `doc` with non-finite floats as None, so it dumps as strict JSON."""
     if isinstance(doc, float):
@@ -152,7 +177,7 @@ class Run:
 
 
 def _frequency_grid(config):
-    count = int(config.get("frequency_count", 200))
+    count = _config_int(config, "frequency_count", 200)
     if count < 10:
         raise ConfigError("frequency_count below 10 cannot resolve the band")
     return hydro.FrequencyGrid.default(count=count)
@@ -205,15 +230,16 @@ def cmd_sites_build(args):
     run = Run(args, "sites build", "site", config, args.seed)
 
     records = climate.read_records_csv(run.read(args.records))
-    bounds = config.get("bounds")
-    if bounds is None:
-        raise ConfigError("site config needs 'bounds': [[hs_lo, hs_hi], [tp_lo, tp_hi]]")
+    bounds = _config_value(
+        config, "bounds", None, lambda b: isinstance(b, list) and len(b) == 2
+        and all(map(_is_pair, b)), "[[hs_lo, hs_hi], [tp_lo, tp_hi]]",
+    )
     site = climate.build_site_climate(
         records,
-        n_gq=int(config.get("n_gq", 20)),
+        n_gq=_config_int(config, "n_gq", 20),
         bounds=(tuple(bounds[0]), tuple(bounds[1])),
-        years=int(config.get("years", 30)),
-        site_id=config.get("site_id", "site"),
+        years=_config_int(config, "years", 30),
+        site_id=_config_value(config, "site_id", "site", lambda v: isinstance(v, str), "a string"),
     )
     site_path = run.path(f"{site.site_id}.json")
     climate.save_site(site, site_path)
@@ -233,7 +259,7 @@ def cmd_sites_build(args):
 
 def cmd_surrogate_train(args):
     config = _load_config(args, "surrogate train")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else _config_int(config, "seed", 0)
     run = Run(args, "surrogate train", "models", config, seed)
 
     grid = _frequency_grid(config)
@@ -323,7 +349,8 @@ def _ga_config(doc, seed):
 
 def cmd_optimize(args):
     config = _load_config(args, "optimize")
-    seed = args.seed if args.seed is not None else config.get("ga", {}).get("seed", 0)
+    ga = _config_value(config, "ga", {}, lambda v: isinstance(v, dict), "an object")
+    seed = args.seed if args.seed is not None else ga.get("seed", 0)
     run = Run(args, "optimize", "study", config, seed)
 
     site = _load_site(args.site, run)
@@ -332,16 +359,22 @@ def cmd_optimize(args):
     env = hydro.Environment()
 
     study = config.get("study")
+    fixed = _config_value(
+        config, "fixed_control", None, lambda v: v is None or _is_pair(v), "[stiffness, damping]"
+    )
     inject = None
-    if config.get("inject_design"):
-        donor = _load_design(config["inject_design"], run)
+    inject_path = _config_value(
+        config, "inject_design", None, lambda v: v is None or isinstance(v, str), "a file path"
+    )
+    if inject_path:
+        donor = _load_design(inject_path, run)
         inject = optimize.encode(study, donor)
     spec = optimize.StudySpec(
         study=study,
         site=site,
-        n_devices=int(config.get("n_devices", 5)),
-        fixed_control=tuple(config["fixed_control"]) if config.get("fixed_control") else None,
-        ga=_ga_config(config.get("ga", {}), seed),
+        n_devices=_config_int(config, "n_devices", 5),
+        fixed_control=tuple(fixed) if fixed else None,
+        ga=_ga_config(ga, seed),
         provider_mode=provider.name,
         inject_genes=inject,
     )
@@ -399,7 +432,7 @@ def cmd_optimize(args):
 
 def cmd_analyze_benchmark(args):
     config = _load_config(args, "analyze benchmark")
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else _config_int(config, "seed", 0)
     run = Run(args, "analyze benchmark", "benchmark", config, seed)
 
     site = _load_site(args.site, run)
@@ -414,10 +447,10 @@ def cmd_analyze_benchmark(args):
                               "pass --provider surrogate with --models, or --cheat")
         mode = against.name
 
-    n = int(config.get("n", 1000))
+    n = _config_int(config, "n", 1000)
     stats = optimize.power_error_benchmark(
         n, _frequency_grid(config), hydro.Environment(), hydro.ReferenceProvider(), against, site,
-        n_devices=int(config.get("n_devices", 5)), seed=seed,
+        n_devices=_config_int(config, "n_devices", 5), seed=seed,
     )
     run.json("benchmark.json", {
         "schema_version": 1,

@@ -50,15 +50,15 @@ PHASE_FEATURE_STRIDE = 3
 SCHEMA_VERSION = 1
 
 # The nine maps, each defined once: its kind, its curve in an oracle answer
-# of that kind, and its normalization. A single map names its geometry
-# scale (scale_vectors); a pair map names its (base, scale) among the
-# isolated curves "a", "b", "b/w" (damping over frequency) and "f" of the
-# same body (affine_vectors), a None base being zero.
+# of that kind, and its normalization (base, scale), so the map learns
+# t = (raw - base) / scale. Base and scale name curves of the same kind
+# (_norm_curves), a None base being zero: a single map's are geometry
+# scales, a pair map's the isolated curves of the same body.
 _Map = namedtuple("_Map", "kind curve norm")
 _MAPS = {
-    "single_added_mass": _Map("single", lambda c: c.added_mass, "mass"),
-    "single_damping": _Map("single", lambda c: c.damping, "damping"),
-    "single_excitation_re": _Map("single", lambda c: np.real(c.excitation), "force"),
+    "single_added_mass": _Map("single", lambda c: c.added_mass, (None, "mass")),
+    "single_damping": _Map("single", lambda c: c.damping, (None, "damping")),
+    "single_excitation_re": _Map("single", lambda c: np.real(c.excitation), (None, "force")),
     "pair_added_mass_diag": _Map("pair", lambda c: c.added_mass[..., 0, 0], ("a", "b/w")),
     "pair_damping_diag": _Map("pair", lambda c: c.damping[..., 0, 0], ("b", "b")),
     "pair_added_mass_cross": _Map("pair", lambda c: c.added_mass[..., 0, 1], (None, "b/w")),
@@ -82,50 +82,47 @@ def input_dimension(kind):
     return 2 if kind == "single" else 4
 
 
-def scale_vectors(target_id, inputs, grid, env):
-    """Geometry-only normalization of the single maps, shape (n, n_w).
+def _norm_curves(kind, keys, inputs, grid, env):
+    """Each named normalization curve of a kind over the input rows, (n, n_w); no other is built.
 
-    These scales are closed-form in the inputs, so the provider may use
-    them at prediction time without touching the reference model.
+    Single maps name geometry scales, closed-form in the inputs, which the
+    provider reads at prediction time; pair maps name the isolated curves
+    of the same body, from one pass over the distinct plants.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    radius = inputs[:, 0]
-    f0 = env.water_density * env.gravity * np.pi * radius**2
-    key = _MAPS[target_id].norm
-    if key == "damping":
-        k = solve_dispersion(grid.values, env)
-        vg = group_velocity(grid.values, env, k=k)
-        return k[None, :] * f0[:, None] ** 2 / (4.0 * env.water_density * env.gravity * vg[None, :])
-    draft = inputs[:, 0] / inputs[:, 1]
-    # a pair map's norm is no key here, and raises KeyError
-    per_row = {"mass": env.water_density * np.pi * radius**2 * draft, "force": f0}[key]
-    return np.broadcast_to(per_row[:, None], (inputs.shape[0], grid.n)).copy()
+    if kind == "single":
+        radius = inputs[:, 0:1]
+        draft = radius / inputs[:, 1:2]
+        f0 = env.water_density * env.gravity * np.pi * radius**2
 
+        def radiation():
+            k = solve_dispersion(grid.values, env)
+            vg = group_velocity(grid.values, env, k=k)
+            return k * f0**2 / (4.0 * env.water_density * env.gravity * vg)
 
-def _isolated_curves(inputs, grid, env):
-    """True isolated-body curves per row, one closed-form pass over the distinct plants."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    plants, rows = np.unique(inputs[:, :2], axis=0, return_inverse=True)
-    c = single_coefficients(WecGeometry(plants[:, 0], plants[:, 1]), grid, env)
-    return c.added_mass[rows], c.damping[rows], np.real(c.excitation)[rows]
+        makers = {
+            "mass": lambda: np.repeat(env.water_density * np.pi * radius**2 * draft, grid.n, 1),
+            "damping": radiation,
+            "force": lambda: np.repeat(f0, grid.n, 1),
+        }
+    else:
+        plants, rows = np.unique(inputs[:, :2], axis=0, return_inverse=True)
+        c = single_coefficients(WecGeometry(plants[:, 0], plants[:, 1]), grid, env)
+        makers = {
+            "a": lambda: c.added_mass[rows],
+            "b": lambda: c.damping[rows],
+            "b/w": lambda: c.damping[rows] / grid.values,
+            "f": lambda: np.real(c.excitation)[rows],
+        }
+    return {key: makers[key]() for key in dict.fromkeys(keys) if key is not None}
 
 
 def affine_vectors(target_id, inputs, grid, env):
-    """Per-sample (base, scale) pair defining the learned map t = (raw - base) / scale.
-
-    Single maps use the geometry scales with a zero base. Pair maps are
-    normalized by the true isolated curves of the same body, so their
-    targets collapse to pure interaction factors; this side is only
-    evaluated while labelling and validating, never at prediction time.
-    """
+    """Per-sample (base, scale) pair defining the learned map t = (raw - base) / scale."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if target_kind(target_id) == "single":
-        scale = scale_vectors(target_id, inputs, grid, env)
-        return np.zeros_like(scale), scale
-    a_s, b_s, f_s = _isolated_curves(inputs, grid, env)
-    base_key, scale_key = _MAPS[target_id].norm
-    curves = {"a": a_s, "b": b_s, "f": f_s}
-    scale = b_s / grid.values[None, :] if scale_key == "b/w" else curves[scale_key]
+    entry = _MAPS[target_id]
+    base_key, scale_key = entry.norm
+    curves = _norm_curves(entry.kind, entry.norm, inputs, grid, env)
+    scale = curves[scale_key]
     base = np.zeros_like(scale) if base_key is None else curves[base_key]
     return base, scale
 
@@ -741,9 +738,11 @@ class SurrogateProvider:
         self._check(grid, env)
         u = np.array([[geom.radius, geom.slenderness]])
         maps = self._maps(SINGLE_TARGET_IDS, u)
+        # the single maps' bases are zero: raw = scale t
+        scales = _norm_curves("single", [_MAPS[t].norm[1] for t in maps], u, grid, env)
 
         def scaled(target_id):
-            return maps[target_id][0] * scale_vectors(target_id, u, grid, env)[0]
+            return maps[target_id][0] * scales[_MAPS[target_id].norm[1]][0]
 
         return SingleBodyCoefficients(
             grid=grid,

@@ -8,7 +8,7 @@ import pytest
 
 from wecfarm import cli, climate, optimize, surrogate
 from wecfarm.dynamics import PtoSettings
-from wecfarm.hydro import Environment, FrequencyGrid, ReferenceProvider, WecGeometry
+from wecfarm.hydro import WecGeometry
 from wecfarm.mbe import Layout
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -424,33 +424,6 @@ def test_sensitivity_artifacts(site_path, design_path, tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-@pytest.fixture(scope="module")
-def tiny_committees():
-    """Under-trained committees of every map, quick to fit."""
-    grid = FrequencyGrid.default(count=30)
-    env = Environment()
-    oracle = ReferenceProvider()
-    rng = np.random.default_rng(3)
-    tiny = {}
-    for kind in ("single", "pair"):
-        inputs = surrogate.sample_inputs(kind, 60, rng)
-        ids = (
-            surrogate.SINGLE_TARGET_IDS if kind == "single" else surrogate.PAIR_TARGET_IDS
-        )
-        datasets = {
-            tid: surrogate.Dataset(
-                tid, inputs,
-                surrogate.label_inputs(tid, inputs, grid, env, oracle),
-                grid, env,
-            )
-            for tid in ids
-        }
-        config = surrogate.CommitteeConfig(hidden=(8, 8), epochs=10, round_epochs=5, min_samples=10)
-        for tid in ids:
-            tiny[tid] = surrogate.train_committee(datasets[tid], config)
-    return tiny
-
-
 def test_surrogate_train_writes_models(tiny_committees, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         surrogate, "train_standard_committees", lambda *a, **k: tiny_committees
@@ -515,6 +488,12 @@ def test_surrogate_validate_ignores_a_retired_model_file(tiny_committees, tmp_pa
 def test_an_unknown_config_key_is_config_error(
     site_path, tmp_path, monkeypatch, capsys, command, config, key
 ):
+    assert_config_error(command, config, f"unknown config key {key!r}",
+                        site_path, tmp_path, monkeypatch, capsys)
+
+
+def assert_config_error(command, config, message, site_path, tmp_path, monkeypatch, capsys):
+    """The command on `config` exits 1 with `message`, before training or any output."""
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
 
@@ -530,8 +509,46 @@ def test_an_unknown_config_key_is_config_error(
     out = tmp_path / "run"
     rc = cli.main(command.split() + ["--config", str(cfg), "--out-dir", str(out)] + inputs)
     assert rc == 1
-    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+BOUNDS = [[0.3, 6.0], [3.5, 13.0]]
+QUICK_GA = {"population": 4, "generations": 1}
+
+
+# a value of the wrong JSON type, one per key the commands read as a
+# number, list, object or string; an integer key takes 5.0 but not 2.7
+@pytest.mark.parametrize("command, config, key", [
+    # a number here was once opened as a file descriptor
+    ("optimize", {"study": "II", "ga": QUICK_GA, "inject_design": 5}, "inject_design"),
+    ("optimize", {"study": "II", "ga": 5}, "ga"),
+    ("optimize", {"study": "I", "ga": QUICK_GA, "fixed_control": 7}, "fixed_control"),
+    ("optimize", {"study": "I", "ga": QUICK_GA, "fixed_control": ["a", "b"]}, "fixed_control"),
+    ("optimize", {"study": "II", "ga": QUICK_GA, "n_devices": 2.7}, "n_devices"),
+    ("optimize", {"study": "II", "ga": QUICK_GA, "frequency_count": "30"}, "frequency_count"),
+    ("sites build", {"bounds": [1, 2]}, "bounds"),
+    ("sites build", {}, "bounds"),
+    ("sites build", {"bounds": BOUNDS, "n_gq": 2.7}, "n_gq"),
+    ("sites build", {"bounds": BOUNDS, "years": True}, "years"),
+    ("sites build", {"bounds": BOUNDS, "site_id": 5}, "site_id"),
+    ("surrogate train", {"seed": 0.5}, "seed"),
+    ("surrogate validate", {"frequency_count": None}, "frequency_count"),
+    ("analyze benchmark", {"n": 10.5, "n_devices": 3}, "n"),
+    ("analyze benchmark", {"n": 10, "n_devices": [3]}, "n_devices"),
+    ("analyze benchmark", {"n": 10, "n_devices": 3, "seed": "1"}, "seed"),
+])
+def test_a_config_value_of_the_wrong_type_is_config_error(
+    site_path, tmp_path, monkeypatch, capsys, command, config, key
+):
+    assert_config_error(command, config, f"config key {key!r} must be",
+                        site_path, tmp_path, monkeypatch, capsys)
+
+
+def test_an_integer_config_key_takes_an_integral_float():
+    assert cli._config_int({"n": 5.0}, "n", 1) == 5
+    assert type(cli._config_int({"n": 5.0}, "n", 1)) is int
+    assert cli._config_int({}, "n", 7) == 7
 
 
 def test_a_config_that_is_not_an_object_is_config_error(site_path, tmp_path, capsys):

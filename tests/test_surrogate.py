@@ -142,8 +142,8 @@ def test_damping_scale_matches_reference_haskind():
     x = surrogate.sample_inputs("single", 10, 4)
     b = surrogate.label_inputs("single_damping", x, GRID, ENV, ORACLE)
     f = surrogate.label_inputs("single_excitation_re", x, GRID, ENV, ORACLE)
-    s_b = surrogate.scale_vectors("single_damping", x, GRID, ENV)
-    s_f = surrogate.scale_vectors("single_excitation_re", x, GRID, ENV)
+    s_b = surrogate.affine_vectors("single_damping", x, GRID, ENV)[1]
+    s_f = surrogate.affine_vectors("single_excitation_re", x, GRID, ENV)[1]
     np.testing.assert_allclose(b / s_b, (f / s_f) ** 2, rtol=1e-10)
 
 
@@ -154,7 +154,7 @@ def _linear_dataset(n, seed):
     # raw outputs are the physics scale times a linear function of the
     # inputs, so the learned nondimensional map is exactly linear
     x = surrogate.sample_inputs("single", n, seed)
-    s = surrogate.scale_vectors("single_damping", x, GRID, ENV)
+    s = surrogate.affine_vectors("single_damping", x, GRID, ENV)[1]
     t = 0.3 * x[:, 0:1] - 0.2 * x[:, 1:2] + 0.05
     return surrogate.Dataset("single_damping", x, s * t, GRID, ENV)
 
@@ -167,7 +167,7 @@ def test_committee_fits_linear_map():
     assert len(com.member_mse) == 5
     fresh = _linear_dataset(100, 1)
     mean_t, _, _ = com.apply(fresh.inputs)
-    scales = surrogate.scale_vectors("single_damping", fresh.inputs, GRID, ENV)
+    scales = surrogate.affine_vectors("single_damping", fresh.inputs, GRID, ENV)[1]
     diff = (mean_t - fresh.outputs / scales) / com.pooled_scale
     assert np.mean(diff * diff) < 1e-4
 
@@ -252,7 +252,7 @@ def test_qbc_tie_break_is_lexicographic():
     # identical members disagree nowhere, so selection degenerates to
     # input lexicographic order
     x = surrogate.sample_inputs("single", 60, 3)
-    flat = surrogate.scale_vectors("single_damping", x, GRID, ENV)
+    flat = surrogate.affine_vectors("single_damping", x, GRID, ENV)[1]
     data = surrogate.Dataset("single_damping", x, flat, GRID, ENV)
     cfg = surrogate.CommitteeConfig(hidden=(8, 8), epochs=10, seed=1)
     with pytest.warns(UserWarning):
@@ -425,7 +425,7 @@ def frozen_affine_vectors(target_id, inputs, grid, env):
             denominator = 4.0 * env.water_density * env.gravity * vg[None, :]
             scale = k[None, :] * f0[:, None] ** 2 / denominator
         return np.zeros_like(scale), scale
-    a_s, b_s, f_s = surrogate._isolated_curves(inputs, grid, env)
+    a_s, b_s, f_s = frozen_isolated_curves(inputs, grid, env)
     om = grid.values[None, :]
     return {
         "pair_added_mass_diag": lambda: (a_s, b_s / om),
@@ -474,7 +474,9 @@ def test_map_table_reproduces_the_frozen_definitions():
 
 def test_map_table_check_flags_a_mutated_entry(monkeypatch):
     maps = surrogate._MAPS
-    monkeypatch.setitem(maps, "single_damping", maps["single_damping"]._replace(norm="mass"))
+    monkeypatch.setitem(
+        maps, "single_damping", maps["single_damping"]._replace(norm=(None, "mass"))
+    )
     monkeypatch.setitem(
         maps, "pair_added_mass_cross", maps["pair_added_mass_cross"]._replace(norm=("a", "b/w"))
     )
@@ -498,14 +500,16 @@ def frozen_isolated_curves(inputs, grid, env):
     return a_s, b_s, f_s
 
 
-@pytest.mark.parametrize("kind, counts", [("pair", (3, 3, 4, 2)), ("single", (5, 4))])
+@pytest.mark.parametrize("kind, counts", [("pair", (3, 3, 4, 2))])
 def test_isolated_curves_equal_the_per_row_loop(kind, counts):
     # a tensor grid repeats each plant once per (separation, heading)
     inputs = surrogate.tensor_grid(kind, counts)[::-1]
-    got = surrogate._isolated_curves(inputs, GRID, ENV)
-    want = frozen_isolated_curves(inputs, GRID, ENV)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    got = surrogate._norm_curves(kind, ("a", "b", "b/w", "f"), inputs, GRID, ENV)
+    a_s, b_s, f_s = frozen_isolated_curves(inputs, GRID, ENV)
+    want = {"a": a_s, "b": b_s, "b/w": b_s / GRID.values[None, :], "f": f_s}
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        assert got[key].shape == w.shape and got[key].tobytes() == w.tobytes(), key
 
 
 def test_isolated_curves_cache_keys_the_whole_environment():
@@ -637,6 +641,23 @@ def test_provider_single_structure(tiny_provider):
     assert sc.excitation.dtype == np.complex128
     # the isolated excitation is real by construction; no committee learns its zero
     assert np.all(np.imag(sc.excitation) == 0.0)
+
+
+def test_provider_single_is_the_committee_means_times_the_frozen_scales(tiny_committees):
+    # prediction reads the geometry scales through the rule that training
+    # uses; pinned byte for byte against the frozen scales of each map
+    provider = surrogate.SurrogateProvider(tiny_committees)
+    grid, env = provider.grid, provider.env
+    for row in surrogate.sample_inputs("single", 6, 8, edge_fraction=0.5):
+        got = provider.single(hydro.WecGeometry(*row), grid, env)
+        want = {
+            tid: tiny_committees[tid].apply(row)[0][0]
+            * frozen_affine_vectors(tid, row, grid, env)[1][0]
+            for tid in FROZEN_SCALE_KEYS
+        }
+        assert got.added_mass.tobytes() == want["single_added_mass"].tobytes()
+        assert got.damping.tobytes() == np.maximum(want["single_damping"], 0.0).tobytes()
+        assert got.excitation.tobytes() == (want["single_excitation_re"] + 0j).tobytes()
 
 
 def test_provider_pair_structure(tiny_provider):
