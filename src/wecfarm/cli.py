@@ -70,13 +70,16 @@ def _load_config(args, command):
     return config
 
 
-def _config_int(config, key, default):
-    """config[key] as an int: an integral number such as 5 or 5.0, not 2.7 or "5"."""
+def _config_int(config, key, default, name=None):
+    """config[key] as an int: an integral number such as 5 or 5.0, not 2.7 or "5".
+
+    An error names the key as `name`, by default `key` itself.
+    """
     value = config.get(key, default)
     if isinstance(value, bool) or not (
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
     ):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+        raise ConfigError(f"config key {name or key!r} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -337,8 +340,15 @@ def cmd_surrogate_validate(args):
     return 0
 
 
+GA_INT_FIELDS = ("population", "generations", "tournament", "seed")
+
+
 def _ga_config(doc, seed):
+    """optimize.GaConfig from the config's `ga` object; `seed`, unless None, replaces ga.seed."""
     kw = dict(doc)
+    for key in GA_INT_FIELDS:
+        if key in kw:
+            kw[key] = _config_int(doc, key, None, f"ga.{key}")
     if seed is not None:
         kw["seed"] = seed
     try:
@@ -349,9 +359,10 @@ def _ga_config(doc, seed):
 
 def cmd_optimize(args):
     config = _load_config(args, "optimize")
-    ga = _config_value(config, "ga", {}, lambda v: isinstance(v, dict), "an object")
-    seed = args.seed if args.seed is not None else ga.get("seed", 0)
-    run = Run(args, "optimize", "study", config, seed)
+    ga = _ga_config(
+        _config_value(config, "ga", {}, lambda v: isinstance(v, dict), "an object"), args.seed
+    )
+    run = Run(args, "optimize", "study", config, ga.seed)
 
     site = _load_site(args.site, run)
     provider = _provider(args, run)
@@ -374,7 +385,7 @@ def cmd_optimize(args):
         site=site,
         n_devices=_config_int(config, "n_devices", 5),
         fixed_control=tuple(fixed) if fixed else None,
-        ga=_ga_config(ga, seed),
+        ga=ga,
         provider_mode=provider.name,
         inject_genes=inject,
     )

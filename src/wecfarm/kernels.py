@@ -183,7 +183,15 @@ def solve_batch(a, b):
 
 
 def mlp_forward(x, weights):
-    """Evaluate a two-hidden-layer tanh network on scaled inputs."""
+    """Evaluate a two-hidden-layer tanh network on scaled inputs.
+
+    `x` is (n, n_in). The weights are (fan_in, fan_out) with (fan_out,)
+    biases, giving (n, n_out); or they carry a leading member axis,
+    (M, fan_in, fan_out) with (M, 1, fan_out) biases, giving
+    (M, n, n_out) from one pass. Each member's slice of a batched matmul
+    is the 2-D product of that member alone, so both forms agree byte
+    for byte.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     w1, b1, w2, b2, w3, b3 = weights
     # bias and tanh run in the matmul result's own buffer

@@ -66,7 +66,13 @@ def epoch_schedule(n, batch, epochs, rng):
 
 
 class Regressor:
-    """One committee member: weights plus train/predict plumbing."""
+    """Weights plus train/predict plumbing.
+
+    A committee member holds six arrays: (fan_in, fan_out) weights and
+    (fan_out,) biases. A member block (see ``member_block``) holds the
+    same six with a leading member axis, and its ``predict`` returns
+    (M, n, n_out).
+    """
 
     def __init__(self, weights):
         self.weights = weights
@@ -99,3 +105,20 @@ class Regressor:
             for flat, shape in zip(doc["weights"], shapes)
         ]
         return cls(weights)
+
+
+def member_block(members):
+    """One Regressor over the members' leading axis; the members become its views.
+
+    Weights stack to (M, fan_in, fan_out) and biases to (M, 1, fan_out),
+    so one forward serves every member. Each member's arrays are then
+    rebound to views of the block: training a member in place trains the
+    block, and no weight array exists twice.
+    """
+    block = Regressor([
+        np.stack([member.weights[i] for member in members]).reshape(len(members), -1, w.shape[-1])
+        for i, w in enumerate(members[0].weights)
+    ])
+    for m, member in enumerate(members):
+        member.weights = [b[m].reshape(w.shape) for b, w in zip(block.weights, member.weights)]
+    return block

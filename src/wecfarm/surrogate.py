@@ -391,6 +391,11 @@ class Committee:
     rounds: int = 0
     disagreement_history: list = field(default_factory=list)
     dataset: Dataset = None
+    # the members' weights with a leading member axis; members hold views of it
+    network: nn.Regressor = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.network = nn.member_block(self.members)
 
     @property
     def kind(self):
@@ -443,16 +448,21 @@ class Committee:
             features = self.features(inputs, (self.phase_multiplier,))
         z_in = self.input_scaler.transform(features[self.phase_multiplier])
         # nondimensional per-member predictions, shape (M, n, n_w)
-        curves = np.empty((len(self.members), inputs.shape[0], self.grid.n))
-        for m, member in enumerate(self.members):
-            curves[m] = member.predict(z_in)
+        curves = self.network.predict(z_in)
         curves *= self.output_scaler.scale
         curves += self.output_scaler.mean
-        mean = curves.mean(axis=0)
-        # the variance from that mean, as np.var computes it, in place
+        # means and the variance from the mean, as np.mean and np.var
+        # compute them: a sum, then an in-place division by the count
+        n_members, _, n_w = curves.shape
+        mean = np.add.reduce(curves, axis=0)
+        mean /= n_members
         curves -= mean
         curves *= curves
-        disagreement = np.mean(curves.mean(axis=0), axis=1) / self.pooled_scale**2
+        variance = np.add.reduce(curves, axis=0)
+        variance /= n_members
+        disagreement = np.add.reduce(variance, axis=1)
+        disagreement /= n_w
+        disagreement /= self.pooled_scale**2
         return mean, disagreement, outside_box(self.kind, inputs)
 
 
@@ -527,6 +537,14 @@ def train_committee(dataset, config):
             f"{dataset.target_id}: constant outputs, committee learns a zero map",
             stacklevel=2,
         )
+    # a pair feature row is the inputs and J0 and Y0 at each kref
+    n_in = input_dimension(kind) + 2 * kref.size
+    members = [
+        nn.Regressor.initialized(
+            n_in, config.hidden, dataset.grid.n, np.random.default_rng([config.seed, m, 0])
+        )
+        for m in range(config.members)
+    ]
     committee = Committee(
         target_id=dataset.target_id,
         config=config,
@@ -536,7 +554,7 @@ def train_committee(dataset, config):
         input_scaler=None,
         output_scaler=output_scaler,
         pooled_scale=pooled,
-        members=[],
+        members=members,
         member_mse=[],
         zero_variance=zero_variance,
         dataset=dataset,
@@ -544,12 +562,6 @@ def train_committee(dataset, config):
     multiplier = committee.phase_multiplier
     feats = committee.features(dataset.inputs, (multiplier,))[multiplier]
     committee.input_scaler = nn.AffineScaler.fit(feats)
-    h1, h2 = config.hidden
-    for m in range(config.members):
-        rng = np.random.default_rng([config.seed, m, 0])
-        committee.members.append(
-            nn.Regressor.initialized(feats.shape[1], (h1, h2), dataset.grid.n, rng)
-        )
     _fit_members(committee, feats, targets, config.epochs, round_index=0)
     return committee
 

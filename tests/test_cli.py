@@ -537,6 +537,10 @@ QUICK_GA = {"population": 4, "generations": 1}
     ("analyze benchmark", {"n": 10.5, "n_devices": 3}, "n"),
     ("analyze benchmark", {"n": 10, "n_devices": [3]}, "n_devices"),
     ("analyze benchmark", {"n": 10, "n_devices": 3, "seed": "1"}, "seed"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "seed": 2.7}}, "ga.seed"),
+    ("optimize", {"study": "II", "ga": {"population": 4, "generations": 1.5}}, "ga.generations"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "population": "4"}}, "ga.population"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "tournament": None}}, "ga.tournament"),
 ])
 def test_a_config_value_of_the_wrong_type_is_config_error(
     site_path, tmp_path, monkeypatch, capsys, command, config, key

@@ -257,8 +257,18 @@ def test_qbc_tie_break_is_lexicographic():
     cfg = surrogate.CommitteeConfig(hidden=(8, 8), epochs=10, seed=1)
     with pytest.warns(UserWarning):
         com = surrogate.train_committee(data, cfg)
-    com.members = [com.members[0]] * 5
+    # the targets are constant; with a zero head, member 0 predicts them
+    # exactly, so the five-term mean has no rounding and five copies of
+    # member 0, written through the views of the committee's one weight
+    # block, disagree exactly nowhere
+    for w in com.members[0].weights[4:]:
+        w[...] = 0.0
+    for member in com.members[1:]:
+        for w, w0 in zip(member.weights, com.members[0].weights, strict=True):
+            w[...] = w0
     pool = np.array([[4.0, 5.0], [2.0, 4.0], [2.0, 3.0], [7.0, 1.0]])
+    _, disagreement, _ = com.apply(pool)
+    assert np.all(disagreement == 0.0)
     aug, com = surrogate.qbc_round(com, pool, 2, ORACLE)
     assert np.array_equal(aug.inputs[-2:], [[2.0, 3.0], [2.0, 4.0]])
 
@@ -563,6 +573,26 @@ def test_committee_json_resave_is_byte_identical(tmp_path, damping_committee):
     }
 
 
+def test_loaded_committee_resaves_and_applies_byte_identically(tmp_path, tiny_committees):
+    # load_committee builds the member block from the JSON weights, as
+    # train_committee builds it from the fitted ones
+    rows = {"single": surrogate.sample_inputs("single", 7, 41),
+            "pair": surrogate.sample_inputs("pair", 7, 41)}
+    for tid in ("single_damping", "pair_damping_cross"):
+        committee = tiny_committees[tid]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        surrogate.save_committee(committee, first)
+        back = surrogate.load_committee(first)
+        for com in (committee, back):
+            for member in com.members:
+                for w, b in zip(member.weights, com.network.weights, strict=True):
+                    assert np.shares_memory(w, b)
+        surrogate.save_committee(back, second)
+        assert first.read_bytes() == second.read_bytes()
+        for a, b in zip(committee.apply(rows[committee.kind]), back.apply(rows[committee.kind])):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_committee_json_loads_files_with_the_optimizer_flag(tmp_path, damping_committee):
     # files written while the optimizer was selectable carry "use_adam"
     path = tmp_path / "committee.json"
@@ -856,6 +886,54 @@ def apply_by_stacking(committee, inputs):
     box = surrogate.input_box(committee.kind)
     outside = np.any((inputs < box[None, :, 0]) | (inputs > box[None, :, 1]), axis=1)
     return curves.mean(axis=0), disagreement, outside
+
+
+def members_of(topology, n_members=5, seed=0):
+    n_in, h1, h2, n_out = topology
+    rng = np.random.default_rng(seed)
+    members = [nn.Regressor.initialized(n_in, (h1, h2), n_out, rng) for _ in range(n_members)]
+    # he_init biases are zero; random ones make the bias broadcast count
+    for member in members:
+        for b in member.weights[1::2]:
+            b[...] = rng.normal(0.0, 0.1, b.shape)
+    return members
+
+
+# the pair topology is 136 -> 96 -> 96 -> 200 at 200 frequencies, the
+# single 2 -> 32 -> 32 -> 200
+@pytest.mark.parametrize("topology", [(136, 96, 96, 200), (2, 32, 32, 200)])
+@pytest.mark.parametrize("n", [1, 2, 10, 45, 256, 300])
+def test_member_block_forward_equals_the_per_member_loop_bytewise(topology, n):
+    members = members_of(topology)
+    frozen = [[w.copy() for w in member.weights] for member in members]
+    block = nn.member_block(members)
+    x = np.random.default_rng(n).normal(size=(n, topology[0]))
+    got = block.predict(x)
+    assert got.shape == (5, n, topology[-1])
+    want = np.stack([forward_with_temporaries(x, weights) for weights in frozen])
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == np.stack([m.predict(x) for m in members]).tobytes()
+
+
+def test_members_are_views_of_the_block_and_train_it():
+    members = members_of((4, 8, 8, 6), n_members=3, seed=1)
+    block = nn.member_block(members)
+    assert [w.shape for w in block.weights] == [
+        (3, 4, 8), (3, 1, 8), (3, 8, 8), (3, 1, 8), (3, 8, 6), (3, 1, 6)
+    ]
+    for member in members:
+        assert [w.shape for w in member.weights] == [(4, 8), (8,), (8, 8), (8,), (8, 6), (6,)]
+        for w, b in zip(member.weights, block.weights, strict=True):
+            assert np.shares_memory(w, b)
+    rng = np.random.default_rng(2)
+    x, y = rng.normal(size=(20, 4)), rng.normal(size=(20, 6))
+    before = block.predict(x)
+    members[1].train(x, y, nn.epoch_schedule(20, 10, 3, rng), 2e-3)
+    after = block.predict(x)
+    assert not np.array_equal(after[1], before[1])
+    assert after[1].tobytes() == members[1].predict(x).tobytes()
+    for m in (0, 2):
+        assert after[m].tobytes() == before[m].tobytes()
 
 
 def random_pair_inputs(seed):
