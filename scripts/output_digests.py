@@ -5,9 +5,12 @@
 For every workload of `perfbench/workloads.py`, at seeds 0 and 1, it runs
 `setup(seed)` and then units 0 and 1 (`unit(ctx, unit_seed(seed, rep))`),
 and prints `workload seed unit digest`, where the digest is the first 16
-hex digits of the SHA-256 of `json.dumps(outputs, sort_keys=True)`. Run it
-in two source checkouts and `diff` the outputs: equal lines mean the two
-trees compute the same unit outputs byte for byte. Nothing is checked
+hex digits of the SHA-256 of `json.dumps(outputs, sort_keys=True)`. A
+workload whose set-up trains committees (study2-sur) first prints
+`workload seed target_id digest` per committee, the digest taken of the
+file `surrogate.save_committee` writes. Run it in two source checkouts and
+`diff` the outputs: equal lines mean the two trees compute the same unit
+outputs and committee files byte for byte. Nothing is checked
 against recorded values; `perfbench/run.py` does that.
 
 The workloads are imported as they are. The package comes from the
@@ -22,30 +25,47 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
+from wecfarm import surrogate  # noqa: E402
 
 SEEDS = (0, 1)
 UNITS = (0, 1)
 
 
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def main(small=False):
-    """Print and return one digest line per unit; `small` runs the reduced workloads."""
+    """Print and return one digest line per committee file and unit.
+
+    `small` runs the reduced workloads.
+    """
     lines = []
-    for name, workload_type in workloads.WORKLOADS.items():
-        workload = workload_type(small=small)
-        for seed in SEEDS:
-            ctx = workload.setup(seed)
-            for rep in UNITS:
-                outputs = workload.unit(ctx, workloads.unit_seed(seed, rep))
-                text = json.dumps(outputs, sort_keys=True)
-                digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-                lines.append(f"{name} {seed} {rep} {digest}")
-                print(lines[-1], flush=True)
+
+    def emit(line):
+        lines.append(line)
+        print(line, flush=True)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "committee.json"
+        for name, workload_type in workloads.WORKLOADS.items():
+            workload = workload_type(small=small)
+            for seed in SEEDS:
+                ctx = workload.setup(seed)
+                for tid, committee in ctx.get("committees", {}).items():
+                    surrogate.save_committee(committee, path)
+                    emit(f"{name} {seed} {tid} {_digest(path.read_bytes())}")
+                for rep in UNITS:
+                    outputs = workload.unit(ctx, workloads.unit_seed(seed, rep))
+                    text = json.dumps(outputs, sort_keys=True)
+                    emit(f"{name} {seed} {rep} {_digest(text.encode())}")
     return lines
 
 

@@ -199,6 +199,8 @@ def mlp_forward(x, weights):
     h1 += b1
     np.tanh(h1, out=h1)
     h2 = h1 @ w2
+    # freed before the head's product, so at most two layers are live
+    del h1
     h2 += b2
     np.tanh(h2, out=h2)
     out = h2 @ w3

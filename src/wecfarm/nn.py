@@ -1,9 +1,10 @@
 """Small dense regressors built on the MLP kernels in `kernels`.
 
-A regressor is two tanh hidden layers with a linear head, trained by
-mini-batch Adam on mean-squared error. The batch schedule is
-materialized up front as an index array, so the sample sequence is
-fixed by the seed alone.
+A regressor holds the networks of a committee's members along one
+leading axis: each member is two tanh hidden layers with a linear head,
+trained on its own by mini-batch Adam on mean-squared error. The batch
+schedule is materialized up front as an index array, so the sample
+sequence is fixed by the seed alone.
 """
 
 from dataclasses import dataclass
@@ -66,59 +67,63 @@ def epoch_schedule(n, batch, epochs, rng):
 
 
 class Regressor:
-    """Weights plus train/predict plumbing.
+    """A committee's networks: six weight arrays with a leading member axis.
 
-    A committee member holds six arrays: (fan_in, fan_out) weights and
-    (fan_out,) biases. A member block (see ``member_block``) holds the
-    same six with a leading member axis, and its ``predict`` returns
-    (M, n, n_out).
+    Weights are (M, fan_in, fan_out) and biases (M, 1, fan_out), so one
+    ``predict`` serves every member and returns (M, n, n_out).
+    ``member(m)`` gives member m's six arrays as views, (fan_in, fan_out)
+    weights and (fan_out,) biases; ``train`` updates them in place.
     """
 
     def __init__(self, weights):
         self.weights = weights
 
     @classmethod
-    def initialized(cls, n_in, hidden, n_out, rng):
-        h1, h2 = hidden
-        return cls(he_init([n_in, h1, h2, n_out], rng))
+    def stacked(cls, members):
+        """One network from per-member weight lists of equal shapes."""
+        return cls([
+            np.stack(arrays).reshape(len(members), -1, arrays[0].shape[-1])
+            for arrays in zip(*members)
+        ])
 
-    def train(self, x, y, schedule, learning_rate):
-        kernels.mlp_train(x, y, self.weights, schedule, learning_rate)
+    @classmethod
+    def initialized(cls, n_in, hidden, n_out, rngs):
+        """He-initialized members, one per generator."""
+        h1, h2 = hidden
+        return cls.stacked([he_init([n_in, h1, h2, n_out], rng) for rng in rngs])
+
+    @property
+    def n_members(self):
+        return self.weights[0].shape[0]
+
+    def member(self, m):
+        w1, b1, w2, b2, w3, b3 = self.weights
+        return [w1[m], b1[m, 0], w2[m], b2[m, 0], w3[m], b3[m, 0]]
+
+    def train(self, m, x, y, schedule, learning_rate):
+        kernels.mlp_train(x, y, self.member(m), schedule, learning_rate)
 
     def predict(self, x):
         return kernels.mlp_forward(np.asarray(x, dtype=np.float64), self.weights)
 
     @property
     def sizes(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights[::2]]
+        return [self.weights[0].shape[1]] + [w.shape[2] for w in self.weights[::2]]
 
     def to_dict(self):
-        return {"weights": [w.ravel().tolist() for w in self.weights]}
+        """Per-member documents, each the member's six arrays flattened."""
+        return [
+            {"weights": [w.ravel().tolist() for w in self.member(m)]}
+            for m in range(self.n_members)
+        ]
 
     @classmethod
-    def from_dict(cls, doc, sizes):
+    def from_dict(cls, docs, sizes):
         shapes = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             shapes.extend([(fan_in, fan_out), (fan_out,)])
-        weights = [
-            np.array(flat, dtype=np.float64).reshape(shape)
-            for flat, shape in zip(doc["weights"], shapes)
-        ]
-        return cls(weights)
-
-
-def member_block(members):
-    """One Regressor over the members' leading axis; the members become its views.
-
-    Weights stack to (M, fan_in, fan_out) and biases to (M, 1, fan_out),
-    so one forward serves every member. Each member's arrays are then
-    rebound to views of the block: training a member in place trains the
-    block, and no weight array exists twice.
-    """
-    block = Regressor([
-        np.stack([member.weights[i] for member in members]).reshape(len(members), -1, w.shape[-1])
-        for i, w in enumerate(members[0].weights)
-    ])
-    for m, member in enumerate(members):
-        member.weights = [b[m].reshape(w.shape) for b, w in zip(block.weights, member.weights)]
-    return block
+        return cls.stacked([
+            [np.array(flat, dtype=np.float64).reshape(shape)
+             for flat, shape in zip(doc["weights"], shapes)]
+            for doc in docs
+        ])

@@ -385,17 +385,12 @@ class Committee:
     input_scaler: nn.AffineScaler
     output_scaler: nn.AffineScaler
     pooled_scale: float
-    members: list
+    network: nn.Regressor
     member_mse: list
     zero_variance: bool = False
     rounds: int = 0
     disagreement_history: list = field(default_factory=list)
     dataset: Dataset = None
-    # the members' weights with a leading member axis; members hold views of it
-    network: nn.Regressor = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.network = nn.member_block(self.members)
 
     @property
     def kind(self):
@@ -501,7 +496,8 @@ def _fit_members(committee, feats, targets, epochs, round_index):
     else:
         segments = [(0.6, lr / 4.0), (0.4, lr / 16.0)]
     mses = []
-    for m, member in enumerate(committee.members):
+    network = committee.network
+    for m in range(network.n_members):
         rng = np.random.default_rng([committee.config.seed, m, round_index])
         sel = rng.integers(0, n, n_boot)
         schedule = nn.epoch_schedule(n_boot, committee.config.batch, epochs, rng)
@@ -511,9 +507,9 @@ def _fit_members(committee, feats, targets, epochs, round_index):
         for seg, (fraction, seg_lr) in enumerate(segments):
             end = steps if seg == len(segments) - 1 else pos + int(round(fraction * steps))
             if end > pos:
-                member.train(x, y, schedule[pos:end], seg_lr)
+                network.train(m, x, y, schedule[pos:end], seg_lr)
             pos = end
-        diff = kernels.mlp_forward(x, member.weights) - y
+        diff = kernels.mlp_forward(x, network.member(m)) - y
         mses.append(float(np.sum(diff * diff) / (y.shape[0] * y.shape[1])))
     committee.member_mse = mses
 
@@ -539,12 +535,10 @@ def train_committee(dataset, config):
         )
     # a pair feature row is the inputs and J0 and Y0 at each kref
     n_in = input_dimension(kind) + 2 * kref.size
-    members = [
-        nn.Regressor.initialized(
-            n_in, config.hidden, dataset.grid.n, np.random.default_rng([config.seed, m, 0])
-        )
-        for m in range(config.members)
-    ]
+    network = nn.Regressor.initialized(
+        n_in, config.hidden, dataset.grid.n,
+        [np.random.default_rng([config.seed, m, 0]) for m in range(config.members)],
+    )
     committee = Committee(
         target_id=dataset.target_id,
         config=config,
@@ -554,7 +548,7 @@ def train_committee(dataset, config):
         input_scaler=None,
         output_scaler=output_scaler,
         pooled_scale=pooled,
-        members=members,
+        network=network,
         member_mse=[],
         zero_variance=zero_variance,
         dataset=dataset,
@@ -810,11 +804,11 @@ def save_committee(committee, path):
         "grid": committee.grid.values.tolist(),
         "environment": asdict(committee.env),
         "kref": committee.kref.tolist(),
-        "topology": committee.members[0].sizes,
+        "topology": committee.network.sizes,
         "input_scaler": committee.input_scaler.to_dict(),
         "output_scaler": committee.output_scaler.to_dict(),
         "pooled_scale": committee.pooled_scale,
-        "members": [m.to_dict() for m in committee.members],
+        "members": committee.network.to_dict(),
         "member_mse": committee.member_mse,
         "zero_variance": committee.zero_variance,
         "rounds": committee.rounds,
@@ -834,7 +828,6 @@ def load_committee(path):
         raise ValueError(f"{path}: unsupported committee schema {doc.get('schema_version')!r}")
     # keys of retired options, such as "use_adam", are ignored
     config = CommitteeConfig(**{f.name: doc["config"][f.name] for f in fields(CommitteeConfig)})
-    sizes = doc["topology"]
     return Committee(
         target_id=doc["target_id"],
         config=config,
@@ -844,7 +837,7 @@ def load_committee(path):
         input_scaler=nn.AffineScaler.from_dict(doc["input_scaler"]),
         output_scaler=nn.AffineScaler.from_dict(doc["output_scaler"]),
         pooled_scale=doc["pooled_scale"],
-        members=[nn.Regressor.from_dict(m, sizes) for m in doc["members"]],
+        network=nn.Regressor.from_dict(doc["members"], doc["topology"]),
         member_mse=list(doc["member_mse"]),
         zero_variance=doc["zero_variance"],
         rounds=doc["rounds"],
@@ -861,15 +854,3 @@ def save_dataset(dataset, path):
         for row_in, row_out in zip(dataset.inputs, dataset.outputs):
             fh.write(",".join(repr(float(v)) for v in row_in) + ",")
             fh.write(",".join(repr(float(v)) for v in row_out) + "\n")
-
-
-def load_dataset(path, grid, env):
-    with open(path) as fh:
-        tag = fh.readline().strip()
-        if not tag.startswith(f"# wecfarm-dataset v{SCHEMA_VERSION} target="):
-            raise ValueError(f"{path}: not a wecfarm dataset file")
-        target_id = tag.split("target=", 1)[1]
-        fh.readline()  # column header
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    d = input_dimension(target_kind(target_id))
-    return Dataset(target_id, data[:, :d], data[:, d:], grid, env)

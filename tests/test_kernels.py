@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -436,20 +437,35 @@ def test_mlp_train_with_no_steps_leaves_the_weights_as_they_were():
 
 
 def test_mlp_train_updates_the_callers_arrays_in_place():
-    # the regressor's weight list and its six arrays stay the same
-    # objects; only their values change
+    # the six arrays stay the same objects; only their values change, so
+    # a committee's member views write through to its network
     rng = np.random.default_rng(12)
     x = rng.normal(size=(40, 3))
     y = rng.normal(size=(40, 4))
-    member = nn.Regressor.initialized(3, (8, 8), 4, rng)
-    listed = member.weights
-    arrays = list(listed)
+    weights = nn.he_init([3, 8, 8, 4], rng)
+    arrays = list(weights)
     frozen = [w.copy() for w in arrays]
-    member.train(x, y, nn.epoch_schedule(40, 16, 5, rng), 2e-3)
-    assert member.weights is listed
-    for w, same, before in zip(member.weights, arrays, frozen, strict=True):
+    kernels.mlp_train(x, y, weights, nn.epoch_schedule(40, 16, 5, rng), 2e-3)
+    for w, same, before in zip(weights, arrays, frozen, strict=True):
         assert w is same
         assert not np.array_equal(w, before)
+
+
+def test_mlp_forward_frees_the_first_layer_before_the_head():
+    # five members of the pair topology, 256 rows; numpy reports its
+    # buffers to tracemalloc, and all three layers never coexist
+    rng = np.random.default_rng(14)
+    network = nn.Regressor.initialized(136, (96, 96), 200, [rng] * 5)
+    x = rng.normal(size=(256, 136))
+    tracemalloc.start()
+    try:
+        out = kernels.mlp_forward(x, network.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hidden = 5 * 256 * 96 * x.itemsize
+    assert out.shape == (5, 256, 200)
+    assert peak < 2 * hidden + out.nbytes
 
 
 def test_mlp_train_in_two_segments_matches_the_reference_bitwise():

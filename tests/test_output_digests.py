@@ -6,7 +6,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_output_digests_repeat_line_for_line(capsys):
-    # the reduced workloads, twice: about 3 s on one 2.1 GHz Xeon VM core
+    # the reduced workloads, twice: about 9 s on one 2.1 GHz Xeon VM core,
+    # two thirds of it writing committee files
     spec = importlib.util.spec_from_file_location(
         "output_digests", ROOT / "scripts" / "output_digests.py"
     )
@@ -16,6 +17,14 @@ def test_output_digests_repeat_line_for_line(capsys):
     second = output_digests.main(small=True)
     assert first == second
     assert capsys.readouterr().out.splitlines() == first + second
+    # per seed, study2-sur's nine set-up committee files precede its units
+    committees = list(output_digests.surrogate.ALL_TARGET_IDS)
     names = list(output_digests.workloads.WORKLOADS)
-    assert [line.split()[0] for line in first] == [n for n in names for _ in range(4)]
-    assert all(re.fullmatch(r"\S+ [01] [01] [0-9a-f]{16}", line) for line in first)
+    expected = [
+        (name, str(seed), str(field))
+        for name in names
+        for seed in (0, 1)
+        for field in (committees if name == "study2-sur" else []) + [0, 1]
+    ]
+    assert [tuple(line.split()[:3]) for line in first] == expected
+    assert all(re.fullmatch(r"\S+ [01] [a-z_01]+ [0-9a-f]{16}", line) for line in first)

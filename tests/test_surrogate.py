@@ -9,6 +9,7 @@ one tight fit check is test_committee_fits_linear_map.
 import copy
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from wecfarm import hydro, kernels, mbe, nn, surrogate
 ENV = hydro.Environment()
 GRID = hydro.FrequencyGrid.default(count=50)
 ORACLE = hydro.ReferenceProvider()
+DATA = Path(__file__).parent / "data"
 
 
 # --- scalers and schedules ------------------------------------------------
@@ -176,9 +178,8 @@ def test_committee_deterministic():
     cfg = surrogate.CommitteeConfig(hidden=(8, 8), epochs=30, members=3, seed=11)
     a = surrogate.train_committee(_linear_dataset(80, 5), cfg)
     b = surrogate.train_committee(_linear_dataset(80, 5), cfg)
-    for ma, mb in zip(a.members, b.members):
-        for wa, wb in zip(ma.weights, mb.weights):
-            assert np.array_equal(wa, wb)
+    for wa, wb in zip(a.network.weights, b.network.weights, strict=True):
+        assert np.array_equal(wa, wb)
     assert a.member_mse == b.member_mse
 
 
@@ -259,13 +260,11 @@ def test_qbc_tie_break_is_lexicographic():
         com = surrogate.train_committee(data, cfg)
     # the targets are constant; with a zero head, member 0 predicts them
     # exactly, so the five-term mean has no rounding and five copies of
-    # member 0, written through the views of the committee's one weight
-    # block, disagree exactly nowhere
-    for w in com.members[0].weights[4:]:
-        w[...] = 0.0
-    for member in com.members[1:]:
-        for w, w0 in zip(member.weights, com.members[0].weights, strict=True):
-            w[...] = w0
+    # member 0 in the committee's network disagree exactly nowhere
+    for w in com.network.weights[4:]:
+        w[0] = 0.0
+    for w in com.network.weights:
+        w[1:] = w[0]
     pool = np.array([[4.0, 5.0], [2.0, 4.0], [2.0, 3.0], [7.0, 1.0]])
     _, disagreement, _ = com.apply(pool)
     assert np.all(disagreement == 0.0)
@@ -574,8 +573,8 @@ def test_committee_json_resave_is_byte_identical(tmp_path, damping_committee):
 
 
 def test_loaded_committee_resaves_and_applies_byte_identically(tmp_path, tiny_committees):
-    # load_committee builds the member block from the JSON weights, as
-    # train_committee builds it from the fitted ones
+    # load_committee stacks the JSON's per-member weights into the
+    # network that train_committee fitted
     rows = {"single": surrogate.sample_inputs("single", 7, 41),
             "pair": surrogate.sample_inputs("pair", 7, 41)}
     for tid in ("single_damping", "pair_damping_cross"):
@@ -583,10 +582,8 @@ def test_loaded_committee_resaves_and_applies_byte_identically(tmp_path, tiny_co
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         surrogate.save_committee(committee, first)
         back = surrogate.load_committee(first)
-        for com in (committee, back):
-            for member in com.members:
-                for w, b in zip(member.weights, com.network.weights, strict=True):
-                    assert np.shares_memory(w, b)
+        for w, b in zip(committee.network.weights, back.network.weights, strict=True):
+            assert w.shape == b.shape and w.tobytes() == b.tobytes()
         surrogate.save_committee(back, second)
         assert first.read_bytes() == second.read_bytes()
         for a, b in zip(committee.apply(rows[committee.kind]), back.apply(rows[committee.kind])):
@@ -627,17 +624,30 @@ def test_dataset_csv_round_trip(tmp_path):
     data = surrogate.build_datasets("pair", 12, 31, GRID, ENV, ORACLE)["pair_excitation_im"]
     path = tmp_path / "dataset.csv"
     surrogate.save_dataset(data, path)
-    back = surrogate.load_dataset(path, GRID, ENV)
-    assert back.target_id == "pair_excitation_im"
-    assert np.array_equal(back.inputs, data.inputs)
-    assert np.array_equal(back.outputs, data.outputs)
+    tag, header = path.read_text().splitlines()[:2]
+    assert tag == f"# wecfarm-dataset v{surrogate.SCHEMA_VERSION} target=pair_excitation_im"
+    outs = [f"out_{i:03d}" for i in range(GRID.n)]
+    assert header.split(",") == ["radius", "slenderness", "separation", "heading"] + outs
+    table = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+    assert table[:, :4].tobytes() == data.inputs.tobytes()
+    assert table[:, 4:].tobytes() == data.outputs.tobytes()
 
 
-def test_dataset_csv_rejects_foreign_files(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("hs_m,tp_s\n1,2\n")
-    with pytest.raises(ValueError, match="not a wecfarm dataset"):
-        surrogate.load_dataset(path, GRID, ENV)
+def test_a_committee_file_of_an_earlier_tree_resaves_byte_for_byte(tmp_path):
+    # written before the network held the only copy of the weights: a
+    # single map, hidden (8, 8), 3 members, 10 frequencies, one QBC round.
+    # Loading and saving parse and print floats and run no BLAS, so the
+    # bytes hold on any machine; the prediction's bytes are not compared
+    pinned = DATA / "committee_single_damping.json"
+    committee = surrogate.load_committee(pinned)
+    assert committee.network.sizes == [2, 8, 8, 10]
+    assert committee.network.n_members == 3 and committee.rounds == 1
+    resaved = tmp_path / "committee.json"
+    surrogate.save_committee(committee, resaved)
+    assert resaved.read_bytes() == pinned.read_bytes()
+    mean, disagreement, outside = committee.apply(surrogate.sample_inputs("single", 4, 0))
+    assert mean.shape == (4, 10) and np.all(np.isfinite(mean))
+    assert np.all(disagreement >= 0.0) and not outside.any()
 
 
 # --- provider -------------------------------------------------------------
@@ -878,7 +888,10 @@ def apply_by_stacking(committee, inputs):
     z_in = committee.input_scaler.transform(feats)
     scaler = committee.output_scaler
     curves = (
-        np.stack([forward_with_temporaries(z_in, m.weights) for m in committee.members])
+        np.stack([
+            forward_with_temporaries(z_in, committee.network.member(m))
+            for m in range(committee.network.n_members)
+        ])
         * scaler.scale
         + scaler.mean
     )
@@ -889,12 +902,12 @@ def apply_by_stacking(committee, inputs):
 
 
 def members_of(topology, n_members=5, seed=0):
-    n_in, h1, h2, n_out = topology
+    """Per-member weight lists [w1, b1, w2, b2, w3, b3]."""
     rng = np.random.default_rng(seed)
-    members = [nn.Regressor.initialized(n_in, (h1, h2), n_out, rng) for _ in range(n_members)]
+    members = [nn.he_init(list(topology), rng) for _ in range(n_members)]
     # he_init biases are zero; random ones make the bias broadcast count
-    for member in members:
-        for b in member.weights[1::2]:
+    for weights in members:
+        for b in weights[1::2]:
             b[...] = rng.normal(0.0, 0.1, b.shape)
     return members
 
@@ -905,35 +918,42 @@ def members_of(topology, n_members=5, seed=0):
 @pytest.mark.parametrize("n", [1, 2, 10, 45, 256, 300])
 def test_member_block_forward_equals_the_per_member_loop_bytewise(topology, n):
     members = members_of(topology)
-    frozen = [[w.copy() for w in member.weights] for member in members]
-    block = nn.member_block(members)
+    network = nn.Regressor.stacked(members)
     x = np.random.default_rng(n).normal(size=(n, topology[0]))
-    got = block.predict(x)
+    got = network.predict(x)
     assert got.shape == (5, n, topology[-1])
-    want = np.stack([forward_with_temporaries(x, weights) for weights in frozen])
+    want = np.stack([forward_with_temporaries(x, weights) for weights in members])
     assert got.tobytes() == want.tobytes()
-    assert got.tobytes() == np.stack([m.predict(x) for m in members]).tobytes()
+    per_member = [kernels.mlp_forward(x, network.member(m)) for m in range(5)]
+    assert got.tobytes() == np.stack(per_member).tobytes()
 
 
 def test_members_are_views_of_the_block_and_train_it():
     members = members_of((4, 8, 8, 6), n_members=3, seed=1)
-    block = nn.member_block(members)
-    assert [w.shape for w in block.weights] == [
+    network = nn.Regressor.stacked(members)
+    assert [w.shape for w in network.weights] == [
         (3, 4, 8), (3, 1, 8), (3, 8, 8), (3, 1, 8), (3, 8, 6), (3, 1, 6)
     ]
-    for member in members:
-        assert [w.shape for w in member.weights] == [(4, 8), (8,), (8, 8), (8,), (8, 6), (6,)]
-        for w, b in zip(member.weights, block.weights, strict=True):
-            assert np.shares_memory(w, b)
+    assert network.sizes == [4, 8, 8, 6]
+    for m, weights in enumerate(members):
+        views = network.member(m)
+        assert [w.shape for w in views] == [(4, 8), (8,), (8, 8), (8,), (8, 6), (6,)]
+        for w, block, frozen in zip(views, network.weights, weights, strict=True):
+            assert np.shares_memory(w, block)
+            assert w.tobytes() == frozen.tobytes()
+    # training member 1 through the network changes its slice only, bit
+    # for bit as a 2-D mlp_train of its frozen arrays
     rng = np.random.default_rng(2)
     x, y = rng.normal(size=(20, 4)), rng.normal(size=(20, 6))
-    before = block.predict(x)
-    members[1].train(x, y, nn.epoch_schedule(20, 10, 3, rng), 2e-3)
-    after = block.predict(x)
-    assert not np.array_equal(after[1], before[1])
-    assert after[1].tobytes() == members[1].predict(x).tobytes()
-    for m in (0, 2):
-        assert after[m].tobytes() == before[m].tobytes()
+    schedule = nn.epoch_schedule(20, 10, 3, rng)
+    before = [w.copy() for w in network.weights]
+    network.train(1, x, y, schedule, 2e-3)
+    kernels.mlp_train(x, y, members[1], schedule, 2e-3)
+    for w, w0, trained in zip(network.weights, before, members[1], strict=True):
+        assert w[1].tobytes() == trained.tobytes()
+        assert not np.array_equal(w[1], w0[1])
+        for m in (0, 2):
+            assert w[m].tobytes() == w0[m].tobytes()
 
 
 def random_pair_inputs(seed):
