@@ -4,23 +4,32 @@ A coefficient provider answers two queries on a frequency grid:
 
 - ``single(geom, grid, env)``: the added mass, radiation damping and
   complex excitation force of one body in isolation, each (n_w,).
-- ``pair(geom, separation, heading_angle, grid, env)``: the 2x2 added
-  mass and damping matrices plus the excitation pair of two identical
-  bodies. Scalar separation and heading give one pair, (n_w, 2, 2) and
-  (n_w, 2); (P,) arrays give P pairs stacked on a leading axis,
-  (P, n_w, 2, 2) and (P, n_w, 2), row i equal to the scalar query of
-  row i. A batch fails with GeometryError if any row overlaps. The
-  answer carries `isolated`, the single-body answer its rows were built
-  from, so a caller that needs both asks once.
+- ``pair(geom, separation, heading_angle, grid, env, curves=PAIR_CURVES)``:
+  named curves of two identical bodies. The symmetric 2x2 added mass and
+  damping matrices are held as their diagonal and off-diagonal entries,
+  `added_mass_diag`, `damping_diag`, `added_mass_cross` and
+  `damping_cross`, and `forces` is the excitation of body 1 and body 2.
+  Scalar separation and heading give one pair, (n_w,) curves and (2, n_w)
+  forces; (P,) arrays give P pairs, (P, n_w) curves and (2, P, n_w)
+  forces, row i equal to the scalar query of row i. A batch fails with
+  GeometryError if any row overlaps. `curves` names the curves the
+  caller reads; a provider computes at least those and may return
+  more, and a curve it did not compute is None. The matrices
+  `added_mass`, `damping` (P, n_w, 2, 2) and `excitation` (P, n_w, 2)
+  are derived from the curves on access. The answer carries `isolated`,
+  the single-body answer its rows were built from, so a caller that
+  needs both asks once.
 
 The reference provider below uses documented closed forms (see
-model_ledger_text); any object with the same `single`/`pair` methods
-can stand in, which is how the learned committees plug into the rest
-of the pipeline. It remembers its previous `pair` query, rows and
-isolated body, because a layout step or a sensitivity map moves one
-device at a time: at N = 10 that leaves 36 of the 45 pair rows as they
-were, and only the other 9 are computed. The memo never holds more
-than one query.
+model_ledger_text) and computes only the asked curves; any object with
+the same `single`/`pair` methods can stand in, which is how the learned
+committees plug into the rest of the pipeline. It remembers its
+previous `pair` query, rows and isolated body, because a layout step or
+a sensitivity map moves one device at a time: at N = 10 that leaves 36
+of the 45 pair rows as they were, and only the other 9 are computed.
+The memo never holds more than one query. Its answers are read-only,
+the curves and the isolated arrays alike, because the memo holds the
+arrays it hands out.
 
 Conventions: water depth h, gravity g, density rho; unit-amplitude
 incident wave travelling along +x with phase zero at the origin; heave
@@ -165,22 +174,69 @@ class SingleBodyCoefficients:
     excitation: np.ndarray
 
 
+# the named curves of a pair answer: the diagonal and off-diagonal entries
+# of the symmetric 2x2 added mass and damping matrices, and the forces
+PAIR_CURVES = ("added_mass_diag", "damping_diag", "added_mass_cross", "damping_cross", "forces")
+
+
+def curve_set(curves):
+    """The asked curves as a frozenset, rejecting names that are not PAIR_CURVES."""
+    asked = frozenset(curves)
+    unknown = sorted(asked.difference(PAIR_CURVES))
+    if unknown:
+        raise ValueError(f"unknown pair curves: {', '.join(unknown)}")
+    return asked
+
+
 @dataclass
 class PairCoefficients:
-    """One pair, or a batch of P pairs on a leading axis.
+    """One pair, or a batch of P pairs, as named curves.
 
-    `separation` and `heading_angle` are floats for one pair and (P,)
-    arrays for a batch. `isolated` is the SingleBodyCoefficients of the
-    plant that the rows were built from, on the same grid.
+    `added_mass_diag`, `damping_diag`, `added_mass_cross` and
+    `damping_cross` are (P, n_w), and `forces` is the (2, P, n_w)
+    excitation of body 1 and body 2; a curve that was not computed is
+    None. `separation` and `heading_angle` are floats for one pair and
+    (P,) arrays for a batch, and one pair drops the P axis. `isolated`
+    is the SingleBodyCoefficients of the plant that the rows were built
+    from, on the same grid. `added_mass`, `damping` (P, n_w, 2, 2) and
+    `excitation` (P, n_w, 2) are derived afresh from the curves on each
+    access.
     """
 
     grid: FrequencyGrid
-    added_mass: np.ndarray
-    damping: np.ndarray
-    excitation: np.ndarray
     separation: float
     heading_angle: float
     isolated: SingleBodyCoefficients
+    added_mass_diag: np.ndarray = None
+    damping_diag: np.ndarray = None
+    added_mass_cross: np.ndarray = None
+    damping_cross: np.ndarray = None
+    forces: np.ndarray = None
+
+    def _curve(self, name):
+        value = getattr(self, name)
+        if value is None:
+            raise LookupError(f"this pair answer holds no {name} curve; ask pair() for it")
+        return value
+
+    def _matrix(self, quantity):
+        diag, cross = self._curve(f"{quantity}_diag"), self._curve(f"{quantity}_cross")
+        matrix = np.empty(diag.shape + (2, 2))
+        matrix[..., 0, 0] = matrix[..., 1, 1] = diag
+        matrix[..., 0, 1] = matrix[..., 1, 0] = cross
+        return matrix
+
+    @property
+    def added_mass(self):
+        return self._matrix("added_mass")
+
+    @property
+    def damping(self):
+        return self._matrix("damping")
+
+    @property
+    def excitation(self):
+        return np.stack(self._curve("forces"), axis=-1)
 
 
 def pair_inputs(geom, separation, heading_angle):
@@ -207,29 +263,22 @@ def pair_inputs(geom, separation, heading_angle):
     return l, theta, batched
 
 
-def pair_result(grid, l, theta, batched, isolated, diagonal, cross, excitation):
-    """PairCoefficients from stacked (P, n_w) curves built from `isolated`.
+def pair_result(grid, l, theta, batched, isolated, curves):
+    """PairCoefficients from stacked curves built from `isolated`.
 
-    `diagonal` and `cross` are (added mass, damping) tuples of the
-    diagonal and off-diagonal entries of the symmetric 2x2 matrices;
-    `excitation` is the (P, n_w, 2) force pair. An unbatched query
-    drops the leading axis.
+    `curves` maps PAIR_CURVES names to their stacked arrays, (P, n_w)
+    and (2, P, n_w) for `forces`. An unbatched query drops the P axis.
     """
-    shape = l.shape + (grid.n, 2, 2)
-    added = np.empty(shape)
-    damping = np.empty(shape)
-    for matrix, diag, off in zip((added, damping), diagonal, cross):
-        matrix[..., 0, 0] = matrix[..., 1, 1] = diag
-        matrix[..., 0, 1] = matrix[..., 1, 0] = off
-    return _pair_answer(grid, l, theta, batched, isolated, added, damping, excitation)
-
-
-def _pair_answer(grid, l, theta, batched, isolated, added, damping, excitation):
     if batched:
-        return PairCoefficients(grid, added, damping, excitation, l, theta, isolated)
-    return PairCoefficients(
-        grid, added[0], damping[0], excitation[0], float(l[0]), float(theta[0]), isolated
-    )
+        return PairCoefficients(grid, l, theta, isolated, **curves)
+    # the row axis is second to last in every curve
+    rows = {name: a[..., 0, :] for name, a in curves.items()}
+    return PairCoefficients(grid, float(l[0]), float(theta[0]), isolated, **rows)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
 
 
 # kept for its traffic: a reference evaluation solves its grid 3 times and
@@ -358,7 +407,8 @@ def single_coefficients(geom, grid, env):
     )
 
 
-def pair_coefficients(geom, separation, heading_angle, grid, env, isolated=None):
+def pair_coefficients(geom, separation, heading_angle, grid, env, isolated=None,
+                      curves=PAIR_CURVES):
     """Two-body coefficients in the pair-local frame.
 
     Cross radiation terms follow the cylindrical spreading kernel,
@@ -372,77 +422,92 @@ def pair_coefficients(geom, separation, heading_angle, grid, env, isolated=None)
 
     `separation` and `heading_angle` are scalars or (P,) arrays (see
     the module docstring for the shapes). A batch shares one dispersion
-    solve, and its P x n_w arguments kl and 2kl go through one J0 and
-    one Y0 call; every entry equals the scalar query's bit for bit.
+    solve; every entry equals the scalar query's bit for bit.
+
+    Only the named `curves` are computed, and the answer holds exactly
+    those. J0 serves the damping curves and Y0 the added mass curves,
+    at 2kl for a diagonal and at kl for a cross curve, so each of the
+    two gets at most one call over the P x n_w phases its curves read,
+    and the forces need neither. Each curve equals the same curve of
+    the all-curves answer bit for bit.
 
     `isolated`, when given, is this geometry's single_coefficients
     answer on the same grid and environment; it saves computing it
-    again. The answer carries it, computed or given, as `isolated`.
+    again. The answer carries it, computed or given, as `isolated`. The
+    curves and the arrays of `isolated` are read-only.
     """
+    curves = curve_set(curves)
     l, theta, batched = pair_inputs(geom, separation, heading_angle)
     om = grid.values
     k = solve_dispersion(om, env)
     single = single_coefficients(geom, grid, env) if isolated is None else isolated
     kl = l[:, None] * k
     envelope = np.exp(-l / (INTERACTION_RANGE_RADII * geom.radius))[:, None]
-    bessel_args = np.stack([2.0 * kl, kl])
-    j0_2kl, j0_kl = kernels.j0(bessel_args)
-    y0_2kl, y0_kl = kernels.y0(bessel_args)
-    b_s = single.damping
-    db11 = b_s * INTERACTION_EPS * j0_2kl * envelope
-    da11 = -(b_s / om) * INTERACTION_EPS * y0_2kl * envelope
-    b12 = b_s * j0_kl * envelope
-    a12 = -(b_s / om) * y0_kl * envelope
+    out = {}
+    for quantity, bessel, amplitude in (
+        ("damping", kernels.j0, single.damping),
+        ("added_mass", kernels.y0, -(single.damping / om)),
+    ):
+        names = [name for name in (f"{quantity}_diag", f"{quantity}_cross") if name in curves]
+        if not names:
+            continue
+        multiples = np.array([2.0 if name.endswith("_diag") else 1.0 for name in names])
+        values = bessel(np.multiply.outer(multiples, kl))
+        for name, multiple, value in zip(names, multiples, values):
+            if multiple == 2.0:
+                shift = amplitude * INTERACTION_EPS * value * envelope
+                out[name] = getattr(single, quantity) + shift
+            else:
+                out[name] = amplitude * value * envelope
 
-    correction = 1.0 + INTERACTION_EPS * np.sqrt(2.0 / (np.pi * kl)) * np.exp(
-        1j * (kl + 0.25 * np.pi)
-    ) * envelope
-    x2 = (l * np.cos(theta))[:, None]
-    excitation = np.empty(l.shape + (grid.n, 2), dtype=np.complex128)
-    excitation[..., 0] = single.excitation * correction
-    excitation[..., 1] = single.excitation * correction * np.exp(-1j * k * x2)
-    return pair_result(
-        grid,
-        l,
-        theta,
-        batched,
-        single,
-        diagonal=(single.added_mass + da11, b_s + db11),
-        cross=(a12, b12),
-        excitation=excitation,
-    )
+    if "forces" in curves:
+        correction = 1.0 + INTERACTION_EPS * np.sqrt(2.0 / (np.pi * kl)) * np.exp(
+            1j * (kl + 0.25 * np.pi)
+        ) * envelope
+        x2 = (l * np.cos(theta))[:, None]
+        forces = np.empty((2,) + kl.shape, dtype=np.complex128)
+        forces[0] = single.excitation * correction
+        # np.multiply, not `*`: the operator may swap its operands to reuse
+        # a temporary right one, and numpy's complex multiply is not
+        # commutative bit for bit
+        np.multiply(forces[0], np.exp(-1j * k * x2), out=forces[1])
+        out["forces"] = forces
+    _read_only(single.added_mass, single.damping, single.excitation, *out.values())
+    return pair_result(grid, l, theta, batched, single, out)
 
 
 class ReferenceProvider:
     """Closed-form coefficient provider used as the labelling oracle.
 
-    `single` computes the isolated body. `pair` remembers its previous
-    query: the rows and the isolated body they were built from. A layout
-    step or a sensitivity map moves one device while the plant, the
-    control and the other devices stay fixed, so most rows of a pair
-    query repeat the query before it, and one-row labels of one plant
-    compute its isolated body once. A row is keyed exactly, by the bits
-    of its separation and heading, and a query is reused only when
-    radius, slenderness, grid values and environment constants are
-    equal too. Only the missing rows are computed, in one
-    pair_coefficients call through the held isolated body, and the memo
-    then holds this query's rows and nothing else, so it is bounded by
-    one query. Every answer is bit-identical to a fresh provider's, and
-    the memo keeps its own copies, so a caller may modify what it gets
-    back, `isolated` included.
+    `single` computes the isolated body. `pair` computes the curves it
+    is asked for and remembers its previous query: the rows and the
+    isolated body they were built from. A layout step or a sensitivity
+    map moves one device while the plant, the control and the other
+    devices stay fixed, so most rows of a pair query repeat the query
+    before it, and one-row labels of one plant compute its isolated body
+    once. A row is keyed exactly, by the bits of its separation and
+    heading, and a query is reused only when radius, slenderness, grid
+    values, environment constants and the asked curves are equal too.
+    Only the missing rows are computed, in one pair_coefficients call
+    through the held isolated body, and the memo then holds this
+    query's rows and nothing else, so it is bounded by one query. Every
+    answer is bit-identical to a fresh provider's. The memo holds the
+    read-only arrays it returns, so no caller can change what a later
+    answer reads.
     """
 
     name = "reference"
 
     def __init__(self):
-        self._pairs = None  # (context, isolated, {row key: row}, (added, damping, excitation))
+        self._pairs = None  # (context, isolated, {row key: row}, {curve: array})
 
     def single(self, geom, grid, env):
         return single_coefficients(geom, grid, env)
 
-    def pair(self, geom, separation, heading_angle, grid, env):
+    def pair(self, geom, separation, heading_angle, grid, env, curves=PAIR_CURVES):
+        curves = curve_set(curves)
         l, theta, batched = pair_inputs(geom, separation, heading_angle)
-        context = _context(geom, grid, env)
+        context = _context(geom, grid, env) + (curves,)
         # exact row keys: the bits of each separation and heading
         keys = list(zip(l.view(np.int64).tolist(), theta.view(np.int64).tolist()))
         if self._pairs is not None and self._pairs[0] == context:
@@ -452,28 +517,30 @@ class ReferenceProvider:
         hits = [rows.get(key) for key in keys]
         missing = [i for i, row in enumerate(hits) if row is None]
         if len(missing) == len(keys):
-            c = pair_coefficients(geom, l, theta, grid, env, isolated)
-            arrays = (c.added_mass, c.damping, c.excitation)
+            c = pair_coefficients(geom, l, theta, grid, env, isolated, curves)
+            arrays = {name: getattr(c, name) for name in curves}
         else:
             found = [i for i, row in enumerate(hits) if row is not None]
             reused = [hits[i] for i in found]
-            arrays = tuple(np.empty((len(keys),) + old.shape[1:], old.dtype) for old in held)
-            for out, old in zip(arrays, held):
-                out[found] = old[reused]
+            # the row axis is second to last in every curve
+            arrays = {
+                name: np.empty(old.shape[:-2] + (len(keys), old.shape[-1]), old.dtype)
+                for name, old in held.items()
+            }
+            for name, out in arrays.items():
+                out[..., found, :] = held[name][..., reused, :]
             if missing:
-                c = pair_coefficients(geom, l[missing], theta[missing], grid, env, isolated)
-                for out, new in zip(arrays, (c.added_mass, c.damping, c.excitation)):
-                    out[missing] = new
-        self._pairs = (
-            context,
-            isolated,
-            {key: i for i, key in enumerate(keys)},
-            tuple(a.copy() for a in arrays),
-        )
-        answer = SingleBodyCoefficients(
-            grid, isolated.added_mass.copy(), isolated.damping.copy(), isolated.excitation.copy()
-        )
-        return _pair_answer(grid, l, theta, batched, answer, *arrays)
+                c = pair_coefficients(geom, l[missing], theta[missing], grid, env, isolated, curves)
+                for name, out in arrays.items():
+                    out[..., missing, :] = getattr(c, name)
+            _read_only(*arrays.values())
+        # the memo's arrays under a new record, so that no caller can
+        # rebind what the memo holds
+        answer = pair_result(grid, l, theta, batched, SingleBodyCoefficients(
+            grid, isolated.added_mass, isolated.damping, isolated.excitation
+        ), arrays)
+        self._pairs = (context, isolated, {key: i for i, key in enumerate(keys)}, arrays)
+        return answer
 
 
 def _context(geom, grid, env):

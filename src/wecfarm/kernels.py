@@ -253,11 +253,11 @@ def mlp_train(x, y, weights, batches, lr):
         d2 = (d3 @ w3.T) * (1.0 - h2 * h2)
         d1 = (d2 @ w2.T) * (1.0 - h1 * h1)
         np.matmul(xb.T, d1, out=gw1)
-        np.sum(d1, axis=0, out=gb1)
+        np.add.reduce(d1, axis=0, out=gb1)
         np.matmul(h1.T, d2, out=gw2)
-        np.sum(d2, axis=0, out=gb2)
+        np.add.reduce(d2, axis=0, out=gb2)
         np.matmul(h2.T, d3, out=gw3)
-        np.sum(d3, axis=0, out=gb3)
+        np.add.reduce(d3, axis=0, out=gb3)
         c1 *= beta1
         c2 *= beta2
         k1 = 1.0 - c1

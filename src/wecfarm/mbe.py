@@ -126,8 +126,8 @@ def compose_farm(provider, geom, layout, grid, env):
     added = np.zeros((grid.n, n_wec, n_wec))
     damping = np.zeros((grid.n, n_wec, n_wec))
     if n_wec > 1:
-        added[:, ip, iq] = added[:, iq, ip] = pc.added_mass[row, :, 0, 1].T
-        damping[:, ip, iq] = damping[:, iq, ip] = pc.damping[row, :, 0, 1].T
+        added[:, ip, iq] = added[:, iq, ip] = pc.added_mass_cross.take(row, axis=0).T
+        damping[:, ip, iq] = damping[:, iq, ip] = pc.damping_cross.take(row, axis=0).T
 
         # term s of device d: the pair it belongs to, and which of the
         # pair's two bodies d is (0 for p, 1 for q); pairs (p, d) come
@@ -137,11 +137,20 @@ def compose_farm(provider, geom, layout, grid, env):
         pair_index = pair_index[~np.eye(n_wec, dtype=bool)].reshape(n_wec, n_wec - 1)
         side = (np.arange(n_wec)[:, None] == iq[pair_index]).astype(int)
         query_row = row[pair_index]
-        added_terms = pc.added_mass[query_row, :, side, side]
-        damping_terms = pc.damping[query_row, :, side, side]
+        # both bodies of a pair share its diagonal curves; body b's force
+        # of query row r is row b P + r of the flattened (2, P, n_w) forces
+        added_terms = pc.added_mass_diag.take(query_row, axis=0)
+        damping_terms = pc.damping_diag.take(query_row, axis=0)
+        excitation_terms = pc.forces.reshape(-1, grid.n).take(
+            side * len(first) + query_row, axis=0
+        )
         # the pair frame is anchored at body p, so both contributions
-        # carry body p's travelling-wave phase
-        excitation_terms = pc.excitation[query_row, :, side] * phases.T[ip[pair_index]]
+        # carry body p's travelling-wave phase. In place, as force times
+        # phase: one more block of this size costs fresh page faults on
+        # every call, and `*` could swap its operands to reuse the
+        # temporary phases, which numpy's complex multiply, not
+        # commutative bit for bit, would round differently
+        excitation_terms *= phases.T[ip[pair_index]]
         for s in range(n_wec - 1):
             added_diag += added_terms[:, s]
             damping_diag += damping_terms[:, s]

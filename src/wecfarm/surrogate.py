@@ -27,12 +27,14 @@ import numpy as np
 from . import kernels, nn
 from .hydro import (
     INTERACTION_RANGE_RADII,
+    PAIR_CURVES,
     RADIUS_BOUNDS,
     SLENDERNESS_BOUNDS,
     Environment,
     FrequencyGrid,
     SingleBodyCoefficients,
     WecGeometry,
+    curve_set,
     group_velocity,
     pair_inputs,
     pair_result,
@@ -49,22 +51,29 @@ PHASE_FEATURE_STRIDE = 3
 
 SCHEMA_VERSION = 1
 
-# The nine maps, each defined once: its kind, its curve in an oracle answer
-# of that kind, and its normalization (base, scale), so the map learns
-# t = (raw - base) / scale. Base and scale name curves of the same kind
-# (_norm_curves), a None base being zero: a single map's are geometry
-# scales, a pair map's the isolated curves of the same body.
-_Map = namedtuple("_Map", "kind curve norm")
+# The nine maps, each defined once: its kind, the named curve that it
+# reads from a pair answer (a single answer holds all of its curves), how
+# it reads its curve from an oracle answer of that kind, and its
+# normalization (base, scale), so the map learns t = (raw - base) / scale.
+# Base and scale name curves of the same kind (_norm_curves), a None base
+# being zero: a single map's are geometry scales, a pair map's the
+# isolated curves of the same body.
+_Map = namedtuple("_Map", "kind reads curve norm")
 _MAPS = {
-    "single_added_mass": _Map("single", lambda c: c.added_mass, (None, "mass")),
-    "single_damping": _Map("single", lambda c: c.damping, (None, "damping")),
-    "single_excitation_re": _Map("single", lambda c: np.real(c.excitation), (None, "force")),
-    "pair_added_mass_diag": _Map("pair", lambda c: c.added_mass[..., 0, 0], ("a", "b/w")),
-    "pair_damping_diag": _Map("pair", lambda c: c.damping[..., 0, 0], ("b", "b")),
-    "pair_added_mass_cross": _Map("pair", lambda c: c.added_mass[..., 0, 1], (None, "b/w")),
-    "pair_damping_cross": _Map("pair", lambda c: c.damping[..., 0, 1], (None, "b")),
-    "pair_excitation_re": _Map("pair", lambda c: np.real(c.excitation[..., 0]), ("f", "f")),
-    "pair_excitation_im": _Map("pair", lambda c: np.imag(c.excitation[..., 0]), (None, "f")),
+    "single_added_mass": _Map("single", None, lambda c: c.added_mass, (None, "mass")),
+    "single_damping": _Map("single", None, lambda c: c.damping, (None, "damping")),
+    "single_excitation_re": _Map("single", None, lambda c: np.real(c.excitation), (None, "force")),
+    "pair_added_mass_diag": _Map(
+        "pair", "added_mass_diag", lambda c: c.added_mass_diag, ("a", "b/w")
+    ),
+    "pair_damping_diag": _Map("pair", "damping_diag", lambda c: c.damping_diag, ("b", "b")),
+    "pair_added_mass_cross": _Map(
+        "pair", "added_mass_cross", lambda c: c.added_mass_cross, (None, "b/w")
+    ),
+    "pair_damping_cross": _Map("pair", "damping_cross", lambda c: c.damping_cross, (None, "b")),
+    # body 1's force; body 2's differs only by its travelling-wave phase
+    "pair_excitation_re": _Map("pair", "forces", lambda c: np.real(c.forces[0]), ("f", "f")),
+    "pair_excitation_im": _Map("pair", "forces", lambda c: np.imag(c.forces[0]), (None, "f")),
 }
 SINGLE_TARGET_IDS = tuple(tid for tid, m in _MAPS.items() if m.kind == "single")
 PAIR_TARGET_IDS = tuple(tid for tid, m in _MAPS.items() if m.kind == "pair")
@@ -244,16 +253,21 @@ def _label_rows(kind, inputs, groups, grid, env, oracle, target_ids):
 
     Each of ``groups`` (slices or index lists of rows sharing R and
     slenderness) is one oracle query: one ``single`` call, or one ``pair``
-    call with the group's (P,) separations and headings.
+    call with the group's (P,) separations and headings that asks for
+    the curves of ``target_ids`` and no other. Consecutive groups of one
+    plant share its WecGeometry.
     """
     out = {tid: np.empty((inputs.shape[0], grid.n)) for tid in target_ids}
+    curves = {_MAPS[tid].reads for tid in target_ids}
+    geom = None
     for rows in groups:
         block = inputs[rows]
-        geom = WecGeometry(block[0, 0], block[0, 1])
+        if geom is None or (geom.radius, geom.slenderness) != (block[0, 0], block[0, 1]):
+            geom = WecGeometry(block[0, 0], block[0, 1])
         if kind == "single":
             coeffs = oracle.single(geom, grid, env)
         else:
-            coeffs = oracle.pair(geom, block[:, 2], block[:, 3], grid, env)
+            coeffs = oracle.pair(geom, block[:, 2], block[:, 3], grid, env, curves=curves)
         for tid in target_ids:
             out[tid][rows] = _MAPS[tid].curve(coeffs)
     return out
@@ -758,15 +772,18 @@ class SurrogateProvider:
             excitation=scaled("single_excitation_re") + 0j,
         )
 
-    def pair(self, geom, separation, heading_angle, grid, env):
+    def pair(self, geom, separation, heading_angle, grid, env, curves=PAIR_CURVES):
         """Pair coefficients for scalar or (P,) separations and headings.
 
         A batch applies each of the six pair committees once, to all P
         rows. The J0/Y0 separation features are computed in one pass for
         both phase multipliers: one block for the four cross and
         excitation maps, one for the two diagonal maps. The single is
-        predicted once and returned as `isolated`.
+        predicted once and returned as `isolated`. The answer holds all
+        five curves whatever `curves` names, because the cross damping
+        is clipped by the diagonal one.
         """
+        curve_set(curves)
         self._check(grid, env)
         l, theta, batched = pair_inputs(geom, separation, heading_angle)
         u = np.column_stack(
@@ -778,20 +795,20 @@ class SurrogateProvider:
         # hand: b (1 + t) and the complex excitation factor are not
         # base + scale t bit for bit, and damping is clipped
         b_over_om = single.damping / grid.values
-        a11 = single.added_mass + b_over_om * maps["pair_added_mass_diag"]
         b11 = np.maximum(single.damping * (1.0 + maps["pair_damping_diag"]), 0.0)
-        a12 = b_over_om * maps["pair_added_mass_cross"]
-        b12 = np.clip(single.damping * maps["pair_damping_cross"], -b11, b11)
         factor = 1.0 + maps["pair_excitation_re"] + 1j * maps["pair_excitation_im"]
-        f1 = single.excitation * factor
-
-        excitation = np.empty(l.shape + (grid.n, 2), dtype=np.complex128)
-        excitation[..., 0] = f1
-        excitation[..., 1] = f1 * np.exp(-1j * self._k * l[:, None] * np.cos(theta)[:, None])
-        return pair_result(
-            grid, l, theta, batched, single,
-            diagonal=(a11, b11), cross=(a12, b12), excitation=excitation,
-        )
+        forces = np.empty((2,) + b11.shape, dtype=np.complex128)
+        forces[0] = single.excitation * factor
+        # np.multiply, not `*`: see hydro.pair_coefficients
+        phase = np.exp(-1j * self._k * l[:, None] * np.cos(theta)[:, None])
+        np.multiply(forces[0], phase, out=forces[1])
+        return pair_result(grid, l, theta, batched, single, {
+            "added_mass_diag": single.added_mass + b_over_om * maps["pair_added_mass_diag"],
+            "damping_diag": b11,
+            "added_mass_cross": b_over_om * maps["pair_added_mass_cross"],
+            "damping_cross": np.clip(single.damping * maps["pair_damping_cross"], -b11, b11),
+            "forces": forces,
+        })
 
 
 # --- persistence ----------------------------------------------------------

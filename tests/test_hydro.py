@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -361,6 +362,63 @@ class TestPairCoefficients:
     def test_batch_needs_matching_shapes(self):
         with pytest.raises(ValueError, match="matching"):
             hydro.pair_coefficients(self.GEOM, np.array([20.0, 40.0]), 0.0, GRID, ENV)
+
+
+# every non-empty subset of the five curves
+CURVE_SETS = [
+    set(curves)
+    for n in range(1, len(hydro.PAIR_CURVES) + 1)
+    for curves in itertools.combinations(hydro.PAIR_CURVES, n)
+]
+# what each derived view needs
+DERIVED = {
+    "added_mass": {"added_mass_diag", "added_mass_cross"},
+    "damping": {"damping_diag", "damping_cross"},
+    "excitation": {"forces"},
+}
+
+
+@PROPERTY
+@given(
+    plants(),
+    st.lists(st.tuples(st.floats(1e-6, 400.0), st.floats(-np.pi, np.pi)), min_size=1, max_size=5),
+    st.booleans(),
+)
+def test_asked_curves_equal_the_all_curves_answer_bitwise(plant, rows, scalar):
+    geom = WecGeometry(*plant)
+    grid = FrequencyGrid.default(count=40)
+    sep = np.array([2.0 * geom.radius + gap for gap, _ in rows])
+    theta = np.array([heading for _, heading in rows])
+    if scalar:
+        sep, theta = float(sep[0]), float(theta[0])
+    full = hydro.pair_coefficients(geom, sep, theta, grid, ENV)
+    provider = hydro.ReferenceProvider()
+    for curves in CURVE_SETS:
+        for part in (hydro.pair_coefficients(geom, sep, theta, grid, ENV, curves=curves),
+                     provider.pair(geom, sep, theta, grid, ENV, curves=curves)):
+            for name in hydro.PAIR_CURVES:
+                got = getattr(part, name)
+                if name in curves:
+                    want = getattr(full, name)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+                    assert not got.flags.writeable
+                else:
+                    assert got is None, name
+            for name, needs in DERIVED.items():
+                if needs <= curves:
+                    assert getattr(part, name).tobytes() == getattr(full, name).tobytes()
+                else:
+                    missing = next(c for c in hydro.PAIR_CURVES if c in needs - curves)
+                    with pytest.raises(LookupError, match=f"holds no {missing} curve"):
+                        getattr(part, name)
+
+
+def test_unknown_curve_names_are_rejected():
+    geom = WecGeometry(3.0, 6.0)
+    with pytest.raises(ValueError, match="unknown pair curves: excitation"):
+        hydro.pair_coefficients(geom, 20.0, 0.0, GRID, ENV, curves={"forces", "excitation"})
+    with pytest.raises(ValueError, match="unknown pair curves: added_mass, damping"):
+        hydro.ReferenceProvider().pair(geom, 20.0, 0.0, GRID, ENV, curves={"damping", "added_mass"})
 
 
 def test_reference_provider_name_and_delegation():

@@ -403,7 +403,7 @@ def _unrolled_adam_reference(x, y, w1, b1, w2, b2, w3, b3, batches, lr):
     "sizes, n, batch, epochs",
     [
         ([2, 32, 32, 200], 160, 64, 300),  # the single-map topology
-        ([136, 96, 96, 200], 160, 64, 20),  # the pair-map topology
+        ([138, 96, 96, 200], 160, 64, 20),  # the pair-map topology
         ([4, 16, 16, 8], 40, 64, 50),  # full batch: fewer rows than the batch
     ],
     ids=["single", "pair", "full-batch"],
@@ -455,8 +455,8 @@ def test_mlp_forward_frees_the_first_layer_before_the_head():
     # five members of the pair topology, 256 rows; numpy reports its
     # buffers to tracemalloc, and all three layers never coexist
     rng = np.random.default_rng(14)
-    network = nn.Regressor.initialized(136, (96, 96), 200, [rng] * 5)
-    x = rng.normal(size=(256, 136))
+    network = nn.Regressor.initialized(138, (96, 96), 200, [rng] * 5)
+    x = rng.normal(size=(256, 138))
     tracemalloc.start()
     try:
         out = kernels.mlp_forward(x, network.weights)

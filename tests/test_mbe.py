@@ -402,35 +402,38 @@ class TestReferenceProviderMemo:
     @PROPERTY
     @given(st.data())
     def test_mutating_an_answer_leaves_the_next_unchanged(self, data):
+        # answers are read-only: the memo holds the arrays it returns and
+        # the isolated body, so a write to either must fail
         geom = data.draw(geometries())
         layout = data.draw(feasible_layouts(geom, n_min=3, n_max=6))
         _, _, sep, theta = mbe.pair_table(layout)
         names = ("added_mass", "damping", "excitation")
         fresh = hydro.single_coefficients(geom, GRID, ENV)
 
-        def zero(answer):
-            for name in names:
-                getattr(answer, name)[...] = 0.0
-                getattr(answer.isolated, name)[...] = 0.0
+        def try_zero(answer):
+            for curve in (*(getattr(answer, name) for name in hydro.PAIR_CURVES),
+                          *(getattr(answer.isolated, name) for name in names)):
+                with pytest.raises(ValueError, match="read-only"):
+                    curve[...] = 0.0
 
-        # the memo holds the isolated body, and no answer may alias it
+        def assert_equal(got, want):
+            for name in hydro.PAIR_CURVES:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            for name in names:
+                assert getattr(got.isolated, name).tobytes() == getattr(fresh, name).tobytes()
+
         provider = ReferenceProvider()
-        zero(provider.pair(geom, sep, theta, GRID, ENV))
+        try_zero(provider.pair(geom, sep, theta, GRID, ENV))
         # new rows, so the next pair query computes through the held body
         got = provider.pair(geom, 1.5 * sep, theta, GRID, ENV)
-        want = hydro.pair_coefficients(geom, 1.5 * sep, theta, GRID, ENV)
-        for name in names:
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            assert getattr(got.isolated, name).tobytes() == getattr(fresh, name).tobytes()
+        assert_equal(got, hydro.pair_coefficients(geom, 1.5 * sep, theta, GRID, ENV))
         provider = ReferenceProvider()
         # a full miss, then a partial hit (one row dropped), then a full hit
         for rows in (slice(None), slice(1, None), slice(1, None)):
             want = hydro.pair_coefficients(geom, sep[rows], theta[rows], GRID, ENV)
             got = provider.pair(geom, sep[rows], theta[rows], GRID, ENV)
-            for name in names:
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-                assert getattr(got.isolated, name).tobytes() == getattr(fresh, name).tobytes()
-            zero(got)
+            assert_equal(got, want)
+            try_zero(got)
 
     def test_pair_carries_the_single_answer_bitwise(self):
         provider = ReferenceProvider()
@@ -456,8 +459,50 @@ class TestReferenceProviderMemo:
             provider.pair(GEOM, sep, theta, GRID, ENV)
             _, isolated, memo_rows, arrays = provider._pairs
             assert len(memo_rows) == rows
-            assert [a.shape[0] for a in arrays] == [rows] * 3
+            # the five curves of this query, read-only, and nothing else
+            assert {name: a.shape for name, a in arrays.items()} == {
+                "added_mass_diag": (rows, GRID.n),
+                "damping_diag": (rows, GRID.n),
+                "added_mass_cross": (rows, GRID.n),
+                "damping_cross": (rows, GRID.n),
+                "forces": (2, rows, GRID.n),
+            }
+            assert not any(a.flags.writeable for a in arrays.values())
             assert isolated.added_mass.shape == (GRID.n,)
+
+
+    def test_memo_never_serves_rows_of_another_curve_set(self, monkeypatch):
+        computed = []
+        original = hydro.pair_coefficients
+
+        def recording(geom, separation, heading_angle, grid, env, isolated=None,
+                      curves=hydro.PAIR_CURVES):
+            computed.append((np.size(separation), set(curves)))
+            return original(geom, separation, heading_angle, grid, env, isolated, curves)
+
+        monkeypatch.setattr(hydro, "pair_coefficients", recording)
+        provider = ReferenceProvider()
+        sep, theta = np.array([20.0, 35.0, 90.0]), np.array([0.3, -1.0, 2.5])
+        asked = [{"damping_cross"}, {"damping_cross"}, {"added_mass_cross"},
+                 set(hydro.PAIR_CURVES), {"forces"}, {"forces", "damping_diag"}]
+        for curves in asked:
+            got = provider.pair(GEOM, sep, theta, GRID, ENV, curves=curves)
+            want = original(GEOM, sep, theta, GRID, ENV, curves=curves)
+            for name in hydro.PAIR_CURVES:
+                if name in curves:
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                else:
+                    assert getattr(got, name) is None
+        # only the repeat of the same curves is served from the memo; every
+        # other query computes all of its rows afresh
+        assert computed == [(3, curves) for curves in asked[:1] + asked[2:]]
+        # a partial hit reads the memo only under the same curves
+        computed.clear()
+        provider.pair(GEOM, np.append(sep[1:], 50.0), np.append(theta[1:], 0.0), GRID, ENV,
+                      curves={"forces", "damping_diag"})
+        provider.pair(GEOM, np.append(sep[1:], 60.0), np.append(theta[1:], 0.0), GRID, ENV,
+                      curves={"forces"})
+        assert computed == [(1, {"forces", "damping_diag"}), (3, {"forces"})]
 
 
 def test_pair_table_matches_pair_geometry():

@@ -323,18 +323,25 @@ def test_validate_on_grid_blocking_keeps_bits(damping_committee, monkeypatch):
 
 
 class CountingOracle(hydro.ReferenceProvider):
+    """Records the rows and the asked curves of each pair query."""
+
     def __init__(self):
         super().__init__()
         self.pair_rows = []
+        self.pair_curves = []
         self.single_calls = 0
 
     def single(self, geom, grid, env):
         self.single_calls += 1
         return super().single(geom, grid, env)
 
-    def pair(self, geom, separation, heading_angle, grid, env):
+    def pair(self, geom, separation, heading_angle, grid, env, curves=hydro.PAIR_CURVES):
         self.pair_rows.append(np.size(separation))
-        return super().pair(geom, separation, heading_angle, grid, env)
+        self.pair_curves.append(set(curves))
+        return super().pair(geom, separation, heading_angle, grid, env, curves)
+
+
+ALL_CURVES = set(hydro.PAIR_CURVES)
 
 
 def test_cheating_committee_batches_oracle_per_geometry():
@@ -345,6 +352,8 @@ def test_cheating_committee_batches_oracle_per_geometry():
     cheat = surrogate.CheatingCommittee("pair_excitation_im", GRID, ENV, oracle)
     raw = cheat.features(inputs)["pair_excitation_im"]
     assert oracle.pair_rows == [3, 1]  # one query per distinct (R, slenderness)
+    # it labels every pair map, so it asks for every curve
+    assert oracle.pair_curves == [ALL_CURVES] * 2
     expected = surrogate.label_inputs("pair_excitation_im", inputs, GRID, ENV, ORACLE)
     assert raw.tobytes() == expected.tobytes()
 
@@ -362,9 +371,47 @@ def test_labelling_sends_one_oracle_query_per_row(kind):
     oracle = CountingOracle()
     surrogate.label_inputs(surrogate._TARGET_IDS[kind][-1], inputs, GRID, ENV, oracle)
     assert (oracle.pair_rows, oracle.single_calls) == expected
+    # a one-map label asks for its own curve: the last pair map's is the forces
+    assert oracle.pair_curves == ([] if kind == "single" else [{"forces"}] * n)
     oracle = CountingOracle()
     surrogate.build_datasets(kind, n, 8, GRID, ENV, oracle)
     assert (oracle.pair_rows, oracle.single_calls) == expected
+    assert oracle.pair_curves == ([] if kind == "single" else [ALL_CURVES] * n)
+
+
+# the Bessel work each pair map's curve needs: (function, multiple of kl)
+BESSEL_OF_MAP = {
+    "pair_added_mass_diag": [("y0", 2.0)],
+    "pair_damping_diag": [("j0", 2.0)],
+    "pair_added_mass_cross": [("y0", 1.0)],
+    "pair_damping_cross": [("j0", 1.0)],
+    "pair_excitation_re": [],
+    "pair_excitation_im": [],
+}
+
+
+@pytest.mark.parametrize("target_id", surrogate.PAIR_TARGET_IDS)
+def test_one_map_label_sends_only_the_bessel_work_of_its_curve(target_id, monkeypatch):
+    grid = hydro.FrequencyGrid.default()
+    row = np.array([[3.0, 6.0, 25.0, 0.7]])
+    oracle = hydro.ReferenceProvider()
+    sent = []
+    for name in ("j0", "y0"):
+        def recording(x, name=name, original=getattr(kernels, name)):
+            sent.append((name, np.array(x)))
+            return original(x)
+
+        monkeypatch.setattr(kernels, name, recording)
+    labels = surrogate.label_inputs(target_id, row, grid, ENV, oracle)
+    monkeypatch.undo()
+    kl = row[:, 2:3] * hydro.solve_dispersion(grid.values, ENV)
+    assert [(name, x.size) for name, x in sent] == [
+        (name, grid.n) for name, _ in BESSEL_OF_MAP[target_id]
+    ]
+    for (_, x), (_, multiple) in zip(sent, BESSEL_OF_MAP[target_id]):
+        assert x.ravel().tobytes() == (multiple * kl).ravel().tobytes()
+    want = surrogate.label_inputs(target_id, row, grid, ENV, hydro.ReferenceProvider())
+    assert labels.tobytes() == want.tobytes()
 
 
 def test_one_row_pair_labels_derive_each_plant_once(monkeypatch):
@@ -733,22 +780,26 @@ def test_provider_pair_batch_matches_scalar_queries(tiny_provider):
         tiny_provider.pair(geom, np.array([25.0, 5.0]), np.zeros(2), GRID, ENV)
 
 
-def cheating_provider(oracle=ORACLE):
+def cheating_provider(oracle=ORACLE, grid=GRID):
     return surrogate.SurrogateProvider(
-        {tid: surrogate.CheatingCommittee(tid, GRID, ENV, oracle) for tid in surrogate.ALL_TARGET_IDS}
+        {tid: surrogate.CheatingCommittee(tid, grid, ENV, oracle) for tid in surrogate.ALL_TARGET_IDS}
     )
 
 
 def test_cheating_provider_pair_batch_is_bitwise():
-    provider = cheating_provider()
     geom = hydro.WecGeometry(3.0, 6.0)
-    sep, theta = PAIR_BATCH
-    batch = provider.pair(geom, sep, theta, GRID, ENV)
-    for i in range(sep.size):
-        one = provider.pair(geom, sep[i], theta[i], GRID, ENV)
-        assert np.array_equal(batch.added_mass[i], one.added_mass)
-        assert np.array_equal(batch.damping[i], one.damping)
-        assert np.array_equal(batch.excitation[i], one.excitation)
+    # 90 rows of 200 complex frequencies pass the 256 KiB from which numpy
+    # reuses a temporary operand, and may then swap a product's operands
+    rng = np.random.default_rng(15)
+    large = (rng.uniform(7.0, 360.0, 90), rng.uniform(-np.pi, np.pi, 90))
+    for grid, (sep, theta) in ((GRID, PAIR_BATCH), (hydro.FrequencyGrid.default(), large)):
+        provider = cheating_provider(grid=grid)
+        batch = provider.pair(geom, sep, theta, grid, ENV)
+        for i in range(sep.size):
+            one = provider.pair(geom, sep[i], theta[i], grid, ENV)
+            assert np.array_equal(batch.added_mass[i], one.added_mass)
+            assert np.array_equal(batch.damping[i], one.damping)
+            assert np.array_equal(batch.excitation[i], one.excitation)
 
 
 def test_mutating_a_surrogate_answer_leaves_the_next_unchanged():
@@ -817,6 +868,7 @@ def test_cheating_provider_queries_the_oracle_once_per_layout():
     mbe.compose_farm(provider, hydro.WecGeometry(3.0, 6.0), five_body_layout(3.0), GRID, ENV)
     assert oracle.single_calls == 1
     assert oracle.pair_rows == [10]
+    assert oracle.pair_curves == [ALL_CURVES]
 
 
 class UnsharedFeatures:
@@ -912,9 +964,9 @@ def members_of(topology, n_members=5, seed=0):
     return members
 
 
-# the pair topology is 136 -> 96 -> 96 -> 200 at 200 frequencies, the
+# the pair topology is 138 -> 96 -> 96 -> 200 at 200 frequencies, the
 # single 2 -> 32 -> 32 -> 200
-@pytest.mark.parametrize("topology", [(136, 96, 96, 200), (2, 32, 32, 200)])
+@pytest.mark.parametrize("topology", [(138, 96, 96, 200), (2, 32, 32, 200)])
 @pytest.mark.parametrize("n", [1, 2, 10, 45, 256, 300])
 def test_member_block_forward_equals_the_per_member_loop_bytewise(topology, n):
     members = members_of(topology)
