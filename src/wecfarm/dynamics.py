@@ -86,21 +86,24 @@ def solve_motion(coeffs, geom, pto, env):
     m = body_mass(geom, env)
     g_hs = hydrostatic_coefficient(geom, env)
 
-    diag = np.zeros((om.size, n_wec, n_wec))
-    idx = np.arange(n_wec)
-    diag[:, idx, idx] = g_hs + k_pto[None, :] - om[:, None] ** 2 * m
-    lhs = (
-        diag
-        - om[:, None, None] ** 2 * coeffs.added_mass
-        + 1j * om[:, None, None] * coeffs.damping
-    )
-    lhs[:, idx, idx] += 1j * om[:, None] * b_pto[None, :]
+    # the impedance, written in place into one complex block. The real
+    # part is 0 - omega^2 A off the diagonal and (0 - omega^2 A) + (G +
+    # K_pto - omega^2 M) on it, which equals G + K_pto - omega^2 M -
+    # omega^2 A bit for bit; the imaginary part is omega B, plus omega
+    # B_pto on the diagonal
+    lhs = np.empty(coeffs.added_mass.shape, dtype=np.complex128)
+    np.multiply((om**2)[:, None, None], coeffs.added_mass, out=lhs.real)
+    np.subtract(0.0, lhs.real, out=lhs.real)
+    np.multiply(om[:, None, None], coeffs.damping, out=lhs.imag)
+    on_diagonal = lhs.reshape(om.size, -1)[:, :: n_wec + 1]
+    on_diagonal.real += g_hs + k_pto[None, :] - om[:, None] ** 2 * m
+    on_diagonal.imag += om[:, None] * b_pto[None, :]
 
     try:
         motion = kernels.solve_batch(lhs, coeffs.excitation)
     except np.linalg.LinAlgError:
         motion = _solve_identifying_failure(lhs, coeffs.excitation, om)
-    resid = np.abs(np.einsum("kij,kj->ki", lhs, motion) - coeffs.excitation)
+    resid = np.abs(np.matmul(lhs, motion[:, :, None])[:, :, 0] - coeffs.excitation)
     bad = resid.max(axis=1) > 1e-9 * np.maximum(
         np.abs(coeffs.excitation).max(axis=1), 1e-300
     )

@@ -116,45 +116,47 @@ def compose_farm(provider, geom, layout, grid, env):
     else:
         single = provider.single(geom, grid, env)
     k = hydro.solve_dispersion(grid.values, env)
-    phases = np.exp(-1j * np.outer(k, pos[:, 0]))
+    # the travelling-wave phase e^(-i k x) of every device, (N, n_w)
+    phases = hydro.phasor(np.multiply.outer(pos[:, 0], k), -1.0)
 
     # per-device sums, (N, n_w), each seeded with (2 - N) isolated values
     base = float(2 - n_wec)
     added_diag = np.tile(base * single.added_mass, (n_wec, 1))
     damping_diag = np.tile(base * single.damping, (n_wec, 1))
-    excitation = (base * single.excitation) * phases.T
-    added = np.zeros((grid.n, n_wec, n_wec))
-    damping = np.zeros((grid.n, n_wec, n_wec))
+    excitation = (base * single.excitation) * phases
+    # every entry is written below: the pair rows fill the off-diagonals
+    added = np.empty((grid.n, n_wec, n_wec))
+    damping = np.empty((grid.n, n_wec, n_wec))
     if n_wec > 1:
         added[:, ip, iq] = added[:, iq, ip] = pc.added_mass_cross.take(row, axis=0).T
         damping[:, ip, iq] = damping[:, iq, ip] = pc.damping_cross.take(row, axis=0).T
 
-        # term s of device d: the pair it belongs to, and which of the
+        # slot s of device d: the pair it belongs to, and which of the
         # pair's two bodies d is (0 for p, 1 for q); pairs (p, d) come
-        # before pairs (d, q) in row-major order
+        # before pairs (d, q) in row-major order. Slot-major, (N - 1, N)
         pair_index = np.full((n_wec, n_wec), -1)
         pair_index[ip, iq] = pair_index[iq, ip] = np.arange(ip.size)
-        pair_index = pair_index[~np.eye(n_wec, dtype=bool)].reshape(n_wec, n_wec - 1)
-        side = (np.arange(n_wec)[:, None] == iq[pair_index]).astype(int)
-        query_row = row[pair_index]
+        slots = pair_index[~np.eye(n_wec, dtype=bool)].reshape(n_wec, n_wec - 1).T
+        side = np.arange(n_wec) == iq[slots]
+        query_row = row[slots]
         # both bodies of a pair share its diagonal curves; body b's force
-        # of query row r is row b P + r of the flattened (2, P, n_w) forces
-        added_terms = pc.added_mass_diag.take(query_row, axis=0)
-        damping_terms = pc.damping_diag.take(query_row, axis=0)
-        excitation_terms = pc.forces.reshape(-1, grid.n).take(
-            side * len(first) + query_row, axis=0
-        )
-        # the pair frame is anchored at body p, so both contributions
-        # carry body p's travelling-wave phase. In place, as force times
-        # phase: one more block of this size costs fresh page faults on
-        # every call, and `*` could swap its operands to reuse the
-        # temporary phases, which numpy's complex multiply, not
-        # commutative bit for bit, would round differently
-        excitation_terms *= phases.T[ip[pair_index]]
+        # of query row r is row b P + r of the flattened (2, P, n_w) forces,
+        # and the pair frame is anchored at body p, so both forces carry
+        # body p's phase
+        force_row = side * len(first) + query_row
+        anchor = ip[slots]
+        forces = pc.forces.reshape(-1, grid.n)
+        # one (N, n_w) term per slot: every device adds its N - 1 terms in
+        # row-major pair order, and no (N, N - 1, n_w) block is built. The
+        # product is force times phase, in place: numpy's complex multiply
+        # is not commutative bit for bit
+        term = np.empty((n_wec, grid.n), dtype=np.complex128)
         for s in range(n_wec - 1):
-            added_diag += added_terms[:, s]
-            damping_diag += damping_terms[:, s]
-            excitation += excitation_terms[:, s]
+            added_diag += pc.added_mass_diag.take(query_row[s], axis=0)
+            damping_diag += pc.damping_diag.take(query_row[s], axis=0)
+            forces.take(force_row[s], axis=0, out=term)
+            term *= phases.take(anchor[s], axis=0)
+            excitation += term
 
     diag = np.arange(n_wec)
     added[:, diag, diag] = added_diag.T

@@ -38,6 +38,7 @@ from .hydro import (
     group_velocity,
     pair_inputs,
     pair_result,
+    phasor,
     single_coefficients,
     slenderness_interval,
     solve_dispersion,
@@ -800,7 +801,7 @@ class SurrogateProvider:
         forces = np.empty((2,) + b11.shape, dtype=np.complex128)
         forces[0] = single.excitation * factor
         # np.multiply, not `*`: see hydro.pair_coefficients
-        phase = np.exp(-1j * self._k * l[:, None] * np.cos(theta)[:, None])
+        phase = phasor(self._k * l[:, None] * np.cos(theta)[:, None], -1.0)
         np.multiply(forces[0], phase, out=forces[1])
         return pair_result(grid, l, theta, batched, single, {
             "added_mass_diag": single.added_mass + b_over_om * maps["pair_added_mass_diag"],
