@@ -8,10 +8,14 @@ and prints `workload seed unit digest`, where the digest is the first 16
 hex digits of the SHA-256 of `json.dumps(outputs, sort_keys=True)`. A
 workload whose set-up trains committees (study2-sur) first prints
 `workload seed target_id digest` per committee, the digest taken of the
-file `surrogate.save_committee` writes. Run it in two source checkouts and
-`diff` the outputs: equal lines mean the two trees compute the same unit
-outputs and committee files byte for byte. Nothing is checked
-against recorded values; `perfbench/run.py` does that.
+file `surrogate.save_committee` writes. After each study2-ref unit, which
+runs `wecfarm optimize`, it also prints `workload seed unit/file digest`
+for the run's `best_design.json` and `history.csv`, the digest taken of
+the file as written: the design's provenance hash lives only there. Run
+it in two source checkouts and `diff` the outputs: equal lines mean the
+two trees compute the same unit outputs, run files and committee files
+byte for byte. Nothing is checked against recorded values;
+`perfbench/run.py` does that.
 
 The workloads are imported as they are. The package comes from the
 checkout's `src`, and BLAS runs one thread, as in the benchmark.
@@ -36,6 +40,8 @@ from wecfarm import surrogate  # noqa: E402
 
 SEEDS = (0, 1)
 UNITS = (0, 1)
+# files each unit writes into the workload's `work/out` run directory
+RUN_FILES = {"study2-ref": ("best_design.json", "history.csv")}
 
 
 def _digest(data):
@@ -43,7 +49,7 @@ def _digest(data):
 
 
 def main(small=False):
-    """Print and return one digest line per committee file and unit.
+    """Print and return one digest line per committee file, unit and run file.
 
     `small` runs the reduced workloads.
     """
@@ -66,6 +72,9 @@ def main(small=False):
                     outputs = workload.unit(ctx, workloads.unit_seed(seed, rep))
                     text = json.dumps(outputs, sort_keys=True)
                     emit(f"{name} {seed} {rep} {_digest(text.encode())}")
+                    for file in RUN_FILES.get(name, ()):
+                        data = (ctx["work"] / "out" / file).read_bytes()
+                        emit(f"{name} {seed} {rep}/{file} {_digest(data)}")
     return lines
 
 

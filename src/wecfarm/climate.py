@@ -138,20 +138,36 @@ class SiteClimate:
     def spectral_matrix(self, grid):
         """JONSWAP density of every sea state on a frequency grid.
 
-        Shape (n_states, n_omega), cached per grid; states enumerate the
-        (Hs, Tp) tensor nodes in row-major order. One jonswap_density
-        call per Tp node covers every Hs node; a node that is not finite
-        and strictly positive raises.
+        Shape (n_states, n_omega), cached per grid together with its
+        `climate_weights`; states enumerate the (Hs, Tp) tensor nodes in
+        row-major order. One jonswap_density call per Tp node covers
+        every Hs node; a node that is not finite and strictly positive
+        raises.
         """
         key = grid.values.tobytes()
-        cached = self._spectra.get(key)
-        if cached is None:
+        held = self._spectra.get(key)
+        if held is None:
             per_tp = [
                 jonswap_density(grid.values, self.grid.hs_nodes, tp) for tp in self.grid.tp_nodes
             ]
-            cached = np.stack(per_tp, axis=1).reshape(-1, grid.n)
-            self._spectra[key] = cached
-        return cached
+            spectra = np.stack(per_tp, axis=1).reshape(-1, grid.n)
+            weights = 2.0 * grid.spacing * (self.probability.ravel() @ spectra)
+            weights.flags.writeable = False
+            held = self._spectra[key] = (spectra, weights)
+        return held[0]
+
+    def climate_weights(self, grid):
+        """Frequency weights collapsing the sea-state sum for linear pipelines.
+
+        Farm power is linear in the spectral density, so summing
+        irregular-wave power over sea states equals one dot product of
+        the regular-wave power with these weights,
+        2 spacing (p @ spectral_matrix). They are computed once per grid,
+        next to the spectra, and returned read-only; every call still
+        goes through `spectral_matrix`, which fills the cache on a miss.
+        """
+        self.spectral_matrix(grid)
+        return self._spectra[grid.values.tobytes()][1]
 
 
 def silverman_bandwidths(records):

@@ -20,6 +20,29 @@ PTO_STIFFNESS_BOUNDS = (-5e5, 5e5)
 PTO_DAMPING_BOUNDS = (0.0, 5e5)
 
 
+def _vector(values):
+    """float64 array of at least one dimension, as np.atleast_1d gives."""
+    a = np.asarray(values, dtype=np.float64)
+    return a.reshape(1) if a.ndim == 0 else a
+
+
+def _within(values, bounds):
+    """Whether every value lies in the closed bounds.
+
+    NaN fails, as it fails every comparison; one value is compared as a
+    Python float.
+    """
+    lo, hi = bounds
+    if values.size == 1:
+        return lo <= values.item() <= hi
+    return bool(np.all((lo <= values) & (values <= hi)))
+
+
+def _varies(values):
+    """Whether any two entries differ (-0.0 equals 0.0, as in np.unique)."""
+    return values.size > 1 and bool((values != values.flat[0]).any())
+
+
 @dataclass
 class PtoSettings:
     """Linear spring-damper power take-off, uniform or per-device."""
@@ -29,30 +52,31 @@ class PtoSettings:
     mode: str = "farm-uniform"
 
     def __post_init__(self):
-        self.stiffness = np.atleast_1d(np.asarray(self.stiffness, dtype=np.float64))
-        self.damping = np.atleast_1d(np.asarray(self.damping, dtype=np.float64))
+        self.stiffness = _vector(self.stiffness)
+        self.damping = _vector(self.damping)
         if self.mode not in ("farm-uniform", "per-device"):
             raise ValueError(f"unknown pto mode {self.mode!r}")
-        # NaN fails both comparisons and so counts as out of bounds
-        lo, hi = PTO_STIFFNESS_BOUNDS
-        if not np.all((lo <= self.stiffness) & (self.stiffness <= hi)):
+        if not _within(self.stiffness, PTO_STIFFNESS_BOUNDS):
             raise ValueError("pto stiffness outside its design bounds")
-        lo, hi = PTO_DAMPING_BOUNDS
-        if not np.all((lo <= self.damping) & (self.damping <= hi)):
+        if not _within(self.damping, PTO_DAMPING_BOUNDS):
             raise ValueError("pto damping outside its design bounds")
-        if self.mode == "farm-uniform":
-            if np.unique(self.stiffness).size > 1 or np.unique(self.damping).size > 1:
-                raise ValueError("farm-uniform pto requires identical entries")
+        # NaN failed the bounds, so equality is all that is left to test
+        if self.mode == "farm-uniform" and (_varies(self.stiffness) or _varies(self.damping)):
+            raise ValueError("farm-uniform pto requires identical entries")
+
+    def check_device_count(self, n_devices):
+        """Raise unless each array has one entry or one per device."""
+        if self.stiffness.size not in (1, n_devices) or self.damping.size not in (1, n_devices):
+            raise ValueError("pto dimensions do not match the device count")
 
     def arrays_for(self, n_devices):
+        self.check_device_count(n_devices)
         k = self.stiffness
         b = self.damping
         if k.size == 1:
             k = np.full(n_devices, k[0])
         if b.size == 1:
             b = np.full(n_devices, b[0])
-        if k.size != n_devices or b.size != n_devices:
-            raise ValueError("pto dimensions do not match the device count")
         return k, b
 
 

@@ -99,9 +99,10 @@ def _first_outside(name, values, bounds, fmt=""):
     """GeometryError naming the first value outside the closed bounds, if any.
 
     Written so that NaN fails the check, as it fails every comparison.
+    A Python float inside its bounds is passed by its own comparison.
     """
     inside = (bounds[0] <= values) & (values <= bounds[1])
-    if not np.asarray(inside).all():
+    if inside is not True and not np.asarray(inside).all():
         first = np.ravel(values)[np.argmin(inside)]
         raise GeometryError(f"{name} {first:{fmt}} outside {_box_text(bounds)}")
 

@@ -246,18 +246,33 @@ def mlp_train(x, y, weights, batches, lr):
     c1 = c2 = 1.0
     for idx in batches:
         xb = x[idx]
-        yb = y[idx]
-        h1 = np.tanh(xb @ w1 + b1)
-        h2 = np.tanh(h1 @ w2 + b2)
-        d3 = (2.0 / (yb.shape[0] * yb.shape[1])) * (h2 @ w3 + b3 - yb)
-        d2 = (d3 @ w3.T) * (1.0 - h2 * h2)
-        d1 = (d2 @ w2.T) * (1.0 - h1 * h1)
-        np.matmul(xb.T, d1, out=gw1)
-        np.add.reduce(d1, axis=0, out=gb1)
-        np.matmul(h1.T, d2, out=gw2)
-        np.add.reduce(d2, axis=0, out=gb2)
+        # bias, tanh, residual, scale and the (1 - h^2) factors run in the
+        # matmul results' own buffers; a layer's activations become its
+        # factor only after its weight gradient has read them
+        h1 = xb @ w1
+        h1 += b1
+        np.tanh(h1, out=h1)
+        h2 = h1 @ w2
+        h2 += b2
+        np.tanh(h2, out=h2)
+        d3 = h2 @ w3
+        d3 += b3
+        d3 -= y[idx]
+        d3 *= 2.0 / (len(idx) * y.shape[1])
         np.matmul(h2.T, d3, out=gw3)
         np.add.reduce(d3, axis=0, out=gb3)
+        d2 = d3 @ w3.T
+        h2 *= h2
+        np.subtract(1.0, h2, out=h2)
+        d2 *= h2
+        np.matmul(h1.T, d2, out=gw2)
+        np.add.reduce(d2, axis=0, out=gb2)
+        d1 = d2 @ w2.T
+        h1 *= h1
+        np.subtract(1.0, h1, out=h1)
+        d1 *= h1
+        np.matmul(xb.T, d1, out=gw1)
+        np.add.reduce(d1, axis=0, out=gb1)
         c1 *= beta1
         c2 *= beta2
         k1 = 1.0 - c1

@@ -37,9 +37,10 @@ class Layout:
         self.positions = pos
         self.pairs = pair_table(self)
         p, q, separation, _ = self.pairs
-        hit = np.flatnonzero(separation == 0.0)
-        if hit.size:
-            raise ValueError(f"devices {p[hit[0]]} and {q[hit[0]]} coincide")
+        # a NaN separation is nonzero here, as it is unequal to 0.0
+        if not separation.all():
+            hit = np.flatnonzero(separation == 0.0)[0]
+            raise ValueError(f"devices {p[hit]} and {q[hit]} coincide")
 
     @property
     def n(self):
@@ -78,7 +79,10 @@ def pair_table(layout):
     Each is a (P,) array with P = N(N-1)/2; row i holds the same values
     as pair_geometry(layout, p[i], q[i]), bit for bit.
     """
-    p, q = np.triu_indices(layout.n, 1)
+    i = np.arange(layout.n)
+    # the entries above the diagonal, in C order: what np.triu_indices(n, 1)
+    # returns, without its mask and broadcasting wrappers
+    p, q = np.nonzero(i[:, None] < i)
     d = layout.positions[q] - layout.positions[p]
     return p, q, np.hypot(d[:, 0], d[:, 1]), np.arctan2(d[:, 1], d[:, 0])
 
@@ -128,14 +132,20 @@ def compose_farm(provider, geom, layout, grid, env):
     added = np.empty((grid.n, n_wec, n_wec))
     damping = np.empty((grid.n, n_wec, n_wec))
     if n_wec > 1:
-        added[:, ip, iq] = added[:, iq, ip] = pc.added_mass_cross.take(row, axis=0).T
-        damping[:, ip, iq] = damping[:, iq, ip] = pc.damping_cross.take(row, axis=0).T
+        pair_index = np.full((n_wec, n_wec), -1)
+        pair_index[ip, iq] = pair_index[iq, ip] = np.arange(ip.size)
+        # the query row of every (row, column) entry, flattened; the
+        # diagonal's -1 reads the last row and is overwritten below. One take
+        # per matrix writes its (n_w, N^2) view from the (n_w, rows) curves.
+        # Every index is in range, so mode "clip" changes none; it lets take
+        # write into `out` directly, where "raise" would fill a temporary
+        entry_row = row[pair_index].ravel()
+        for curve, matrix in ((pc.added_mass_cross, added), (pc.damping_cross, damping)):
+            np.take(curve.T, entry_row, axis=1, out=matrix.reshape(grid.n, -1), mode="clip")
 
         # slot s of device d: the pair it belongs to, and which of the
         # pair's two bodies d is (0 for p, 1 for q); pairs (p, d) come
         # before pairs (d, q) in row-major order. Slot-major, (N - 1, N)
-        pair_index = np.full((n_wec, n_wec), -1)
-        pair_index[ip, iq] = pair_index[iq, ip] = np.arange(ip.size)
         slots = pair_index[~np.eye(n_wec, dtype=bool)].reshape(n_wec, n_wec - 1).T
         side = np.arange(n_wec) == iq[slots]
         query_row = row[slots]

@@ -17,6 +17,7 @@ Three nested study spaces share the decoder:
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,16 +55,19 @@ class DesignPoint:
     site_id: str = "site"
 
     def __post_init__(self):
-        pos = self.layout.positions
-        if not np.array_equal(pos[0], [0.0, 0.0]):
+        n = self.layout.n
+        rows = self.layout.positions.tolist()
+        # list equality compares floats as numpy does: -0.0 equals 0.0, NaN
+        # equals nothing
+        if rows[0] != [0.0, 0.0]:
             raise ValueError("first device must sit at the origin")
-        half = farm_half_width(self.layout.n)
+        half = float(farm_half_width(n))
         # written so that NaN fails the checks, as it fails every comparison
-        if not np.all((pos[:, 0] >= 0.0) & (pos[:, 0] <= half)):
+        if not all(0.0 <= x <= half for x, _ in rows):
             raise ValueError(f"x positions must lie in [0, {half:.3f}]")
-        if not np.all(np.abs(pos[:, 1]) <= half):
+        if not all(abs(y) <= half for _, y in rows):
             raise ValueError(f"y positions must lie in [-{half:.3f}, {half:.3f}]")
-        self.pto.arrays_for(self.layout.n)  # dimension check
+        self.pto.check_device_count(n)
 
     @property
     def n_devices(self):
@@ -115,22 +119,21 @@ class EvaluationResult:
     per_device_power: np.ndarray
     q_factor: float
     violations: np.ndarray
-    provenance: dict = field(default_factory=dict)
+    # (provider name, seed, design) that `provenance` names; the design is
+    # hashed when provenance is first read, so a result nobody writes out
+    # is never hashed
+    source: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def feasible(self):
         return bool(np.all(self.violations == 0.0))
 
-
-def climate_weights(site, grid):
-    """Frequency weights collapsing the sea-state sum for linear pipelines.
-
-    Farm power is linear in the spectral density, so summing
-    irregular-wave power over sea states equals one dot product of the
-    regular-wave power with these weights.
-    """
-    s = site.spectral_matrix(grid)
-    return 2.0 * grid.spacing * (site.probability.ravel() @ s)
+    @cached_property
+    def provenance(self):
+        if self.source is None:
+            return {}
+        provider, seed, design = self.source
+        return {"provider": provider, "seed": seed, "config_hash": design_hash(design)}
 
 
 def _isolated_power_curves(design, grid, env, provider):
@@ -173,20 +176,16 @@ def evaluate_design(
     """
     eff = eff or EfficiencyChain()
     violations = min_distance_violations(design.layout, design.geometry)
-    provenance = {
-        "provider": getattr(provider, "name", type(provider).__name__),
-        "seed": seed,
-        "config_hash": design_hash(design),
-    }
+    source = (getattr(provider, "name", type(provider).__name__), seed, design)
 
     if np.any(design.layout.pairs[2] <= 2.0 * design.geometry.radius):
         zeros = np.zeros(design.n_devices)
-        return EvaluationResult(0.0, 0.0, zeros, float("nan"), violations, provenance)
+        return EvaluationResult(0.0, 0.0, zeros, float("nan"), violations, source)
 
     coeffs = mbe.compose_farm(provider, design.geometry, design.layout, grid, env)
     response = solve_motion(coeffs, design.geometry, design.pto, env)
     per_device, farm_total = regular_wave_power(response, design.pto)
-    w = climate_weights(site, grid)
+    w = site.climate_weights(grid)
     scale = eff.total * site.years
     p_a = scale * float(farm_total @ w)
     per_device_pa = scale * (w @ per_device)
@@ -197,7 +196,7 @@ def evaluate_design(
         if isolated.sum() > 0.0:
             q = climate_mod.q_factor(p_a, isolated)
     p_v = objective_pv(p_a, design.geometry, design.n_devices)
-    return EvaluationResult(p_a, p_v, per_device_pa, q, violations, provenance)
+    return EvaluationResult(p_a, p_v, per_device_pa, q, violations, source)
 
 
 def penalized_fitness(result, penalty_coeff):
@@ -293,7 +292,9 @@ def decode(study, genes, n_devices, fixed_control=None, site_id="site"):
         raise ValueError(f"study {study} at N={n_devices} needs {gene_count(study, n_devices)} genes")
     radius = float(genes[0])
     lo, hi = slenderness_interval(radius)
-    geom = WecGeometry(radius, float(np.clip(genes[1], lo, hi)))
+    # np.clip of one float: NaN stays NaN, as max and min keep their first
+    # argument when a comparison with it fails
+    geom = WecGeometry(radius, float(min(max(float(genes[1]), lo), hi)))
 
     n_ctrl = _control_pairs(study, n_devices)
     if n_ctrl:
@@ -302,20 +303,22 @@ def decode(study, genes, n_devices, fixed_control=None, site_id="site"):
         block = np.reshape(fixed_control, (1, 2))
     mode = "per-device" if study == "III" else "farm-uniform"
     pto = PtoSettings(block[:, 0].copy(), block[:, 1].copy(), mode=mode)
-    rest = genes[2 + 2 * n_ctrl :]
 
-    pos = np.vstack([[0.0, 0.0], rest.reshape(n_devices - 1, 2)])
+    pos = np.zeros((n_devices, 2))
+    pos[1:] = genes[2 + 2 * n_ctrl :].reshape(n_devices - 1, 2)
     # bound clipping can park two devices on the same corner; nudge the
     # later one so the layout stays representable (it is then maximally
     # penalized and dies out on its own). Try j moves x to |x - j 1e-6 d|;
     # each earlier device blocks at most two tries, so one of the first
-    # 2d + 1 is free
-    for d in range(1, n_devices):
-        x = pos[d, 0]
-        tries = 0
-        while tries <= 2 * d and np.any(np.all(pos[:d] == pos[d], axis=1)):
-            tries += 1
-            pos[d, 0] = abs(x - tries * (1e-6 * d))
+    # 2d + 1 is free. The set compares rows as the loop does, so a layout
+    # with no repeated row skips the loop
+    if len(set(map(tuple, pos.tolist()))) < n_devices:
+        for d in range(1, n_devices):
+            x = pos[d, 0]
+            tries = 0
+            while tries <= 2 * d and np.any(np.all(pos[:d] == pos[d], axis=1)):
+                tries += 1
+                pos[d, 0] = abs(x - tries * (1e-6 * d))
     return DesignPoint(geom, pto, mbe.Layout(pos), site_id=site_id)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wecfarm import climate, dynamics, hydro, mbe
+from wecfarm import climate, dynamics, hydro, mbe, optimize
 
 
 def make_records(seed=7, n=500):
@@ -247,6 +247,53 @@ class TestBuildSiteClimate:
                 row = climate.jonswap_density(grid.values, hs, tp)
                 assert mat[i * 4 + j].tobytes() == row.tobytes()
         assert site.spectral_matrix(grid) is mat
+
+    def test_climate_weights_are_held_read_only_and_read_through_the_spectra(
+        self, monkeypatch
+    ):
+        site = climate.build_site_climate(make_records(), 4, BOUNDS, 30)
+        grid = hydro.FrequencyGrid.default()
+        calls = []
+        spectral_matrix = climate.SiteClimate.spectral_matrix
+
+        def counting(self, grid):
+            calls.append(grid)
+            return spectral_matrix(self, grid)
+
+        monkeypatch.setattr(climate.SiteClimate, "spectral_matrix", counting)
+        weights = site.climate_weights(grid)
+        fresh = 2.0 * grid.spacing * (site.probability.ravel() @ site.spectral_matrix(grid))
+        assert weights.tobytes() == fresh.tobytes()
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 1.0
+        assert site.climate_weights(grid) is weights
+        assert len(calls) == 3
+        # a second grid gets its own weights
+        other = hydro.FrequencyGrid.default(count=40)
+        other_weights = site.climate_weights(other)
+        fresh = 2.0 * other.spacing * (site.probability.ravel() @ site.spectral_matrix(other))
+        assert other_weights.tobytes() == fresh.tobytes()
+        assert site.climate_weights(grid) is weights
+        assert len(calls) == 6
+
+    def test_every_evaluation_reads_the_spectra_once(self, monkeypatch):
+        site = climate.build_site_climate(make_records(), 3, BOUNDS, 30)
+        grid = hydro.FrequencyGrid.default(count=40)
+        calls = []
+        spectral_matrix = climate.SiteClimate.spectral_matrix
+
+        def counting(self, grid):
+            calls.append(grid)
+            return spectral_matrix(self, grid)
+
+        monkeypatch.setattr(climate.SiteClimate, "spectral_matrix", counting)
+        design = optimize.sample_design(3, np.random.default_rng(1), site_id=site.site_id)
+        provider = hydro.ReferenceProvider()
+        for with_q in (False, True, False):
+            optimize.evaluate_design(design, grid, hydro.Environment(), provider, site,
+                                     with_q=with_q)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("axis, value", [("hs_nodes", 0.0), ("tp_nodes", -2.0)])
     def test_spectral_matrix_rejects_non_positive_nodes(self, axis, value):

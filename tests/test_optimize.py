@@ -336,6 +336,34 @@ def test_run_ga_reports_failing_genome():
         optimize.run_ga(small_spec(), GRID, ENV, Broken())
 
 
+def test_run_ga_hashes_only_the_provenance_it_is_asked_for(monkeypatch):
+    # the run evaluates 8 designs (4, 3 children and the final one); only
+    # the read of the best result's provenance hashes, and only once
+    hashed = []
+
+    def counting_hash(design):
+        hashed.append(design)
+        return design_hash(design)
+
+    design_hash = optimize.design_hash
+    monkeypatch.setattr(optimize, "design_hash", counting_hash)
+    ga = optimize.GaConfig(population=4, generations=1, seed=2)
+    spec = optimize.StudySpec(study="II", site=SITE, n_devices=3, ga=ga)
+    result = optimize.run_ga(spec, GRID, ENV, ORACLE)
+    assert hashed == []
+    provenance = result.best_result.provenance
+    assert hashed == [result.best_design]
+    assert provenance == {
+        "provider": "reference", "seed": 2, "config_hash": design_hash(result.best_design)
+    }
+    assert result.best_result.provenance is provenance
+    assert len(hashed) == 1
+
+
+def test_a_result_without_a_source_has_empty_provenance():
+    assert optimize.EvaluationResult(1.0, 1.0, np.ones(2), 1.0, np.zeros(1)).provenance == {}
+
+
 # --- analyses -------------------------------------------------------------
 
 
