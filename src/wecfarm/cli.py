@@ -349,6 +349,10 @@ def _ga_config(doc, seed):
     for key in GA_INT_FIELDS:
         if key in kw:
             kw[key] = _config_int(doc, key, None, f"ga.{key}")
+    for key, (lo, hi) in optimize.GA_REAL_BOUNDS.items():
+        if key in kw and not optimize.ga_number_ok(key, kw[key]):
+            raise ConfigError(f"config key 'ga.{key}' must be a finite number in "
+                              f"[{lo:g}, {hi:g}], got {kw[key]!r}")
     if seed is not None:
         kw["seed"] = seed
     try:

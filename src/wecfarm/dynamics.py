@@ -80,12 +80,6 @@ class PtoSettings:
         return k, b
 
 
-@dataclass
-class FarmResponse:
-    grid: object
-    motion: np.ndarray
-
-
 def body_mass(geom, env):
     """Displaced-water mass of the half-submerged cylinder, rho pi R^2 D."""
     return env.water_density * np.pi * geom.radius**2 * geom.draft
@@ -97,7 +91,7 @@ def hydrostatic_coefficient(geom, env):
 
 
 def solve_motion(coeffs, geom, pto, env):
-    """Complex heave amplitudes per metre of wave amplitude.
+    """Complex heave amplitudes per metre of wave amplitude, (n_omega, N).
 
     Assembles the impedance matrix at every grid frequency and solves
     the dense complex systems in one batch. The residual of every solve
@@ -135,7 +129,7 @@ def solve_motion(coeffs, geom, pto, env):
         raise NumericalError(
             f"motion solve residual too large at omega={om[np.argmax(bad)]:.6g}"
         )
-    return FarmResponse(grid=coeffs.grid, motion=motion)
+    return motion
 
 
 def _solve_identifying_failure(lhs, rhs, om):
@@ -148,16 +142,17 @@ def _solve_identifying_failure(lhs, rhs, om):
     return out
 
 
-def regular_wave_power(response, pto):
+def regular_wave_power(grid, motion, pto):
     """Per-device and summed farm power, 0.5 omega^2 B_pto |xi|^2.
+
+    ``motion`` is the (n_omega, N) answer of `solve_motion` on ``grid``.
 
     Returns
     -------
     per_device : (n_omega, N) array [W per m^2 amplitude]
     farm_total : (n_omega,) array
     """
-    om = response.grid.values
-    n_wec = response.motion.shape[1]
-    _, b_pto = pto.arrays_for(n_wec)
-    per_device = 0.5 * om[:, None] ** 2 * b_pto[None, :] * np.abs(response.motion) ** 2
+    om = grid.values
+    _, b_pto = pto.arrays_for(motion.shape[1])
+    per_device = 0.5 * om[:, None] ** 2 * b_pto[None, :] * np.abs(motion) ** 2
     return per_device, per_device.sum(axis=1)

@@ -156,8 +156,9 @@ class FrequencyGrid:
         self.spacing = d
 
     @classmethod
-    def default(cls, lo=0.3, hi=2.0, count=200):
-        return cls(np.linspace(lo, hi, count))
+    def default(cls, count=200):
+        """`count` evenly spaced frequencies over the band, 0.3 to 2.0 rad/s."""
+        return cls(np.linspace(0.3, 2.0, count))
 
     @property
     def n(self):
@@ -352,11 +353,9 @@ def _newton_dispersion(om, env):
     return k
 
 
-def group_velocity(omega, env, k=None):
-    """Group velocity v_g = d(omega)/dk at the dispersion solution."""
+def group_velocity(omega, env, k):
+    """Group velocity v_g = d(omega)/dk at the dispersion solution k of omega."""
     om = np.asarray(omega, dtype=np.float64)
-    if k is None:
-        k = solve_dispersion(omega, env)
     kh = np.asarray(k, dtype=np.float64) * env.water_depth
     # sinh overflows harmlessly past ~350; clamp instead of warning
     ratio = 2.0 * kh / np.sinh(np.minimum(2.0 * kh, 700.0))
@@ -406,7 +405,7 @@ def single_coefficients(geom, grid, env):
     """
     om = grid.values
     k = solve_dispersion(om, env)
-    vg = group_velocity(om, env, k=k)
+    vg = group_velocity(om, env, k)
     # plants on a leading axis; a scalar plant broadcasts as one row of (n_w,)
     r = np.asarray(geom.radius)[..., None]
     d = np.asarray(geom.draft)[..., None]

@@ -16,6 +16,8 @@ Three nested study spaces share the decoder:
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -137,25 +139,20 @@ class EvaluationResult:
 
 
 def _isolated_power_curves(design, grid, env, provider):
-    """Regular-wave power of each device alone, (n_omega, N)."""
-    single = provider.single(design.geometry, grid, env)
-    coeffs = mbe.FarmCoefficients(
-        grid=grid,
-        added_mass=single.added_mass[:, None, None],
-        damping=single.damping[:, None, None],
-        excitation=single.excitation[:, None],
-    )
-    k_all, b_all = design.pto.arrays_for(design.n_devices)
-    curves = np.empty((grid.n, design.n_devices))
-    cache = {}
-    for d in range(design.n_devices):
-        key = (k_all[d], b_all[d])
-        if key not in cache:
-            solo = PtoSettings(np.array([k_all[d]]), np.array([b_all[d]]))
-            response = solve_motion(coeffs, design.geometry, solo, env)
-            cache[key] = regular_wave_power(response, solo)[1]
-        curves[:, d] = cache[key]
-    return curves
+    """Regular-wave power of each device alone, (n_omega, N).
+
+    Alone is a one-device farm at the origin, solved once per distinct
+    (k, b) of the design's control.
+    """
+    coeffs = mbe.compose_farm(provider, design.geometry, mbe.Layout(np.zeros((1, 2))), grid, env)
+    controls = list(zip(*design.pto.arrays_for(design.n_devices)))
+    curves = {}
+    for k, b in controls:
+        if (k, b) not in curves:
+            solo = PtoSettings(np.array([k]), np.array([b]))
+            motion = solve_motion(coeffs, design.geometry, solo, env)
+            curves[k, b] = regular_wave_power(grid, motion, solo)[1]
+    return np.column_stack([curves[key] for key in controls])
 
 
 def evaluate_design(
@@ -183,8 +180,8 @@ def evaluate_design(
         return EvaluationResult(0.0, 0.0, zeros, float("nan"), violations, source)
 
     coeffs = mbe.compose_farm(provider, design.geometry, design.layout, grid, env)
-    response = solve_motion(coeffs, design.geometry, design.pto, env)
-    per_device, farm_total = regular_wave_power(response, design.pto)
+    motion = solve_motion(coeffs, design.geometry, design.pto, env)
+    per_device, farm_total = regular_wave_power(grid, motion, design.pto)
     w = site.climate_weights(grid)
     scale = eff.total * site.years
     p_a = scale * float(farm_total @ w)
@@ -208,6 +205,25 @@ def penalized_fitness(result, penalty_coeff):
 
 STUDIES = ("I", "II", "III")
 
+# GaConfig's real-valued fields and the closed interval each must lie in
+GA_REAL_BOUNDS = {
+    "crossover_probability": (0.0, 1.0),
+    "crossover_index": (0.0, math.inf),
+    "mutation_probability": (0.0, 1.0),
+    "mutation_index": (0.0, math.inf),
+    "penalty_coeff": (0.0, math.inf),
+}
+
+
+def ga_number_ok(name, value):
+    """Whether `value` is a finite real number, not a bool or a string, in
+    GA_REAL_BOUNDS[name]; a None mutation probability means 1/dim."""
+    if value is None:
+        return name == "mutation_probability"
+    lo, hi = GA_REAL_BOUNDS[name]
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value) and lo <= value <= hi
+
 
 @dataclass
 class GaConfig:
@@ -226,10 +242,13 @@ class GaConfig:
             raise ValueError("population must be even and at least 4")
         if self.generations < 1:
             raise ValueError("need at least one generation")
-        if not 0.0 <= self.crossover_probability <= 1.0:
-            raise ValueError("crossover probability must lie in [0, 1]")
-        if self.mutation_probability is not None and not 0.0 <= self.mutation_probability <= 1.0:
-            raise ValueError("mutation probability must lie in [0, 1]")
+        for name, (lo, hi) in GA_REAL_BOUNDS.items():
+            value = getattr(self, name)
+            if not ga_number_ok(name, value):
+                raise ValueError(
+                    f"{name.replace('_', ' ')} must be a finite number in [{lo:g}, {hi:g}], "
+                    f"got {value!r}"
+                )
         if self.tournament < 2:
             raise ValueError("tournament size must be at least 2")
 
@@ -408,18 +427,19 @@ def run_ga(spec, grid, env, provider, eff=None, progress=None):
         pop[0] = np.clip(spec.inject_genes, bounds[:, 0], bounds[:, 1])
     evaluated = [evaluate(genes) for genes in pop]
     n_evals = ga.population
+    # the penalized fitness of each member of `pop`, read by selection, the
+    # generation's best and its median
+    fitness = np.array([e[2] for e in evaluated])
+
+    def pick():
+        idx = rng.integers(0, ga.population, size=ga.tournament)
+        return pop[idx[np.argmin(fitness[idx])]]
 
     history = []
-    best_idx = int(np.argmin([e[2] for e in evaluated]))
+    best_idx = int(np.argmin(fitness))
     best = (pop[best_idx].copy(), *evaluated[best_idx])
 
     for gen in range(ga.generations):
-        fitness = np.array([e[2] for e in evaluated])
-
-        def pick():
-            idx = rng.integers(0, ga.population, size=ga.tournament)
-            return pop[idx[np.argmin(fitness[idx])]]
-
         children = []
         while len(children) < ga.population - 1:
             pa, pb = pick(), pick()
@@ -436,16 +456,16 @@ def run_ga(spec, grid, env, provider, eff=None, progress=None):
         # elitism: the incumbent best survives unchanged
         pop = np.vstack([best[0][None, :], np.array(children)])
         evaluated = [(best[1], best[2], best[3])] + child_eval
+        fitness = np.array([e[2] for e in evaluated])
 
-        gen_best = int(np.argmin([e[2] for e in evaluated]))
-        if evaluated[gen_best][2] < best[3]:
+        gen_best = int(np.argmin(fitness))
+        if fitness[gen_best] < best[3]:
             best = (pop[gen_best].copy(), *evaluated[gen_best])
-        fits = np.array([e[2] for e in evaluated])
         history.append(
             {
                 "generation": gen,
                 "best_fitness": float(best[3]),
-                "median_fitness": float(np.median(fits)),
+                "median_fitness": float(np.median(fitness)),
                 "feasible_fraction": float(np.mean([e[1].feasible for e in evaluated])),
                 "best_pv": float(best[2].p_v),
             }
@@ -463,20 +483,23 @@ def run_ga(spec, grid, env, provider, eff=None, progress=None):
 # --- analyses -------------------------------------------------------------
 
 
-def _sample_feasible_layout(n_devices, radius, rng, max_tries=20000):
+PLACEMENT_TRIES = 20000  # rejection draws per device before the box counts as too tight
+
+
+def _sample_feasible_layout(n_devices, radius, rng):
     """First device at the origin, rest rejection-sampled to clearance."""
     half = farm_half_width(n_devices)
     floor = 2.0 * radius + SAFE_PASSAGE
     pos = np.zeros((n_devices, 2))
     for d in range(1, n_devices):
-        for attempt in range(max_tries):
+        for attempt in range(PLACEMENT_TRIES):
             cand = np.array([rng.uniform(0.0, half), rng.uniform(-half, half)])
             if np.all(np.hypot(*(pos[:d] - cand).T) >= floor):
                 pos[d] = cand
                 break
         else:
             raise ValueError(
-                f"could not place device {d} after {max_tries} tries; box too tight"
+                f"could not place device {d} after {PLACEMENT_TRIES} tries; box too tight"
             )
     return mbe.Layout(pos)
 
@@ -501,7 +524,6 @@ class BenchmarkStats:
     pv_pairs: np.ndarray
     percentiles: dict
     skipped: int
-    seed: int
 
 
 def power_error_benchmark(n, grid, env, reference, surrogate, site, n_devices=5, seed=0):
@@ -527,7 +549,7 @@ def power_error_benchmark(n, grid, env, reference, surrogate, site, n_devices=5,
         pairs.append((ref.p_v, sur.p_v))
     errors = np.array(errors)
     pcts = {p: float(np.percentile(errors, p)) for p in (50, 95, 99)}
-    return BenchmarkStats(errors, np.array(pairs), pcts, skipped, seed)
+    return BenchmarkStats(errors, np.array(pairs), pcts, skipped)
 
 
 @dataclass
@@ -535,7 +557,6 @@ class LayoutHistogram:
     values: np.ndarray
     design_pv: float
     percentile: float
-    seed: int
 
 
 def random_layout_analysis(design, n, provider, grid, env, site, seed=0):
@@ -551,7 +572,7 @@ def random_layout_analysis(design, n, provider, grid, env, site, seed=0):
         trial = DesignPoint(design.geometry, design.pto, layout, design.site_id)
         values[i] = evaluate_design(trial, grid, env, provider, site, with_q=False).p_v
     percentile = 100.0 * float(np.mean(values < own.p_v))
-    return LayoutHistogram(values, own.p_v, percentile, seed)
+    return LayoutHistogram(values, own.p_v, percentile)
 
 
 @dataclass

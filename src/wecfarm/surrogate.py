@@ -106,7 +106,7 @@ def _norm_curves(kind, keys, inputs, grid, env):
 
         def radiation():
             k = solve_dispersion(grid.values, env)
-            vg = group_velocity(grid.values, env, k=k)
+            vg = group_velocity(grid.values, env, k)
             return k * f0**2 / (4.0 * env.water_density * env.gravity * vg)
 
         makers = {
@@ -156,7 +156,11 @@ _INPUT_BOXES = {kind: input_box(kind) for kind in ("single", "pair")}
 
 
 def outside_box(kind, inputs):
-    """Per-row flag: does the input leave the training rectangle?"""
+    """Per-row flag: does the input leave the training rectangle?
+
+    Committees do not ask it, so the committees of one query share one
+    check of their inputs.
+    """
     box = _INPUT_BOXES[kind]
     return np.any((inputs < box[None, :, 0]) | (inputs > box[None, :, 1]), axis=1)
 
@@ -446,14 +450,14 @@ class Committee:
         }
 
     def apply(self, inputs, features=None):
-        """Batched mean prediction of the normalized map plus diagnostics.
+        """Batched mean prediction of the normalized map, (n, n_w), and the
+        members' disagreement, (n,).
 
         ``features`` is ``self.features(inputs)`` computed by the caller,
         who may share it among committees of equal ``feature_key``; each
         committee reads the block of its own phase multiplier. Without
         it, only that block is computed.
         """
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if features is None:
             features = self.features(inputs, (self.phase_multiplier,))
         z_in = self.input_scaler.transform(features[self.phase_multiplier])
@@ -473,7 +477,7 @@ class Committee:
         disagreement = np.add.reduce(variance, axis=1)
         disagreement /= n_w
         disagreement /= self.pooled_scale**2
-        return mean, disagreement, outside_box(self.kind, inputs)
+        return mean, disagreement
 
 
 def _phase_reference(grid, env):
@@ -597,7 +601,7 @@ def qbc_round(committee, pool, k, oracle):
     candidates = pool[fresh]
     if candidates.shape[0] < k:
         raise ValueError("pool has fewer unseen points than the batch size")
-    _, disagreement, _ = committee.apply(candidates)
+    _, disagreement = committee.apply(candidates)
     order = np.lexsort(tuple(candidates[:, d] for d in range(candidates.shape[1] - 1, -1, -1)) + (-disagreement,))
     chosen = candidates[order[:k]]
 
@@ -639,7 +643,7 @@ def validate_on_grid(committee, oracle, counts=None):
         rows = points[start : start + VALIDATE_BLOCK]
         truth = label_inputs(committee.target_id, rows, committee.grid, committee.env, oracle)
         base, scale = affine_vectors(committee.target_id, rows, committee.grid, committee.env)
-        mean_t, _, _ = committee.apply(rows)
+        mean_t, _ = committee.apply(rows)
         diff = (mean_t - (truth - base) / scale) / committee.pooled_scale
         mse.append(np.mean(diff * diff, axis=1))
     return MseMap(points=points, mse=np.concatenate(mse))
@@ -685,12 +689,11 @@ class CheatingCommittee:
         )
 
     def apply(self, inputs, features=None):
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if features is None:
             features = self.features(inputs)
         base, scale = affine_vectors(self.target_id, inputs, self.grid, self.env)
         raw = features[self.target_id]
-        return (raw - base) / scale, np.zeros(inputs.shape[0]), outside_box(self.kind, inputs)
+        return (raw - base) / scale, np.zeros(raw.shape[0])
 
 
 # --- provider -------------------------------------------------------------

@@ -32,11 +32,12 @@ def _color(t):
     return "#{:02x}{:02x}{:02x}".format(*(int(round(c)) for c in rgb))
 
 
-def _document(body, width=CANVAS, height=CANVAS):
+def _document(body):
+    size = _fmt(CANVAS)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size}" viewBox="0 0 {size} {size}">\n'
         + "".join(body)
         + "</svg>\n"
     )
@@ -62,38 +63,37 @@ def _line(x1, y1, x2, y2, color="#333333", width=1.0):
 
 
 class _Frame:
-    """Affine map from data coordinates onto the plot rectangle."""
+    """Affine map from data coordinates onto the plot rectangle of the
+    CANVAS-sized square."""
 
-    def __init__(self, x_range, y_range, width=CANVAS, height=CANVAS):
+    plot_w = plot_h = CANVAS - 2 * MARGIN
+
+    def __init__(self, x_range, y_range):
         self.x_lo, self.x_hi = float(x_range[0]), float(x_range[1])
         self.y_lo, self.y_hi = float(y_range[0]), float(y_range[1])
         if self.x_hi <= self.x_lo or self.y_hi <= self.y_lo:
             raise ValueError("empty axis range")
-        self.width = width
-        self.height = height
-        self.plot_w = width - 2 * MARGIN
-        self.plot_h = height - 2 * MARGIN
 
     def x(self, v):
         return MARGIN + (float(v) - self.x_lo) / (self.x_hi - self.x_lo) * self.plot_w
 
     def y(self, v):
         # SVG y grows downward
-        return self.height - MARGIN - (float(v) - self.y_lo) / (self.y_hi - self.y_lo) * self.plot_h
+        return CANVAS - MARGIN - (float(v) - self.y_lo) / (self.y_hi - self.y_lo) * self.plot_h
 
     def axes(self, title, xlabel, ylabel):
         parts = [
             f'<rect x="{_fmt(MARGIN)}" y="{_fmt(MARGIN)}" width="{_fmt(self.plot_w)}" '
             f'height="{_fmt(self.plot_h)}" fill="none" stroke="#333333"/>\n',
-            _text(self.width / 2, MARGIN - 20, title, size=14, anchor="middle"),
-            _text(self.width / 2, self.height - 12, xlabel, anchor="middle"),
-            f'<text x="16" y="{_fmt(self.height / 2)}" font-family="monospace" font-size="12" '
-            f'text-anchor="middle" transform="rotate(-90 16 {_fmt(self.height / 2)})">{ylabel}</text>\n',
+            _text(CANVAS / 2, MARGIN - 20, title, size=14, anchor="middle"),
+            _text(CANVAS / 2, CANVAS - 12, xlabel, anchor="middle"),
+            f'<text x="16" y="{_fmt(CANVAS / 2)}" font-family="monospace" font-size="12" '
+            f'text-anchor="middle" transform="rotate(-90 16 {_fmt(CANVAS / 2)})">{ylabel}</text>\n',
         ]
         for v in np.linspace(self.x_lo, self.x_hi, 5):
             px = self.x(v)
-            parts.append(_line(px, self.height - MARGIN, px, self.height - MARGIN + 5))
-            parts.append(_text(px, self.height - MARGIN + 20, _fmt(v), size=10, anchor="middle"))
+            parts.append(_line(px, CANVAS - MARGIN, px, CANVAS - MARGIN + 5))
+            parts.append(_text(px, CANVAS - MARGIN + 20, _fmt(v), size=10, anchor="middle"))
         for v in np.linspace(self.y_lo, self.y_hi, 5):
             py = self.y(v)
             parts.append(_line(MARGIN - 5, py, MARGIN, py))
@@ -113,7 +113,7 @@ def _edges(nodes):
     return np.concatenate([[first], mids, [last]])
 
 
-def write_layout(path, positions, radius, half_width, title="layout"):
+def write_layout(path, positions, radius, half_width, title):
     """Farm box with device discs drawn to scale, first device marked."""
     positions = np.asarray(positions, dtype=np.float64)
     frame = _Frame((0.0, half_width), (-half_width, half_width))
@@ -159,12 +159,12 @@ def write_heatmap(path, x_nodes, y_nodes, values, title, xlabel, ylabel):
     _save(path, body)
 
 
-def write_histogram(path, values, title, xlabel, bins=30, marker=None, marker_label=""):
-    """Bar histogram with an optional vertical marker line."""
+def write_histogram(path, values, title, xlabel, marker=None, marker_label=""):
+    """30-bin histogram with an optional vertical marker line."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("histogram needs at least one value")
-    counts, edges = np.histogram(values, bins=bins)
+    counts, edges = np.histogram(values, bins=30)
     x_lo, x_hi = edges[0], edges[-1]
     if marker is not None:
         x_lo, x_hi = min(x_lo, marker), max(x_hi, marker)
@@ -190,7 +190,7 @@ def write_histogram(path, values, title, xlabel, bins=30, marker=None, marker_la
     _save(path, body)
 
 
-def write_convergence(path, history, title="convergence"):
+def write_convergence(path, history):
     """Best and median fitness per generation as polylines."""
     if not history:
         raise ValueError("empty history")
@@ -202,7 +202,7 @@ def write_convergence(path, history, title="convergence"):
     if hi <= lo:
         hi = lo + 1.0
     frame = _Frame((gens[0], max(gens[-1], gens[0] + 1)), (lo, hi))
-    body = frame.axes(title, "generation", "fitness")
+    body = frame.axes("convergence", "generation", "fitness")
 
     def poly(series, color):
         pts = " ".join(f"{_fmt(frame.x(g))},{_fmt(frame.y(v))}" for g, v in zip(gens, series))

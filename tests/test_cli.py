@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -541,6 +542,23 @@ QUICK_GA = {"population": 4, "generations": 1}
     ("optimize", {"study": "II", "ga": {"population": 4, "generations": 1.5}}, "ga.generations"),
     ("optimize", {"study": "II", "ga": {**QUICK_GA, "population": "4"}}, "ga.population"),
     ("optimize", {"study": "II", "ga": {**QUICK_GA, "tournament": None}}, "ga.tournament"),
+    # a GA real is a finite number, not a string or a bool, and the two
+    # indices and the penalty are not negative
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "penalty_coeff": "1e6"}}, "ga.penalty_coeff"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "penalty_coeff": -1}}, "ga.penalty_coeff"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "penalty_coeff": True}}, "ga.penalty_coeff"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "penalty_coeff": math.inf}}, "ga.penalty_coeff"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "mutation_index": math.nan}}, "ga.mutation_index"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "crossover_index": "15"}}, "ga.crossover_index"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "crossover_index": -0.5}}, "ga.crossover_index"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "mutation_index": None}}, "ga.mutation_index"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "mutation_index": -2}}, "ga.mutation_index"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "crossover_probability": True}},
+     "ga.crossover_probability"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "crossover_probability": 1.5}},
+     "ga.crossover_probability"),
+    ("optimize", {"study": "II", "ga": {**QUICK_GA, "mutation_probability": "0.1"}},
+     "ga.mutation_probability"),
 ])
 def test_a_config_value_of_the_wrong_type_is_config_error(
     site_path, tmp_path, monkeypatch, capsys, command, config, key

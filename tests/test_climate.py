@@ -138,8 +138,8 @@ class TestIrregularPower:
             farm = mbe.compose_farm(
                 hydro.ReferenceProvider(), geom, mbe.Layout(np.zeros((1, 2))), grid, env
             )
-            resp = dynamics.solve_motion(farm, geom, pto, env)
-            _, total = dynamics.regular_wave_power(resp, pto)
+            motion = dynamics.solve_motion(farm, geom, pto, env)
+            _, total = dynamics.regular_wave_power(grid, motion, pto)
             return climate.irregular_power(total, grid, 2.0, 8.0)
 
         coarse, fine = p_i_on(200), p_i_on(2000)

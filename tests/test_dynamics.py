@@ -90,10 +90,10 @@ class TestSolveMotion:
         grid = FrequencyGrid([1e-3, 2e-3])
         farm = farm_for([[0.0, 0.0]], grid)
         pto = dynamics.PtoSettings(0.0, 0.0)
-        resp = dynamics.solve_motion(farm, GEOM, pto, ENV)
+        motion = dynamics.solve_motion(farm, GEOM, pto, ENV)
         g_hs = dynamics.hydrostatic_coefficient(GEOM, ENV)
         expected = farm.excitation[0, 0] / g_hs
-        assert resp.motion[0, 0] == pytest.approx(expected, rel=1e-4)
+        assert motion[0, 0] == pytest.approx(expected, rel=1e-4)
 
     def test_matched_power_at_every_grid_frequency(self):
         grid = FrequencyGrid.default()
@@ -111,12 +111,12 @@ class TestSolveMotion:
             )
             k_pto = om**2 * (m + single.added_mass[j]) - g_hs
             pto = dynamics.PtoSettings(k_pto, single.damping[j])
-            resp = dynamics.solve_motion(coeffs, GEOM, pto, ENV)
-            per_device, total = dynamics.regular_wave_power(resp, pto)
+            motion = dynamics.solve_motion(coeffs, GEOM, pto, ENV)
+            per_device, total = dynamics.regular_wave_power(sub, motion, pto)
             optimum = np.abs(single.excitation[j]) ** 2 / (8.0 * single.damping[j])
             assert total[0] == pytest.approx(optimum, rel=1e-9)
             # impedance-matched motion magnitude |F|/(2 omega B)
-            assert np.abs(resp.motion[0, 0]) == pytest.approx(
+            assert np.abs(motion[0, 0]) == pytest.approx(
                 np.abs(single.excitation[j]) / (2 * om * single.damping[j]), rel=1e-9
             )
 
@@ -126,7 +126,7 @@ class TestSolveMotion:
         pos = np.vstack([[0.0, 0.0], rng.uniform(20, 140, size=(4, 2))])
         farm = farm_for(pos, grid)
         pto = dynamics.PtoSettings(-2e4, 1.5e5)
-        resp = dynamics.solve_motion(farm, GEOM, pto, ENV)
+        motion = dynamics.solve_motion(farm, GEOM, pto, ENV)
 
         m = dynamics.body_mass(GEOM, ENV)
         g_hs = dynamics.hydrostatic_coefficient(GEOM, ENV)
@@ -137,25 +137,25 @@ class TestSolveMotion:
                 + 1j * om * (farm.damping[j] + 1.5e5 * np.eye(5))
             )
             xi = np.linalg.inv(z) @ farm.excitation[j]
-            np.testing.assert_allclose(resp.motion[j], xi, rtol=1e-10)
+            np.testing.assert_allclose(motion[j], xi, rtol=1e-10)
 
     def test_pinned_two_body_power(self):
         # closed-form 2x2 inverse evaluated at 40 digits
         grid = FrequencyGrid([0.9, 1.0])
         farm = farm_for([[0.0, 0.0], [30.0, 0.0]], grid)
         pto = dynamics.PtoSettings(1e4, 2e5)
-        resp = dynamics.solve_motion(farm, GEOM, pto, ENV)
-        _, total = dynamics.regular_wave_power(resp, pto)
+        motion = dynamics.solve_motion(farm, GEOM, pto, ENV)
+        _, total = dynamics.regular_wave_power(grid, motion, pto)
         assert total[1] == pytest.approx(92247.806421645915, rel=1e-12)
-        assert np.abs(resp.motion[1, 0]) == pytest.approx(0.6805554722317702, rel=1e-12)
-        assert np.abs(resp.motion[1, 1]) == pytest.approx(0.67773321700492991, rel=1e-12)
+        assert np.abs(motion[1, 0]) == pytest.approx(0.6805554722317702, rel=1e-12)
+        assert np.abs(motion[1, 1]) == pytest.approx(0.67773321700492991, rel=1e-12)
 
     def test_zero_pto_damping_zero_power(self):
         grid = FrequencyGrid.default(count=40)
         farm = farm_for([[0.0, 0.0], [0.0, 40.0]], grid)
         pto = dynamics.PtoSettings(1e4, 0.0)
-        resp = dynamics.solve_motion(farm, GEOM, pto, ENV)
-        per_device, total = dynamics.regular_wave_power(resp, pto)
+        motion = dynamics.solve_motion(farm, GEOM, pto, ENV)
+        per_device, total = dynamics.regular_wave_power(grid, motion, pto)
         assert np.all(per_device == 0.0)
         assert np.all(total == 0.0)
 
@@ -179,8 +179,8 @@ class TestSolveMotion:
             pto = dynamics.PtoSettings(
                 rng.uniform(-5e5, 5e5), rng.uniform(0, 5e5)
             )
-            resp = dynamics.solve_motion(farm, geom, pto, ENV)
-            per_device, total = dynamics.regular_wave_power(resp, pto)
+            motion = dynamics.solve_motion(farm, geom, pto, ENV)
+            per_device, total = dynamics.regular_wave_power(grid, motion, pto)
             assert per_device.min() >= -1e-12 * total.max()
 
     def test_power_invariant_under_translation_and_mirror(self):
@@ -191,8 +191,8 @@ class TestSolveMotion:
 
         def farm_power(layout):
             farm = mbe.compose_farm(PROVIDER, GEOM, layout, grid, ENV)
-            resp = dynamics.solve_motion(farm, GEOM, pto, ENV)
-            return dynamics.regular_wave_power(resp, pto)[1]
+            motion = dynamics.solve_motion(farm, GEOM, pto, ENV)
+            return dynamics.regular_wave_power(grid, motion, pto)[1]
 
         base = farm_power(mbe.Layout(pos))
         shifted = farm_power(mbe.Layout(pos).translated(-40.0, 17.0))

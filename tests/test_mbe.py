@@ -347,7 +347,7 @@ class TestComposeFarmProperties:
 
 
 # a grid and an environment that differ from GRID and ENV only in values
-OTHER_GRID = FrequencyGrid.default(lo=0.35, count=60)
+OTHER_GRID = FrequencyGrid(np.linspace(0.35, 2.0, 60))
 OTHER_ENV = Environment(water_depth=30.0)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from wecfarm import climate, dynamics, hydro, mbe, optimize
+from wecfarm import climate, dynamics, hydro, mbe, optimize, surrogate
 
 ENV = hydro.Environment()
 GRID = hydro.FrequencyGrid.default(count=40)
@@ -104,8 +104,8 @@ def test_evaluate_matches_per_sea_state_summation():
     design = make_design()
     result = optimize.evaluate_design(design, GRID, ENV, ORACLE, SITE)
     coeffs = mbe.compose_farm(hydro.ReferenceProvider(), design.geometry, design.layout, GRID, ENV)
-    response = dynamics.solve_motion(coeffs, design.geometry, design.pto, ENV)
-    _, farm_total = dynamics.regular_wave_power(response, design.pto)
+    motion = dynamics.solve_motion(coeffs, design.geometry, design.pto, ENV)
+    _, farm_total = dynamics.regular_wave_power(GRID, motion, design.pto)
     states = np.empty_like(SITE.probability)
     for i, hs in enumerate(SITE.grid.hs_nodes):
         for j, tp in enumerate(SITE.grid.tp_nodes):
@@ -288,6 +288,11 @@ def test_ga_config_validation():
         optimize.GaConfig(crossover_probability=1.5)
     with pytest.raises(ValueError, match="tournament"):
         optimize.GaConfig(tournament=1)
+    for name, bad in (("penalty_coeff", -1.0), ("penalty_coeff", "1e6"), ("crossover_index", True),
+                      ("mutation_index", np.inf), ("mutation_probability", np.nan)):
+        with pytest.raises(ValueError, match=name.replace("_", " ")):
+            optimize.GaConfig(**{name: bad})
+    assert optimize.GaConfig(mutation_probability=None, penalty_coeff=0).penalty_coeff == 0
 
 
 # --- GA -------------------------------------------------------------------
@@ -373,6 +378,58 @@ def test_sample_design_is_feasible_and_deterministic():
     assert optimize.design_hash(a) == optimize.design_hash(b)
     assert optimize.min_distance_violations(a.layout, a.geometry).max() == 0.0
     assert a.pto.mode == "per-device"
+
+
+# --- q-factor -------------------------------------------------------------
+
+
+def frozen_isolated_power_curves(design, grid, env, provider):
+    """The lone-device curves as once built by hand beside `compose_farm`:
+    one FarmCoefficients from `provider.single`, one solve per distinct
+    (k, b); only the call shapes of the motion solve and power are new."""
+    single = provider.single(design.geometry, grid, env)
+    coeffs = mbe.FarmCoefficients(
+        grid=grid,
+        added_mass=single.added_mass[:, None, None],
+        damping=single.damping[:, None, None],
+        excitation=single.excitation[:, None],
+    )
+    k_all, b_all = design.pto.arrays_for(design.n_devices)
+    curves = np.empty((grid.n, design.n_devices))
+    cache = {}
+    for d in range(design.n_devices):
+        key = (k_all[d], b_all[d])
+        if key not in cache:
+            solo = dynamics.PtoSettings(np.array([k_all[d]]), np.array([b_all[d]]))
+            motion = dynamics.solve_motion(coeffs, design.geometry, solo, env)
+            cache[key] = dynamics.regular_wave_power(grid, motion, solo)[1]
+        curves[:, d] = cache[key]
+    return curves
+
+
+# a surrogate provider whose committees answer from the oracle
+CHEATING = surrogate.SurrogateProvider(
+    {tid: surrogate.CheatingCommittee(tid, GRID, ENV, ORACLE) for tid in surrogate.ALL_TARGET_IDS}
+)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.data())
+def test_isolated_curves_equal_the_hand_built_path_bytewise(data):
+    n = data.draw(st.integers(2, 6))
+    design = optimize.sample_design(n, np.random.default_rng(data.draw(st.integers(0, 2**32))))
+    if data.draw(st.booleans()):
+        # the last device repeats the first one's control
+        k, b = design.pto.stiffness.copy(), design.pto.damping.copy()
+        k[-1], b[-1] = k[0], b[0]
+        design = optimize.DesignPoint(
+            design.geometry, dynamics.PtoSettings(k, b, mode="per-device"), design.layout
+        )
+    for provider in (ORACLE, CHEATING):
+        got = optimize._isolated_power_curves(design, GRID, ENV, provider)
+        want = frozen_isolated_power_curves(design, GRID, ENV, provider)
+        assert got.shape == want.shape == (GRID.n, n)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_benchmark_cheating_surrogate_is_exact_zero():

@@ -168,7 +168,7 @@ def test_committee_fits_linear_map():
     com = surrogate.train_committee(_linear_dataset(200, 0), cfg)
     assert len(com.member_mse) == 5
     fresh = _linear_dataset(100, 1)
-    mean_t, _, _ = com.apply(fresh.inputs)
+    mean_t, _ = com.apply(fresh.inputs)
     scales = surrogate.affine_vectors("single_damping", fresh.inputs, GRID, ENV)[1]
     diff = (mean_t - fresh.outputs / scales) / com.pooled_scale
     assert np.mean(diff * diff) < 1e-4
@@ -203,7 +203,7 @@ def test_zero_variance_dataset_warns_and_trains():
     with pytest.warns(UserWarning, match="constant outputs"):
         com = surrogate.train_committee(data, cfg)
     assert com.zero_variance
-    mean, _, _ = com.apply(x[:1])
+    mean, _ = com.apply(x[:1])
     assert np.all(np.abs(mean) < 1e-5)
 
 
@@ -220,17 +220,18 @@ def damping_committee():
 
 
 def test_predict_shapes_and_extrapolation_flag(damping_committee):
-    mean, disagreement, outside = damping_committee.apply(np.array([[3.0, 6.0], [12.0, 6.0]]))
+    inputs = np.array([[3.0, 6.0], [12.0, 6.0]])
+    mean, disagreement = damping_committee.apply(inputs)
     assert mean.shape == (2, GRID.n)
-    assert np.all(disagreement >= 0.0)
-    assert outside.tolist() == [False, True]
+    assert disagreement.shape == (2,) and np.all(disagreement >= 0.0)
+    assert surrogate.outside_box("single", inputs).tolist() == [False, True]
 
 
 def test_disagreement_ranks_dense_against_corner(damping_committee):
     pool = surrogate.sample_inputs("single", 300, 123)
-    _, dis, _ = damping_committee.apply(pool)
+    _, dis = damping_committee.apply(pool)
     median = np.median(dis)
-    _, (dense, corner), _ = damping_committee.apply(np.array([[5.0, 5.0], [0.5, 0.2]]))
+    _, (dense, corner) = damping_committee.apply(np.array([[5.0, 5.0], [0.5, 0.2]]))
     assert dense < median
     assert corner > median
 
@@ -266,7 +267,7 @@ def test_qbc_tie_break_is_lexicographic():
     for w in com.network.weights:
         w[1:] = w[0]
     pool = np.array([[4.0, 5.0], [2.0, 4.0], [2.0, 3.0], [7.0, 1.0]])
-    _, disagreement, _ = com.apply(pool)
+    _, disagreement = com.apply(pool)
     assert np.all(disagreement == 0.0)
     aug, com = surrogate.qbc_round(com, pool, 2, ORACLE)
     assert np.array_equal(aug.inputs[-2:], [[2.0, 3.0], [2.0, 4.0]])
@@ -579,7 +580,7 @@ def test_isolated_curves_cache_keys_the_whole_environment():
 
 def test_degenerate_committee_disagreement_zero():
     cheat = surrogate.CheatingCommittee("single_damping", GRID, ENV, ORACLE)
-    _, dis, _ = cheat.apply(np.array([[3.0, 6.0]]))
+    _, dis = cheat.apply(np.array([[3.0, 6.0]]))
     assert dis[0] == 0.0
 
 
@@ -591,8 +592,8 @@ def test_committee_json_round_trip(tmp_path, damping_committee):
     surrogate.save_committee(damping_committee, path)
     back = surrogate.load_committee(path)
     x = np.array([[4.2, 3.3]])
-    mean_a, dis_a, _ = damping_committee.apply(x)
-    mean_b, dis_b, _ = back.apply(x)
+    mean_a, dis_a = damping_committee.apply(x)
+    mean_b, dis_b = back.apply(x)
     assert np.array_equal(mean_a, mean_b)
     assert dis_a[0] == dis_b[0]
     assert back.config == damping_committee.config
@@ -692,9 +693,10 @@ def test_a_committee_file_of_an_earlier_tree_resaves_byte_for_byte(tmp_path):
     resaved = tmp_path / "committee.json"
     surrogate.save_committee(committee, resaved)
     assert resaved.read_bytes() == pinned.read_bytes()
-    mean, disagreement, outside = committee.apply(surrogate.sample_inputs("single", 4, 0))
+    inputs = surrogate.sample_inputs("single", 4, 0)
+    mean, disagreement = committee.apply(inputs)
     assert mean.shape == (4, 10) and np.all(np.isfinite(mean))
-    assert np.all(disagreement >= 0.0) and not outside.any()
+    assert np.all(disagreement >= 0.0) and not surrogate.outside_box("single", inputs).any()
 
 
 # --- provider -------------------------------------------------------------
@@ -897,6 +899,23 @@ def test_provider_shared_features_keep_bits(tiny_provider):
     assert shared.excitation.tobytes() == alone.excitation.tobytes()
 
 
+def test_provider_queries_check_no_input_box_per_committee(tiny_provider, monkeypatch):
+    # the box is the query's to check, once; no committee asks it
+    calls = []
+    outside_box = surrogate.outside_box
+
+    def counting(kind, inputs):
+        calls.append(kind)
+        return outside_box(kind, inputs)
+
+    monkeypatch.setattr(surrogate, "outside_box", counting)
+    geom = hydro.WecGeometry(3.0, 6.0)
+    tiny_provider.single(geom, GRID, ENV)
+    assert calls == []
+    tiny_provider.pair(geom, *PAIR_BATCH, GRID, ENV)
+    assert calls == []
+
+
 def test_provider_pair_computes_one_feature_pass(tiny_provider, monkeypatch):
     geom = hydro.WecGeometry(3.0, 6.0)
     sep, theta = PAIR_BATCH
@@ -1035,10 +1054,10 @@ def test_apply_equals_stacked_apply_bytewise(tiny_provider, seed):
     inputs = random_pair_inputs(seed)
     for tid in surrogate.PAIR_TARGET_IDS:
         committee = tiny_provider.committees[tid]
-        got = committee.apply(inputs)
+        got = (*committee.apply(inputs), surrogate.outside_box(committee.kind, inputs))
         want = apply_by_stacking(committee, inputs)
         assert got[2].any() and not got[2].all()
-        for a, b in zip(got, want):
+        for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
