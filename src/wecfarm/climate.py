@@ -61,20 +61,6 @@ def jonswap_density(omega, hs, tp):
     return np.multiply.outer(scale, _jonswap_shape(om, tp))
 
 
-def irregular_power(response_power, grid, hs, tp):
-    """Sea-state mean power from regular-wave farm power.
-
-    ``response_power`` is the per-frequency farm total [W per m^2 of
-    wave amplitude] on ``grid``; the result sums
-    2 S(omega) p(omega) d(omega) over the grid.
-    """
-    p = np.asarray(response_power, dtype=np.float64)
-    if p.shape != grid.values.shape:
-        raise ValueError("response power does not match the frequency grid")
-    s = jonswap_density(grid.values, hs, tp)
-    return float(np.sum(2.0 * grid.spacing * s * p))
-
-
 @dataclass
 class SeaStateGrid:
     """Tensor Gauss-Legendre nodes over the (Hs, Tp) box."""
@@ -215,20 +201,6 @@ def build_site_climate(records, n_gq, bounds, years, site_id="site"):
     prob = density * grid.quadrature_weights
     prob /= prob.sum()
     return SiteClimate(site_id=site_id, grid=grid, probability=prob, years=int(years))
-
-
-def lifetime_average_power(p_i_matrix, climate, eff):
-    """Lifetime-summed average power [W].
-
-    Sums sea-state power against the per-year probabilities over the
-    stationary lifetime and applies the efficiency chain. The per-year
-    mean is this value divided by ``climate.years``.
-    """
-    p_i = np.asarray(p_i_matrix, dtype=np.float64)
-    if p_i.shape != climate.probability.shape:
-        raise ValueError("sea-state power does not match the climate grid")
-    per_year = float(np.sum(p_i * climate.probability))
-    return eff.total * climate.years * per_year
 
 
 def objective_pv(p_a, geom, n_wec):

@@ -181,12 +181,14 @@ class SingleBodyCoefficients:
 PAIR_CURVES = ("added_mass_diag", "damping_diag", "added_mass_cross", "damping_cross", "forces")
 
 
+_CURVE_NAMES = frozenset(PAIR_CURVES)
+
+
 def curve_set(curves):
     """The asked curves as a frozenset, rejecting names that are not PAIR_CURVES."""
     asked = frozenset(curves)
-    unknown = sorted(asked.difference(PAIR_CURVES))
-    if unknown:
-        raise ValueError(f"unknown pair curves: {', '.join(unknown)}")
+    if not asked <= _CURVE_NAMES:
+        raise ValueError(f"unknown pair curves: {', '.join(sorted(asked - _CURVE_NAMES))}")
     return asked
 
 
@@ -241,13 +243,8 @@ class PairCoefficients:
         return np.stack(self._curve("forces"), axis=-1)
 
 
-def pair_inputs(geom, separation, heading_angle):
-    """Separations and headings of a pair query as (P,) arrays.
-
-    Returns (l, theta, batched), where `batched` is False for scalar
-    inputs. Raises GeometryError when any separation does not clear
-    the body diameter.
-    """
+def _row_arrays(separation, heading_angle):
+    """(l, theta, batched): the rows of a pair query as matching (P,) arrays."""
     l = np.asarray(separation, dtype=np.float64)
     theta = np.asarray(heading_angle, dtype=np.float64)
     batched = l.ndim > 0 or theta.ndim > 0
@@ -256,6 +253,17 @@ def pair_inputs(geom, separation, heading_angle):
     theta = theta.reshape(1) if theta.ndim == 0 else theta
     if l.ndim != 1 or l.shape != theta.shape:
         raise ValueError("separation and heading_angle must be scalars or matching (P,) arrays")
+    return l, theta, batched
+
+
+def pair_inputs(geom, separation, heading_angle):
+    """Separations and headings of a pair query as (P,) arrays.
+
+    Returns (l, theta, batched), where `batched` is False for scalar
+    inputs. Raises GeometryError when any separation does not clear
+    the body diameter.
+    """
+    l, theta, batched = _row_arrays(separation, heading_angle)
     close = l <= 2.0 * geom.radius
     if close.any():
         raise GeometryError(
@@ -308,7 +316,7 @@ def solve_dispersion(omega, env):
     Solutions are memoized by (omega bytes and shape, gravity, depth),
     at most 64 of them, and every call returns a fresh copy; an
     evaluation asks for the same grid several times. A call that raises
-    stores nothing.
+    stores nothing, so omega is checked only when the memo misses.
 
     An element's last bit depends on the array it is solved in: the
     iteration stops when every element has converged, so an element
@@ -316,17 +324,19 @@ def solve_dispersion(omega, env):
     the same omega inside a grid may differ by one ulp; callers that
     need the grid's k should index the grid's solution.
     """
-    om = np.atleast_1d(np.asarray(omega, dtype=np.float64))
-    if np.any(om <= 0):
-        raise ValueError("omega must be strictly positive")
+    om = np.asarray(omega, dtype=np.float64)
+    scalar = om.ndim == 0
+    om = om.reshape(1) if scalar else om
     key = (om.shape, om.tobytes(), env.gravity, env.water_depth)
     k = _dispersion_cache.get(key)
     if k is None:
+        if (om <= 0).any():
+            raise ValueError("omega must be strictly positive")
         k = _newton_dispersion(om, env)
         if len(_dispersion_cache) >= 64:
             _dispersion_cache.clear()
         _dispersion_cache[key] = k
-    if np.ndim(omega) == 0:
+    if scalar:
         return float(k[0])
     return k.copy()
 
@@ -460,15 +470,18 @@ def pair_coefficients(geom, separation, heading_angle, grid, env, isolated=None,
     kl = l[:, None] * k
     envelope = np.exp(-l / (INTERACTION_RANGE_RADII * geom.radius))[:, None]
     out = {}
-    for quantity, bessel, amplitude in (
-        ("damping", kernels.j0, single.damping),
-        ("added_mass", kernels.y0, -(single.damping / om)),
-    ):
+    for quantity, bessel in (("damping", kernels.j0), ("added_mass", kernels.y0)):
         names = [name for name in (f"{quantity}_diag", f"{quantity}_cross") if name in curves]
         if not names:
             continue
-        multiples = np.array([2.0 if name.endswith("_diag") else 1.0 for name in names])
-        values = bessel(np.multiply.outer(multiples, kl))
+        multiples = [2.0 if name.endswith("_diag") else 1.0 for name in names]
+        # one call over every asked phase; a lone phase needs no outer product
+        if len(names) == 1:
+            values = [bessel(multiples[0] * kl)]
+        else:
+            values = bessel(np.multiply.outer(multiples, kl))
+        # -B/omega only when an added mass curve is asked
+        amplitude = single.damping if quantity == "damping" else -(single.damping / om)
         for name, multiple, value in zip(names, multiples, values):
             if multiple == 2.0:
                 shift = amplitude * INTERACTION_EPS * value * envelope
@@ -482,10 +495,10 @@ def pair_coefficients(geom, separation, heading_angle, grid, env, isolated=None,
         ) * envelope
         x2 = (l * np.cos(theta))[:, None]
         forces = np.empty((2,) + kl.shape, dtype=np.complex128)
-        forces[0] = single.excitation * correction
         # np.multiply, not `*`: the operator may swap its operands to reuse
         # a temporary right one, and numpy's complex multiply is not
         # commutative bit for bit
+        np.multiply(single.excitation, correction, out=forces[0])
         np.multiply(forces[0], phasor(k * x2, -1.0), out=forces[1])
         out["forces"] = forces
     _read_only(single.added_mass, single.damping, single.excitation, *out.values())
@@ -522,19 +535,28 @@ class ReferenceProvider:
 
     def pair(self, geom, separation, heading_angle, grid, env, curves=PAIR_CURVES):
         curves = curve_set(curves)
-        l, theta, batched = pair_inputs(geom, separation, heading_angle)
-        context = _context(geom, grid, env) + (curves,)
+        # pair_coefficients checks the separations of the rows it computes;
+        # a held row passed that check under the same radius
+        l, theta, batched = _row_arrays(separation, heading_angle)
+        context = _context(geom, grid, env, curves)
         # exact row keys: the bits of each separation and heading
         keys = list(zip(l.view(np.int64).tolist(), theta.view(np.int64).tolist()))
         if self._pairs is not None and self._pairs[0] == context:
             _, isolated, rows, held = self._pairs
+            hits = [rows.get(key) for key in keys]
         else:
-            isolated, rows, held = single_coefficients(geom, grid, env), {}, None
-        hits = [rows.get(key) for key in keys]
+            isolated, hits = single_coefficients(geom, grid, env), [None] * len(keys)
         missing = [i for i, row in enumerate(hits) if row is None]
+        # the memo's isolated arrays under a new record, so that no caller
+        # can rebind what the memo holds
+        record = SingleBodyCoefficients(
+            grid, isolated.added_mass, isolated.damping, isolated.excitation
+        )
         if len(missing) == len(keys):
-            c = pair_coefficients(geom, l, theta, grid, env, isolated, curves)
-            arrays = {name: getattr(c, name) for name in curves}
+            answer = pair_coefficients(geom, l, theta, grid, env, record, curves)
+            arrays = {name: getattr(answer, name) for name in curves}
+            if not batched:
+                answer = pair_result(grid, l, theta, batched, record, arrays)
         else:
             # the row axis is second to last in every curve
             arrays = {
@@ -551,11 +573,7 @@ class ReferenceProvider:
                 for name, out in arrays.items():
                     out[..., missing, :] = getattr(c, name)
             _read_only(*arrays.values())
-        # the memo's arrays under a new record, so that no caller can
-        # rebind what the memo holds
-        answer = pair_result(grid, l, theta, batched, SingleBodyCoefficients(
-            grid, isolated.added_mass, isolated.damping, isolated.excitation
-        ), arrays)
+            answer = pair_result(grid, l, theta, batched, record, arrays)
         self._pairs = (context, isolated, {key: i for i, key in enumerate(keys)}, arrays)
         return answer
 
@@ -577,8 +595,8 @@ def _runs(hits):
     return runs
 
 
-def _context(geom, grid, env):
-    """What every row of a query shares: plant, grid and environment."""
+def _context(geom, grid, env, curves):
+    """What every row of a query shares: plant, grid, environment and curves."""
     return (
         geom.radius,
         geom.slenderness,
@@ -586,6 +604,7 @@ def _context(geom, grid, env):
         env.water_depth,
         env.gravity,
         env.water_density,
+        curves,
     )
 
 

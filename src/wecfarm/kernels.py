@@ -35,8 +35,9 @@ def backend():
 # 1.1e-16 from 12. Each element takes the branch and the interval its
 # own value selects, so a batch and a scalar call agree bit for bit.
 #
-# A call splits its arguments once, at 12. Below it, one Horner pass
-# serves all three intervals: row k of a term table holds the k-th
+# A call splits its arguments once, at 12, and only when they lie on
+# both sides of it. Below it, one Horner pass serves all three
+# intervals: row k of a term table holds the k-th
 # coefficient of each interval's polynomial, and the rows gathered at
 # the elements' intervals give each element the same operations on the
 # same values, in the same order, as a pass over its interval alone.
@@ -69,9 +70,12 @@ def _horner(v, coeffs):
     coeffs = iter(coeffs)
     r = next(coeffs) * v
     r += next(coeffs)
+    # bound ufuncs writing into r, not the in-place operators: about 325
+    # against 350 ns per operation on a 200-element row
+    multiply, add = np.multiply, np.add
     for c in coeffs:
-        r *= v
-        r += c
+        multiply(r, v, r)
+        add(r, c, r)
     return r
 
 
@@ -124,14 +128,19 @@ def _large(x, which):
 
 
 def _bessel_1d(x, which):
-    out = np.empty_like(x)
     below = x < _EDGES[-1]
-    if below.any():
-        out[below] = _polynomial(x[below], which)
-    # NaN fails every comparison and lands here, as NaN
+    n_below = np.count_nonzero(below)
+    # all on one side of 12, as a one-row label's phases often are: one
+    # branch over the whole array, with no gather and no scatter. NaN
+    # fails every comparison and takes the large branch, as NaN
+    if n_below == 0:
+        return _large(x, which)
+    if n_below == x.size:
+        return _polynomial(x, which)
+    out = np.empty_like(x)
+    out[below] = _polynomial(x[below], which)
     big = ~below
-    if big.any():
-        out[big] = _large(x[big], which)
+    out[big] = _large(x[big], which)
     return out
 
 

@@ -238,6 +238,10 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population", "generations", "tournament", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population < 4 or self.population % 2:
             raise ValueError("population must be even and at least 4")
         if self.generations < 1:

@@ -16,6 +16,8 @@ import pytest
 
 from wecfarm import climate, dynamics, hydro, mbe, optimize
 
+from sea_states import irregular_power, lifetime_average_power
+
 
 def make_records(seed=7, n=500):
     rng = np.random.default_rng(seed)
@@ -106,20 +108,20 @@ class TestJonswap:
 class TestIrregularPower:
     def test_zero_power_gives_zero(self):
         grid = hydro.FrequencyGrid.default()
-        assert climate.irregular_power(np.zeros(grid.values.size), grid, 2.0, 8.0) == 0.0
+        assert irregular_power(np.zeros(grid.values.size), grid, 2.0, 8.0) == 0.0
 
     def test_constant_power_recovers_moment(self):
         # with the grid covering the spectral support, sum(2 S dw) -> 2 hs^2/16
         grid = hydro.FrequencyGrid(np.linspace(0.01, 6.0, 12001))
         ones = np.ones(grid.values.size)
         for tp in (6.0, 8.0, 12.0):
-            p_i = climate.irregular_power(ones, grid, 2.0, tp)
+            p_i = irregular_power(ones, grid, 2.0, tp)
             assert p_i == pytest.approx(2.0 * 4.0 / 16.0, rel=1e-5)
 
     def test_shape_mismatch_rejected(self):
         grid = hydro.FrequencyGrid.default()
         with pytest.raises(ValueError):
-            climate.irregular_power(np.ones(7), grid, 2.0, 8.0)
+            irregular_power(np.ones(7), grid, 2.0, 8.0)
 
     def test_converged_on_default_grid(self):
         # single device tuned near the tp=8 peak; refining the frequency
@@ -140,7 +142,7 @@ class TestIrregularPower:
             )
             motion = dynamics.solve_motion(farm, geom, pto, env)
             _, total = dynamics.regular_wave_power(grid, motion, pto)
-            return climate.irregular_power(total, grid, 2.0, 8.0)
+            return irregular_power(total, grid, 2.0, 8.0)
 
         coarse, fine = p_i_on(200), p_i_on(2000)
         assert coarse == pytest.approx(fine, rel=5e-3)
@@ -315,7 +317,7 @@ class TestLifetimePower:
     def test_unit_power_everywhere(self):
         # 0.8 * 0.95 * 0.98 * 30 years on a unit sea-state power surface
         site = climate.build_site_climate(make_records(), 20, BOUNDS, 30)
-        p_a = climate.lifetime_average_power(
+        p_a = lifetime_average_power(
             np.ones_like(site.probability), site, climate.EfficiencyChain()
         )
         assert p_a == pytest.approx(22.344, rel=1e-12)
@@ -325,26 +327,26 @@ class TestLifetimePower:
         prob = np.array([[1.0, 0.0], [0.0, 0.0]])
         site = climate.SiteClimate("point", grid, prob, 1)
         p_i = np.array([[123.0, 7.0], [9.0, 11.0]])
-        p_a = climate.lifetime_average_power(p_i, site, climate.EfficiencyChain())
+        p_a = lifetime_average_power(p_i, site, climate.EfficiencyChain())
         assert p_a == pytest.approx(0.7448 * 123.0, rel=1e-12)
 
     def test_linear_in_years_and_efficiency(self):
         site = climate.build_site_climate(make_records(), 10, BOUNDS, 30)
         p_i = np.full_like(site.probability, 5.0e4)
-        base = climate.lifetime_average_power(p_i, site, climate.EfficiencyChain())
+        base = lifetime_average_power(p_i, site, climate.EfficiencyChain())
         half = climate.SiteClimate(site.site_id, site.grid, site.probability, 15)
-        assert climate.lifetime_average_power(p_i, half, climate.EfficiencyChain()) == pytest.approx(
+        assert lifetime_average_power(p_i, half, climate.EfficiencyChain()) == pytest.approx(
             base / 2.0, rel=1e-12
         )
         weak = climate.EfficiencyChain(pcc=0.4)
-        assert climate.lifetime_average_power(p_i, site, weak) == pytest.approx(
+        assert lifetime_average_power(p_i, site, weak) == pytest.approx(
             base / 2.0, rel=1e-12
         )
 
     def test_shape_mismatch_rejected(self):
         site = climate.build_site_climate(make_records(), 10, BOUNDS, 30)
         with pytest.raises(ValueError):
-            climate.lifetime_average_power(np.ones((3, 3)), site, climate.EfficiencyChain())
+            lifetime_average_power(np.ones((3, 3)), site, climate.EfficiencyChain())
 
     def test_volume_objective(self):
         geom = hydro.WecGeometry(3.0, 6.0)

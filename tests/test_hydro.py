@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from wecfarm import hydro
+from wecfarm import hydro, kernels
 from wecfarm.hydro import Environment, FrequencyGrid, GeometryError, WecGeometry
 
 ENV = Environment()
@@ -165,6 +165,19 @@ class TestDispersion:
                 hydro.solve_dispersion(bad, ENV)
             with pytest.raises(ValueError):
                 hydro.solve_dispersion(0.0, ENV)
+
+    def test_memo_checks_omega_on_a_miss_after_a_good_grid(self):
+        # a hit skips the check, so a bad omega must never become a hit:
+        # with a good grid held, bad grids of its shape still raise and
+        # the memo holds the good grid alone
+        hydro._dispersion_cache.clear()
+        good = hydro.solve_dispersion(GRID.values, ENV)
+        for bad in (-GRID.values, np.where(np.arange(GRID.n) == 7, 0.0, GRID.values)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="strictly positive"):
+                    hydro.solve_dispersion(bad, ENV)
+            assert len(hydro._dispersion_cache) == 1
+        assert hydro.solve_dispersion(GRID.values, ENV).tobytes() == good.tobytes()
 
     def test_group_velocity_limits(self):
         # deep water: vg -> g/(2 omega); shallow: vg -> sqrt(g h)
@@ -410,6 +423,26 @@ def test_asked_curves_equal_the_all_curves_answer_bitwise(plant, rows, scalar):
                     missing = next(c for c in hydro.PAIR_CURVES if c in needs - curves)
                     with pytest.raises(LookupError, match=f"holds no {missing} curve"):
                         getattr(part, name)
+
+
+@pytest.mark.parametrize("curves", [("damping_diag",), ("damping_cross",), ("forces",),
+                                    ("damping_diag", "damping_cross", "forces")])
+def test_pair_query_without_added_mass_makes_no_y0_call(curves, monkeypatch):
+    # Y0 serves only the added mass curves, whose amplitude -B/omega is
+    # computed only when one of them is asked
+    calls = {"j0": 0, "y0": 0}
+    for name in calls:
+        def counting(x, name=name, original=getattr(kernels, name)):
+            calls[name] += 1
+            return original(x)
+
+        monkeypatch.setattr(kernels, name, counting)
+    geom = WecGeometry(3.0, 6.0)
+    provider = hydro.ReferenceProvider()
+    for sep in (np.array([20.0]), np.array([20.0, 200.0])):
+        hydro.pair_coefficients(geom, sep, np.zeros(sep.size), GRID, ENV, curves=curves)
+        provider.pair(geom, sep, np.zeros(sep.size), GRID, ENV, curves=curves)
+    assert calls == {"j0": 4 * any(c.startswith("damping") for c in curves), "y0": 0}
 
 
 def test_unknown_curve_names_are_rejected():

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from wecfarm import _bessel_coeffs, kernels, nn
+from wecfarm import _bessel_coeffs, hydro, kernels, nn
 
 mp.mp.dps = 30
 
@@ -232,8 +232,16 @@ def test_bessel_equals_the_per_interval_kernel_bytewise(fn, which):
     # four rows at a time and then the last two, and a scalar the whole table
     order = np.random.default_rng(5).permutation(PINNED_XS.size)
     stacked = PINNED_XS[order[: 2 * 10 * 150]].reshape(2, 10, 150)
+    # arrays on one side of 12 take one branch with no gather or scatter:
+    # all below, all at or above (NaN among them), and one-row labels, the
+    # phases kl and 2kl of 20 m and 200 m on the default grid
+    below = PINNED_XS[PINNED_XS < 12.0]
+    above = PINNED_XS[~(PINNED_XS < 12.0)]
+    k = hydro.solve_dispersion(hydro.FrequencyGrid.default().values, hydro.Environment())
+    labels = [(multiple * l * k)[None, :] for l in (20.0, 200.0) for multiple in (1.0, 2.0)]
+    assert (labels[0] < 12.0).all() and (labels[-1] >= 12.0).any()
     with np.errstate(invalid="ignore"):
-        for xs in (PINNED_XS, stacked):
+        for xs in (PINNED_XS, stacked, below, above, below[-200:], above[:200], *labels):
             got = fn(xs)
             assert got.shape == xs.shape
             assert got.tobytes() == _frozen_per_interval(xs, which).tobytes()

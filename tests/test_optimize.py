@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from wecfarm import climate, dynamics, hydro, mbe, optimize, surrogate
 
+from sea_states import irregular_power, lifetime_average_power
+
 ENV = hydro.Environment()
 GRID = hydro.FrequencyGrid.default(count=40)
 ORACLE = hydro.ReferenceProvider()
@@ -109,8 +111,8 @@ def test_evaluate_matches_per_sea_state_summation():
     states = np.empty_like(SITE.probability)
     for i, hs in enumerate(SITE.grid.hs_nodes):
         for j, tp in enumerate(SITE.grid.tp_nodes):
-            states[i, j] = climate.irregular_power(farm_total, GRID, hs, tp)
-    expected = climate.lifetime_average_power(states, SITE, EFF)
+            states[i, j] = irregular_power(farm_total, GRID, hs, tp)
+    expected = lifetime_average_power(states, SITE, EFF)
     np.testing.assert_allclose(result.p_a, expected, rtol=1e-12)
     np.testing.assert_allclose(result.per_device_power.sum(), result.p_a, rtol=1e-12)
     np.testing.assert_allclose(
@@ -292,6 +294,12 @@ def test_ga_config_validation():
                       ("mutation_index", np.inf), ("mutation_probability", np.nan)):
         with pytest.raises(ValueError, match=name.replace("_", " ")):
             optimize.GaConfig(**{name: bad})
+    # the integer fields take integers, not floats, bools or strings
+    for kw in ({"generations": 1.5, "seed": 0.5}, {"tournament": 2.5}, {"population": "4"},
+               {"seed": True}, {"population": 8.0}):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be an integer"):
+            optimize.GaConfig(**kw)
+    assert optimize.GaConfig(population=np.int64(8), seed=np.int64(3)).population == 8
     assert optimize.GaConfig(mutation_probability=None, penalty_coeff=0).penalty_coeff == 0
 
 
