@@ -186,13 +186,20 @@ def _frequency_grid(config):
     return hydro.FrequencyGrid.default(count=count)
 
 
+# what a JSON document of the wrong shape raises when a loader indexes it
+SHAPE_ERRORS = (KeyError, TypeError, AttributeError)
+
+
 def _load_committees(models_dir, run):
     committees = {}
     for tid in surrogate.ALL_TARGET_IDS:
         path = os.path.join(models_dir, f"committee_{tid}.json")
         if not os.path.exists(path):
             raise ConfigError(f"missing model file {path}; run `wecfarm surrogate train` first")
-        committees[tid] = surrogate.load_committee(run.read(path))
+        try:
+            committees[tid] = surrogate.load_committee(run.read(path))
+        except SHAPE_ERRORS as exc:
+            raise ConfigError(f"{path}: not a valid committee file ({exc!r})")
     return committees
 
 
@@ -209,14 +216,21 @@ def _load_site(path, run):
         return climate.load_site(run.read(path))
     except FileNotFoundError:
         raise ConfigError(f"site file not found: {path}")
+    except SHAPE_ERRORS as exc:
+        raise ConfigError(f"{path}: not a valid site file ({exc!r})")
 
 
 def _load_design(path, run):
     doc = _load_json(run.read(path), what="design")
     try:
         return optimize.design_from_dict(doc)
-    except (KeyError, ValueError) as exc:
+    except (ValueError, *SHAPE_ERRORS) as exc:
         raise ConfigError(f"{path}: not a valid design file ({exc})")
+
+
+def _provenance(provider, seed, design):
+    """Where a written result came from: its provider, seed and design hash."""
+    return {"provider": provider.name, "seed": seed, "config_hash": optimize.design_hash(design)}
 
 
 def _design_run(args, command, leaf, config, seed):
@@ -418,7 +432,7 @@ def cmd_optimize(args):
             "per_device_power": ev.per_device_power.tolist(),
             "feasible": ev.feasible,
             "max_violation": float(ev.violations.max()) if ev.violations.size else 0.0,
-            "provenance": ev.provenance,
+            "provenance": _provenance(provider, spec.ga.seed, best),
         },
         "best_fitness": result.best_fitness,
         "evaluations": result.evaluations,
@@ -573,7 +587,7 @@ def cmd_analyze_sensitivity(args):
 def cmd_eval(args):
     run, site, design, provider = _design_run(args, "eval", "eval", {}, args.seed)
     result = optimize.evaluate_design(
-        design, _frequency_grid({}), hydro.Environment(), provider, site, seed=args.seed
+        design, _frequency_grid({}), hydro.Environment(), provider, site
     )
     doc = {
         "schema_version": 1,
@@ -584,7 +598,7 @@ def cmd_eval(args):
         "per_device_power": result.per_device_power.tolist(),
         "feasible": result.feasible,
         "violations": result.violations.tolist(),
-        "provenance": result.provenance,
+        "provenance": _provenance(provider, args.seed, design),
     }
     run.json("evaluation.json", doc)
     run.finish()

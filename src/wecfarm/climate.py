@@ -9,6 +9,7 @@ probabilities and applies the conversion-chain efficiencies.
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,7 +227,10 @@ SCHEMA_VERSION = 1
 
 
 def read_records_csv(path):
-    """Load (hs, tp) records from a two-column CSV with header hs_m,tp_s."""
+    """Load (hs, tp) records from a two-column CSV with header hs_m,tp_s.
+
+    A row that is not two finite numbers raises ValueError naming path:line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -240,9 +244,12 @@ def read_records_csv(path):
             if not row:
                 continue
             try:
-                rows.append((float(row[0]), float(row[1])))
+                hs, tp = float(row[0]), float(row[1])
             except (ValueError, IndexError):
                 raise ValueError(f"{path}:{lineno}: malformed record {row!r}")
+            if not (math.isfinite(hs) and math.isfinite(tp)):
+                raise ValueError(f"{path}:{lineno}: non-finite record {row!r}")
+            rows.append((hs, tp))
     return np.array(rows)
 
 

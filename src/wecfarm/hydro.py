@@ -18,7 +18,8 @@ A coefficient provider answers two queries on a frequency grid:
   `added_mass`, `damping` (P, n_w, 2, 2) and `excitation` (P, n_w, 2)
   are derived from the curves on access. The answer carries `isolated`,
   the single-body answer its rows were built from, so a caller that
-  needs both asks once.
+  needs both asks once. An answer does not echo its query: the grid and
+  the rows stay with the caller.
 
 The reference provider below uses documented closed forms (see
 model_ledger_text) and computes only the asked curves; any object with
@@ -28,8 +29,8 @@ previous `pair` query, rows and isolated body, because a layout step or
 a sensitivity map moves one device at a time: at N = 10 that leaves 36
 of the 45 pair rows as they were, and only the other 9 are computed.
 The memo never holds more than one query. Its answers are read-only,
-the curves and the isolated arrays alike, because the memo holds the
-arrays it hands out.
+the curves and the isolated arrays alike, and the isolated record is
+frozen, because the memo holds what it hands out.
 
 Conventions: water depth h, gravity g, density rho; unit-amplitude
 incident wave travelling along +x with phase zero at the origin; heave
@@ -168,9 +169,15 @@ class FrequencyGrid:
         return self.n == other.n and np.array_equal(self.values, other.values)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SingleBodyCoefficients:
-    grid: FrequencyGrid
+    """One body alone: added mass, damping and excitation, each (n_w,).
+
+    Frozen, so that a provider can hand out the record it holds: its
+    fields cannot be rebound, and its arrays are read-only once a pair
+    answer carries them.
+    """
+
     added_mass: np.ndarray
     damping: np.ndarray
     excitation: np.ndarray
@@ -199,17 +206,14 @@ class PairCoefficients:
     `added_mass_diag`, `damping_diag`, `added_mass_cross` and
     `damping_cross` are (P, n_w), and `forces` is the (2, P, n_w)
     excitation of body 1 and body 2; a curve that was not computed is
-    None. `separation` and `heading_angle` are floats for one pair and
-    (P,) arrays for a batch, and one pair drops the P axis. `isolated`
-    is the SingleBodyCoefficients of the plant that the rows were built
-    from, on the same grid. `added_mass`, `damping` (P, n_w, 2, 2) and
+    None, and one pair drops the P axis. `isolated` is the
+    SingleBodyCoefficients of the plant that the rows were built from,
+    on the same grid. `added_mass`, `damping` (P, n_w, 2, 2) and
     `excitation` (P, n_w, 2) are derived afresh from the curves on each
-    access.
+    access. An answer holds only these: the grid and the rows it was
+    asked for stay with the caller.
     """
 
-    grid: FrequencyGrid
-    separation: float
-    heading_angle: float
     isolated: SingleBodyCoefficients
     added_mass_diag: np.ndarray = None
     damping_diag: np.ndarray = None
@@ -273,17 +277,16 @@ def pair_inputs(geom, separation, heading_angle):
     return l, theta, batched
 
 
-def pair_result(grid, l, theta, batched, isolated, curves):
+def pair_result(batched, isolated, curves):
     """PairCoefficients from stacked curves built from `isolated`.
 
     `curves` maps PAIR_CURVES names to their stacked arrays, (P, n_w)
     and (2, P, n_w) for `forces`. An unbatched query drops the P axis.
     """
     if batched:
-        return PairCoefficients(grid, l, theta, isolated, **curves)
+        return PairCoefficients(isolated, **curves)
     # the row axis is second to last in every curve
-    rows = {name: a[..., 0, :] for name, a in curves.items()}
-    return PairCoefficients(grid, float(l[0]), float(theta[0]), isolated, **rows)
+    return PairCoefficients(isolated, **{name: a[..., 0, :] for name, a in curves.items()})
 
 
 def _read_only(*arrays):
@@ -426,7 +429,6 @@ def single_coefficients(geom, grid, env):
         * (ADDED_MASS_BASE + ADDED_MASS_DECAY * np.exp(-k * r))
     )
     return SingleBodyCoefficients(
-        grid=grid,
         added_mass=added,
         damping=damping,
         excitation=fmag.astype(np.complex128),
@@ -502,7 +504,7 @@ def pair_coefficients(geom, separation, heading_angle, grid, env, isolated=None,
         np.multiply(forces[0], phasor(k * x2, -1.0), out=forces[1])
         out["forces"] = forces
     _read_only(single.added_mass, single.damping, single.excitation, *out.values())
-    return pair_result(grid, l, theta, batched, single, out)
+    return pair_result(batched, single, out)
 
 
 class ReferenceProvider:
@@ -521,8 +523,8 @@ class ReferenceProvider:
     through the held isolated body, and the memo then holds this
     query's rows and nothing else, so it is bounded by one query. Every
     answer is bit-identical to a fresh provider's. The memo holds the
-    read-only arrays it returns, so no caller can change what a later
-    answer reads.
+    read-only arrays and the frozen isolated record it returns, so no
+    caller can change what a later answer reads.
     """
 
     name = "reference"
@@ -547,16 +549,9 @@ class ReferenceProvider:
         else:
             isolated, hits = single_coefficients(geom, grid, env), [None] * len(keys)
         missing = [i for i, row in enumerate(hits) if row is None]
-        # the memo's isolated arrays under a new record, so that no caller
-        # can rebind what the memo holds
-        record = SingleBodyCoefficients(
-            grid, isolated.added_mass, isolated.damping, isolated.excitation
-        )
         if len(missing) == len(keys):
-            answer = pair_coefficients(geom, l, theta, grid, env, record, curves)
-            arrays = {name: getattr(answer, name) for name in curves}
-            if not batched:
-                answer = pair_result(grid, l, theta, batched, record, arrays)
+            computed = pair_coefficients(geom, l, theta, grid, env, isolated, curves)
+            arrays = {name: getattr(computed, name) for name in curves}
         else:
             # the row axis is second to last in every curve
             arrays = {
@@ -573,9 +568,8 @@ class ReferenceProvider:
                 for name, out in arrays.items():
                     out[..., missing, :] = getattr(c, name)
             _read_only(*arrays.values())
-            answer = pair_result(grid, l, theta, batched, record, arrays)
         self._pairs = (context, isolated, {key: i for i, key in enumerate(keys)}, arrays)
-        return answer
+        return pair_result(batched, isolated, arrays)
 
 
 def _runs(hits):

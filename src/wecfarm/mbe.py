@@ -46,12 +46,6 @@ class Layout:
     def n(self):
         return self.positions.shape[0]
 
-    def translated(self, dx, dy):
-        return Layout(self.positions + np.array([dx, dy]))
-
-    def mirrored(self):
-        return Layout(self.positions * np.array([1.0, -1.0]))
-
 
 @dataclass
 class FarmCoefficients:

@@ -19,7 +19,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -121,21 +120,10 @@ class EvaluationResult:
     per_device_power: np.ndarray
     q_factor: float
     violations: np.ndarray
-    # (provider name, seed, design) that `provenance` names; the design is
-    # hashed when provenance is first read, so a result nobody writes out
-    # is never hashed
-    source: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def feasible(self):
         return bool(np.all(self.violations == 0.0))
-
-    @cached_property
-    def provenance(self):
-        if self.source is None:
-            return {}
-        provider, seed, design = self.source
-        return {"provider": provider, "seed": seed, "config_hash": design_hash(design)}
 
 
 def _isolated_power_curves(design, grid, env, provider):
@@ -163,7 +151,6 @@ def evaluate_design(
     site,
     eff=None,
     with_q=True,
-    seed=None,
 ):
     """Full power pipeline for one design; pure and deterministic.
 
@@ -173,11 +160,10 @@ def evaluate_design(
     """
     eff = eff or EfficiencyChain()
     violations = min_distance_violations(design.layout, design.geometry)
-    source = (getattr(provider, "name", type(provider).__name__), seed, design)
 
     if np.any(design.layout.pairs[2] <= 2.0 * design.geometry.radius):
         zeros = np.zeros(design.n_devices)
-        return EvaluationResult(0.0, 0.0, zeros, float("nan"), violations, source)
+        return EvaluationResult(0.0, 0.0, zeros, float("nan"), violations)
 
     coeffs = mbe.compose_farm(provider, design.geometry, design.layout, grid, env)
     motion = solve_motion(coeffs, design.geometry, design.pto, env)
@@ -193,7 +179,7 @@ def evaluate_design(
         if isolated.sum() > 0.0:
             q = climate_mod.q_factor(p_a, isolated)
     p_v = objective_pv(p_a, design.geometry, design.n_devices)
-    return EvaluationResult(p_a, p_v, per_device_pa, q, violations, source)
+    return EvaluationResult(p_a, p_v, per_device_pa, q, violations)
 
 
 def penalized_fitness(result, penalty_coeff):
@@ -417,9 +403,7 @@ def run_ga(spec, grid, env, provider, eff=None, progress=None):
             design = decode(
                 spec.study, genes, spec.n_devices, spec.fixed_control, spec.site.site_id
             )
-            result = evaluate_design(
-                design, grid, env, provider, spec.site, eff=eff, with_q=False, seed=ga.seed
-            )
+            result = evaluate_design(design, grid, env, provider, spec.site, eff=eff, with_q=False)
         except Exception as exc:
             raise RuntimeError(
                 f"evaluation failed for genome {genes.tolist()}: {exc}"
@@ -478,9 +462,7 @@ def run_ga(spec, grid, env, provider, eff=None, progress=None):
             progress(history[-1])
 
     best_design, best_result = best[1], best[2]
-    final = evaluate_design(
-        best_design, grid, env, provider, spec.site, eff=eff, with_q=True, seed=ga.seed
-    )
+    final = evaluate_design(best_design, grid, env, provider, spec.site, eff=eff, with_q=True)
     return GaResult(best_design, final, float(best[3]), history, n_evals)
 
 

@@ -769,7 +769,6 @@ class SurrogateProvider:
             return maps[target_id][0] * scales[_MAPS[target_id].norm[1]][0]
 
         return SingleBodyCoefficients(
-            grid=grid,
             added_mass=scaled("single_added_mass"),
             damping=np.maximum(scaled("single_damping"), 0.0),
             # the isolated excitation is real: phase 0 at the body centre
@@ -806,7 +805,7 @@ class SurrogateProvider:
         # np.multiply, not `*`: see hydro.pair_coefficients
         phase = phasor(self._k * l[:, None] * np.cos(theta)[:, None], -1.0)
         np.multiply(forces[0], phase, out=forces[1])
-        return pair_result(grid, l, theta, batched, single, {
+        return pair_result(batched, single, {
             "added_mass_diag": single.added_mass + b_over_om * maps["pair_added_mass_diag"],
             "damping_diag": b11,
             "added_mass_cross": b_over_om * maps["pair_added_mass_cross"],

@@ -218,6 +218,65 @@ def test_eval_on_a_site_with_a_non_finite_node_is_validation_error(
     assert not (tmp_path / "out" / "evaluation.json").exists()
 
 
+# valid JSON of the wrong shape in each kind of file the command line reads
+WRONG_SHAPES = {
+    "design-list": ("design", lambda doc: []),
+    "design-radius-string": ("design", lambda doc: {**doc, "radius": "2"}),
+    "design-radius-null": ("design", lambda doc: {**doc, "radius": None}),
+    "site-list": ("site", lambda doc: []),
+    "site-schema-only": ("site", lambda doc: {"schema_version": 1}),
+    "site-years-list": ("site", lambda doc: {**doc, "years": [1]}),
+    "committee-list": ("committee", lambda doc: []),
+}
+
+
+@pytest.mark.parametrize("kind, reshape", WRONG_SHAPES.values(), ids=WRONG_SHAPES)
+def test_a_file_of_the_wrong_shape_is_config_error(
+    site_path, design_path, tmp_path, capsys, kind, reshape
+):
+    out = tmp_path / "run"
+    if kind == "committee":
+        models = tmp_path / "models"
+        models.mkdir()
+        for tid in surrogate.ALL_TARGET_IDS:
+            (models / f"committee_{tid}.json").write_text(json.dumps(reshape(None)))
+        bad = models / f"committee_{surrogate.ALL_TARGET_IDS[0]}.json"
+        argv = ["surrogate", "validate", "--models", str(models)]
+    else:
+        source = {"design": design_path, "site": site_path}[kind]
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps(reshape(json.load(open(source)))))
+        files = {"design": design_path, "site": site_path, kind: str(bad)}
+        argv = ["eval", "--design", files["design"], "--site", files["site"]]
+    assert cli.main(argv + ["--out-dir", str(out)]) == 1
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_written_results_carry_the_provenance_of_their_design(
+    site_path, design_path, tmp_path, capsys
+):
+    # the provider, the seed and the hash of the design the file holds
+    out = str(tmp_path / "study")
+    assert _run_tiny_study(site_path, out) == 0
+    best = json.load(open(os.path.join(out, "best_design.json")))
+    assert best["evaluation"]["provenance"] == {
+        "provider": "reference", "seed": 9,
+        "config_hash": optimize.design_hash(optimize.design_from_dict(best)),
+    }
+    rc = cli.main([
+        "eval", "--design", design_path, "--site", site_path, "--seed", "4",
+        "--out-dir", str(tmp_path / "eval"),
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    doc = json.load(open(tmp_path / "eval" / "evaluation.json"))
+    design = optimize.design_from_dict(json.load(open(design_path)))
+    assert doc["provenance"] == {
+        "provider": "reference", "seed": 4, "config_hash": optimize.design_hash(design)
+    }
+
+
 def test_out_root_env_var(site_path, design_path, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path))
     monkeypatch.chdir(tmp_path)

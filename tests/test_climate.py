@@ -431,3 +431,12 @@ class TestPersistence:
         path.write_text("hs_m,tp_s\n1.5,abc\n")
         with pytest.raises(ValueError, match="malformed"):
             climate.read_records_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,7.25", "1.5,inf", "-inf,7.25", "1.5,NaN"])
+    def test_records_csv_non_finite_row(self, tmp_path, row):
+        # refused where it is read, naming its line, not later as a bad
+        # probability or a record outside the bounds
+        path = tmp_path / "records.csv"
+        path.write_text(f"hs_m,tp_s\n1.5,7.25\n{row}\n")
+        with pytest.raises(ValueError, match=r"records\.csv:3: non-finite record"):
+            climate.read_records_csv(path)

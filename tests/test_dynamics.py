@@ -195,8 +195,8 @@ class TestSolveMotion:
             return dynamics.regular_wave_power(grid, motion, pto)[1]
 
         base = farm_power(mbe.Layout(pos))
-        shifted = farm_power(mbe.Layout(pos).translated(-40.0, 17.0))
-        mirrored = farm_power(mbe.Layout(pos).mirrored())
+        shifted = farm_power(mbe.Layout(pos + [-40.0, 17.0]))
+        mirrored = farm_power(mbe.Layout(pos * [1.0, -1.0]))
         np.testing.assert_allclose(shifted, base, rtol=1e-12)
         np.testing.assert_allclose(mirrored, base, rtol=1e-12)
 

@@ -356,8 +356,6 @@ class TestPairCoefficients:
         assert batch.added_mass.shape == (7, GRID.n, 2, 2)
         assert batch.damping.shape == (7, GRID.n, 2, 2)
         assert batch.excitation.shape == (7, GRID.n, 2)
-        assert np.array_equal(batch.separation, sep)
-        assert np.array_equal(batch.heading_angle, theta)
         for i in range(sep.size):
             one = hydro.pair_coefficients(self.GEOM, sep[i], theta[i], GRID, ENV)
             assert one.added_mass.shape == (GRID.n, 2, 2)

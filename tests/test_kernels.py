@@ -176,8 +176,8 @@ def test_bessel_batch_elements_equal_scalar_calls(fn):
 
 # The kernel as it ran each interval on its own, frozen here: one
 # boolean mask, gather, Horner pass with scalar coefficients and scatter
-# per interval. The one-pass kernel must reproduce it byte for byte; the
-# Hankel branch from 12 up is the kernel's own.
+# per interval, and the Hankel branch from 12 up. The kernel must
+# reproduce it byte for byte.
 
 
 def _frozen_horner(v, coeffs):
@@ -201,6 +201,22 @@ def _frozen_small(x, which, i):
     return y
 
 
+def _frozen_large(x, which):
+    inv = 1.0 / x
+    t = (_bessel_coeffs.SWITCH * _bessel_coeffs.SWITCH * inv) * inv
+    c, s = np.cos(x), np.sin(x)
+    p = _frozen_horner(t, _bessel_coeffs.P1 if which == 1 else _bessel_coeffs.P0)
+    q = _frozen_horner(t, _bessel_coeffs.XQ1 if which == 1 else _bessel_coeffs.XQ0) * inv
+    # sqrt(2) cos chi and sqrt(2) sin chi as sums of c and s
+    if which == 0:
+        p = p * (c + s) - q * (s - c)
+    elif which == 1:
+        p = p * (s - c) + q * (s + c)
+    else:
+        p = p * (s - c) + q * (c + s)
+    return p * np.sqrt((1.0 / np.pi) * inv)
+
+
 def _frozen_per_interval(x, which):
     x = np.ascontiguousarray(x, dtype=np.float64).ravel()
     out = np.empty_like(x)
@@ -212,7 +228,7 @@ def _frozen_per_interval(x, which):
             out[mask] = _frozen_small(x[mask], which, i)
     big = ~below[-1]
     if big.any():
-        out[big] = kernels._large(x[big], which)
+        out[big] = _frozen_large(x[big], which)
     return out
 
 
