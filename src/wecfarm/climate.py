@@ -269,19 +269,41 @@ def save_site(climate, path):
         fh.write(text + "\n")
 
 
+def _site_array(path, doc, name, shape):
+    """doc[name] as a float array of `shape`, where None matches any length."""
+    try:
+        values = np.array(doc[name], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: {name} must be an array of numbers")
+    if values.ndim != len(shape) or any(
+        want not in (None, got) for want, got in zip(shape, values.shape)
+    ) or values.size == 0:
+        want = " x ".join("n" if n is None else str(n) for n in shape)
+        raise ValueError(f"{path}: {name} has shape {values.shape}, need {want}")
+    return values
+
+
 def load_site(path):
+    """A site file as `save_site` writes it, its fields checked.
+
+    `years` must be a JSON integer. The node arrays are 1-D, and the
+    quadrature weights and the probabilities are (n_hs, n_tp) tensors
+    over them; each error names the file and the field.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported site schema {doc.get('schema_version')!r}")
-    grid = SeaStateGrid(
-        np.array(doc["hs_nodes"]),
-        np.array(doc["tp_nodes"]),
-        np.array(doc["quadrature_weights"]),
-    )
+    years = doc["years"]
+    if isinstance(years, bool) or not isinstance(years, int):
+        raise ValueError(f"{path}: years must be an integer, got {years!r}")
+    hs = _site_array(path, doc, "hs_nodes", (None,))
+    tp = _site_array(path, doc, "tp_nodes", (None,))
+    tensor = (hs.size, tp.size)
+    grid = SeaStateGrid(hs, tp, _site_array(path, doc, "quadrature_weights", tensor))
     return SiteClimate(
         site_id=doc["site_id"],
         grid=grid,
-        probability=np.array(doc["probability"]),
-        years=int(doc["years"]),
+        probability=_site_array(path, doc, "probability", tensor),
+        years=years,
     )

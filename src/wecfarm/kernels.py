@@ -200,8 +200,12 @@ def mlp_forward(x, weights):
     (M, n, n_out) from one pass. Each member's slice of a batched matmul
     is the 2-D product of that member alone, so both forms agree byte
     for byte.
+
+    The pass runs in the weights' dtype: `x` is cast to it, so float64
+    weights (the training path) give float64 and float32 copies (a
+    committee's forward) give float32.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=weights[0].dtype)
     w1, b1, w2, b2, w3, b3 = weights
     # bias and tanh run in the matmul result's own buffer
     h1 = x @ w1

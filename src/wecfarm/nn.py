@@ -73,10 +73,16 @@ class Regressor:
     ``predict`` serves every member and returns (M, n, n_out).
     ``member(m)`` gives member m's six arrays as views, (fan_in, fan_out)
     weights and (fan_out,) biases; ``train`` updates them in place.
+
+    The weights are float64. ``predict`` forwards a float32 copy of them,
+    built on its first call and dropped by ``train``, and returns the
+    result upcast to float64: the committee mean only has to meet a 1e-2
+    normalized-MSE gate, far above float32 rounding.
     """
 
     def __init__(self, weights):
         self.weights = weights
+        self._forward_weights = None
 
     @classmethod
     def stacked(cls, members):
@@ -101,10 +107,13 @@ class Regressor:
         return [w1[m], b1[m, 0], w2[m], b2[m, 0], w3[m], b3[m, 0]]
 
     def train(self, m, x, y, schedule, learning_rate):
+        self._forward_weights = None
         kernels.mlp_train(x, y, self.member(m), schedule, learning_rate)
 
     def predict(self, x):
-        return kernels.mlp_forward(np.asarray(x, dtype=np.float64), self.weights)
+        if self._forward_weights is None:
+            self._forward_weights = [w.astype(np.float32) for w in self.weights]
+        return kernels.mlp_forward(x, self._forward_weights).astype(np.float64)
 
     @property
     def sizes(self):

@@ -253,6 +253,42 @@ def test_a_file_of_the_wrong_shape_is_config_error(
     assert not out.exists()
 
 
+# a site or design field that parses but holds the wrong kind of value
+WRONG_FIELDS = {
+    "site-years-fraction": ("site", "years", 2.5),
+    "site-years-string": ("site", "years", "30"),
+    "site-years-bool": ("site", "years", True),
+    "site-hs-nodes-2d": ("site", "hs_nodes", [[1]]),
+    "site-tp-nodes-empty": ("site", "tp_nodes", []),
+    "site-weights-1d": ("site", "quadrature_weights", [0.5, 0.5]),
+    "site-probability-short": ("site", "probability", lambda rows: rows[:-1]),
+    "design-radius-true": ("design", "radius", True),
+    "design-stiffness-bool": ("design", "pto_stiffness", [True]),
+    "design-positions-bool": ("design", "positions", lambda rows: [*rows[:2], [88.0, False]]),
+    "design-site-id-number": ("design", "site_id", 7),
+}
+
+
+@pytest.mark.parametrize("kind, name, value", WRONG_FIELDS.values(), ids=WRONG_FIELDS)
+def test_eval_names_the_file_and_field_of_a_wrong_value(
+    site_path, design_path, tmp_path, capsys, kind, name, value
+):
+    files = {"design": design_path, "site": site_path}
+    doc = json.load(open(files[kind]))
+    doc[name] = value(doc[name]) if callable(value) else value
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(json.dumps(doc))
+    files[kind] = str(bad)
+    out = tmp_path / "run"
+    rc = cli.main([
+        "eval", "--design", files["design"], "--site", files["site"], "--out-dir", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and name in err
+    assert not out.exists()
+
+
 def test_written_results_carry_the_provenance_of_their_design(
     site_path, design_path, tmp_path, capsys
 ):

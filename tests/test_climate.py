@@ -375,6 +375,28 @@ class TestPersistence:
         assert np.array_equal(back.grid.hs_nodes, site.grid.hs_nodes)
         assert np.array_equal(back.grid.quadrature_weights, site.grid.quadrature_weights)
 
+    @pytest.mark.parametrize("name", ["alpha", "bravo"])
+    def test_stock_sites_load_byte_for_byte(self, tmp_path, name):
+        # load_site checks the field types and shapes and converts nothing
+        data = Path(__file__).resolve().parents[1] / "data"
+        config = json.loads((data / f"site_{name}_config.json").read_text())
+        records = climate.read_records_csv(data / f"site_{name}.csv")
+        site = climate.build_site_climate(
+            records, config["n_gq"], config["bounds"], config["years"], site_id=name
+        )
+        path = tmp_path / "site.json"
+        climate.save_site(site, path)
+        back = climate.load_site(path)
+        assert back.years == 30 and type(back.years) is int
+        for got, want in [
+            (back.grid.hs_nodes, site.grid.hs_nodes),
+            (back.grid.tp_nodes, site.grid.tp_nodes),
+            (back.grid.quadrature_weights, site.grid.quadrature_weights),
+            (back.probability, site.probability),
+        ]:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_non_finite_site_is_refused_and_leaves_no_file(self, tmp_path):
         site = climate.build_site_climate(make_records(), 12, BOUNDS, 30, site_id="alpha")
         site.probability = site.probability.copy()

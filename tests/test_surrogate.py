@@ -936,7 +936,9 @@ def test_provider_pair_computes_one_feature_pass(tiny_provider, monkeypatch):
 
 # Frozen copies of the earlier per-multiplier feature block and of the
 # committee apply built on np.stack, np.var and a fresh input box; the
-# current code must reproduce them byte for byte.
+# current code must reproduce them byte for byte. A committee forwards
+# float32 copies of its float64 weights and upcasts the result, so the
+# frozen forms do the same.
 
 
 def features_of_one_multiplier(committee, inputs, multiplier):
@@ -954,13 +956,19 @@ def forward_with_temporaries(x, weights):
     return h2 @ w3 + b3
 
 
+def committee_forward(x, weights):
+    """One member's forward as a committee runs it: in float32, upcast."""
+    weights32 = [w.astype(np.float32) for w in weights]
+    return forward_with_temporaries(x.astype(np.float32), weights32).astype(np.float64)
+
+
 def apply_by_stacking(committee, inputs):
     feats = features_of_one_multiplier(committee, inputs, committee.phase_multiplier)
     z_in = committee.input_scaler.transform(feats)
     scaler = committee.output_scaler
     curves = (
         np.stack([
-            forward_with_temporaries(z_in, committee.network.member(m))
+            committee_forward(z_in, committee.network.member(m))
             for m in range(committee.network.n_members)
         ])
         * scaler.scale
@@ -992,11 +1000,20 @@ def test_member_block_forward_equals_the_per_member_loop_bytewise(topology, n):
     network = nn.Regressor.stacked(members)
     x = np.random.default_rng(n).normal(size=(n, topology[0]))
     got = network.predict(x)
-    assert got.shape == (5, n, topology[-1])
-    want = np.stack([forward_with_temporaries(x, weights) for weights in members])
+    assert got.shape == (5, n, topology[-1]) and got.dtype == np.float64
+    want = np.stack([committee_forward(x, weights) for weights in members])
     assert got.tobytes() == want.tobytes()
-    per_member = [kernels.mlp_forward(x, network.member(m)) for m in range(5)]
-    assert got.tobytes() == np.stack(per_member).tobytes()
+    x32 = x.astype(np.float32)
+    per_member = [
+        kernels.mlp_forward(x32, [w.astype(np.float32) for w in network.member(m)])
+        for m in range(5)
+    ]
+    assert got.tobytes() == np.stack(per_member).astype(np.float64).tobytes()
+    # training forwards the float64 member views
+    for m, weights in enumerate(members):
+        trained_path = kernels.mlp_forward(x, network.member(m))
+        assert trained_path.dtype == np.float64
+        assert trained_path.tobytes() == forward_with_temporaries(x, weights).tobytes()
 
 
 def test_members_are_views_of_the_block_and_train_it():
@@ -1025,6 +1042,39 @@ def test_members_are_views_of_the_block_and_train_it():
         assert not np.array_equal(w[1], w0[1])
         for m in (0, 2):
             assert w[m].tobytes() == w0[m].tobytes()
+
+
+def test_predict_follows_every_weight_write(tmp_path):
+    # predict forwards a float32 copy of the weights; each write through
+    # train, a QBC refit or a load must reach the next predict
+    data = surrogate.build_datasets("single", 60, 8, GRID, ENV, ORACLE)["single_damping"]
+    cfg = surrogate.CommitteeConfig(hidden=(8, 8), epochs=20, round_epochs=10, seed=0)
+    com = surrogate.train_committee(data, cfg)
+    z = com.input_scaler.transform(surrogate.sample_inputs("single", 9, 3))
+
+    def follows(network, previous):
+        got = network.predict(z)
+        want = np.stack([
+            committee_forward(z, network.member(m)) for m in range(network.n_members)
+        ])
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(got, previous)
+        return got
+
+    seen = follows(com.network, np.zeros(0))
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(20, 2)), rng.normal(size=(20, GRID.n))
+    com.network.train(2, x, y, nn.epoch_schedule(20, 10, 2, rng), 2e-3)
+    seen = follows(com.network, seen)
+    path = tmp_path / "committee.json"
+    surrogate.save_committee(com, path)
+    saved = seen
+    # the round predicts on its pool before it refits
+    surrogate.qbc_round(com, surrogate.sample_inputs("single", 20, 6), 5, ORACLE)
+    seen = follows(com.network, seen)
+    back = surrogate.load_committee(path)
+    assert back.network.predict(z).tobytes() == saved.tobytes()
+    follows(back.network, seen)
 
 
 def random_pair_inputs(seed):
