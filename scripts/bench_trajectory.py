@@ -10,7 +10,7 @@ subprocess from the root of the checkout and reads the JSON object on
 the run's last line. Then it makes one `--trace 1` run per workload at
 seed 0, and runs tier-1 (`python -m pytest -q
 --continue-on-collection-errors --durations=5`) once, timing it.
-`--seconds` defaults to the benchmark's `run_seconds`.
+S is the benchmark's `run_seconds`.
 
 `--parent` names a second checkout, usually the parent commit. Each run
 is then made in both checkouts back to back, and the side that goes
@@ -154,39 +154,37 @@ def machine_facts():
 
 
 def parse_seeds(text):
-    """'11-20' or '0,3,5' as a list of seeds."""
-    if "-" in text:
-        first, last = text.split("-")
-        return list(range(int(first), int(last) + 1))
-    return [int(s) for s in text.split(",")]
+    """'11-20' as the list of seeds from 11 to 20."""
+    first, last = text.split("-")
+    return list(range(int(first), int(last) + 1))
 
 
 def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seeds", default="1-5", help="'11-20' or '0,3,5'")
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    parser.add_argument("--seeds", required=True, type=parse_seeds, help="first-last, as 11-20")
     parser.add_argument("--parent", type=Path, help="a second checkout, run in pairs")
     parser.add_argument("--parent-out", type=Path)
     args = parser.parse_args(argv)
     if (args.parent is None) != (args.parent_out is None):
         parser.error("--parent and --parent-out go together")
+    seconds = bench["run_seconds"]
     trees = [ROOT] + ([args.parent.resolve()] if args.parent else [])
     names = [w["name"] for w in bench["workloads"]]
     runs = {tree: [] for tree in trees}
     pair = 0
     for workload in names:
-        for seed in parse_seeds(args.seeds):
+        for seed in args.seeds:
             order = trees if pair % 2 == 0 else trees[::-1]
             for tree in order:
-                runs[tree].append(run_perfbench(tree, workload, seed, args.seconds, 0))
+                runs[tree].append(run_perfbench(tree, workload, seed, seconds, 0))
             pair += 1
     command = [Path(sys.argv[0]).name, *(sys.argv[1:] if argv is None else argv)]
     for tree, out in zip(trees, [args.out, args.parent_out]):
-        traced = [run_perfbench(tree, workload, 0, args.seconds, 1) for workload in names]
+        traced = [run_perfbench(tree, workload, 0, seconds, 1) for workload in names]
         doc = assemble(runs[tree], traced, run_tier1(tree), machine_facts(), git_facts(tree),
-                       command, args.seconds)
+                       command, seconds)
         out.write_text(dumps(doc))
     return 0
 

@@ -10,6 +10,7 @@ probabilities and applies the conversion-chain efficiencies.
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,11 +270,20 @@ def save_site(climate, path):
         fh.write(text + "\n")
 
 
+def only_numbers(value):
+    """Whether every scalar of a nested list is a number and not a bool."""
+    if isinstance(value, list):
+        return all(only_numbers(item) for item in value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _site_array(path, doc, name, shape):
     """doc[name] as a float array of `shape`, where None matches any length."""
+    if not only_numbers(doc[name]):
+        raise ValueError(f"{path}: {name} must hold JSON numbers only")
     try:
         values = np.array(doc[name], dtype=np.float64)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValueError(f"{path}: {name} must be an array of numbers")
     if values.ndim != len(shape) or any(
         want not in (None, got) for want, got in zip(shape, values.shape)
@@ -286,7 +296,8 @@ def _site_array(path, doc, name, shape):
 def load_site(path):
     """A site file as `save_site` writes it, its fields checked.
 
-    `years` must be a JSON integer. The node arrays are 1-D, and the
+    `years` must be a JSON integer, and the arrays hold JSON numbers
+    only (no strings, bools or nulls). The node arrays are 1-D, and the
     quadrature weights and the probabilities are (n_hs, n_tp) tensors
     over them; each error names the file and the field.
     """

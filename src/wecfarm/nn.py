@@ -75,8 +75,8 @@ class Regressor:
     weights and (fan_out,) biases; ``train`` updates them in place.
 
     The weights are float64. ``predict`` forwards a float32 copy of them,
-    built on its first call and dropped by ``train``, and returns the
-    result upcast to float64: the committee mean only has to meet a 1e-2
+    built on its first call and dropped by ``train``, and returns a
+    float32 result: the committee mean only has to meet a 1e-2
     normalized-MSE gate, far above float32 rounding.
     """
 
@@ -113,7 +113,7 @@ class Regressor:
     def predict(self, x):
         if self._forward_weights is None:
             self._forward_weights = [w.astype(np.float32) for w in self.weights]
-        return kernels.mlp_forward(x, self._forward_weights).astype(np.float64)
+        return kernels.mlp_forward(x, self._forward_weights)
 
     @property
     def sizes(self):

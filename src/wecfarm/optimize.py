@@ -87,15 +87,6 @@ def design_to_dict(design):
     }
 
 
-def _leaves(value):
-    """The scalars of a nested list, or the value itself."""
-    if isinstance(value, list):
-        for item in value:
-            yield from _leaves(item)
-    else:
-        yield value
-
-
 def design_from_dict(doc):
     """A design from `design_to_dict`'s fields.
 
@@ -103,9 +94,8 @@ def design_from_dict(doc):
     false are refused, as is a `site_id` that is not a string.
     """
     for name in ("radius", "slenderness", "pto_stiffness", "pto_damping", "positions"):
-        for value in _leaves(doc[name]):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must hold numbers, got {value!r}")
+        if not climate_mod.only_numbers(doc[name]):
+            raise ValueError(f"{name} must hold JSON numbers only")
     if not isinstance(doc["site_id"], str):
         raise ValueError(f"site_id must be a string, got {doc['site_id']!r}")
     return DesignPoint(

@@ -461,9 +461,9 @@ class Committee:
         if features is None:
             features = self.features(inputs, (self.phase_multiplier,))
         z_in = self.input_scaler.transform(features[self.phase_multiplier])
-        # nondimensional per-member predictions, shape (M, n, n_w)
-        curves = self.network.predict(z_in)
-        curves *= self.output_scaler.scale
+        # nondimensional per-member predictions, shape (M, n, n_w); the
+        # float32 forward meets the float64 scale, so the product is float64
+        curves = self.network.predict(z_in) * self.output_scaler.scale
         curves += self.output_scaler.mean
         # means and the variance from the mean, as np.mean and np.var
         # compute them: a sum, then an in-place division by the count

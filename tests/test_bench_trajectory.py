@@ -61,4 +61,3 @@ def test_assemble_carries_every_run_and_takes_medians_and_quartiles():
 def test_parse_seeds():
     module = _bench_trajectory()
     assert module.parse_seeds("11-14") == [11, 12, 13, 14]
-    assert module.parse_seeds("0,3,5") == [0, 3, 5]

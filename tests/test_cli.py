@@ -262,6 +262,9 @@ WRONG_FIELDS = {
     "site-tp-nodes-empty": ("site", "tp_nodes", []),
     "site-weights-1d": ("site", "quadrature_weights", [0.5, 0.5]),
     "site-probability-short": ("site", "probability", lambda rows: rows[:-1]),
+    "site-hs-nodes-strings": ("site", "hs_nodes", lambda nodes: [str(v) for v in nodes]),
+    "site-probability-bool": ("site", "probability", lambda rows: [[True, *rows[0][1:]], *rows[1:]]),
+    "site-weights-null": ("site", "quadrature_weights", lambda rows: [[None, *rows[0][1:]], *rows[1:]]),
     "design-radius-true": ("design", "radius", True),
     "design-stiffness-bool": ("design", "pto_stiffness", [True]),
     "design-positions-bool": ("design", "positions", lambda rows: [*rows[:2], [88.0, False]]),

@@ -957,9 +957,9 @@ def forward_with_temporaries(x, weights):
 
 
 def committee_forward(x, weights):
-    """One member's forward as a committee runs it: in float32, upcast."""
+    """One member's forward as a committee runs it: in float32."""
     weights32 = [w.astype(np.float32) for w in weights]
-    return forward_with_temporaries(x.astype(np.float32), weights32).astype(np.float64)
+    return forward_with_temporaries(x.astype(np.float32), weights32)
 
 
 def apply_by_stacking(committee, inputs):
@@ -1000,7 +1000,7 @@ def test_member_block_forward_equals_the_per_member_loop_bytewise(topology, n):
     network = nn.Regressor.stacked(members)
     x = np.random.default_rng(n).normal(size=(n, topology[0]))
     got = network.predict(x)
-    assert got.shape == (5, n, topology[-1]) and got.dtype == np.float64
+    assert got.shape == (5, n, topology[-1]) and got.dtype == np.float32
     want = np.stack([committee_forward(x, weights) for weights in members])
     assert got.tobytes() == want.tobytes()
     x32 = x.astype(np.float32)
@@ -1008,7 +1008,7 @@ def test_member_block_forward_equals_the_per_member_loop_bytewise(topology, n):
         kernels.mlp_forward(x32, [w.astype(np.float32) for w in network.member(m)])
         for m in range(5)
     ]
-    assert got.tobytes() == np.stack(per_member).astype(np.float64).tobytes()
+    assert got.tobytes() == np.stack(per_member).tobytes()
     # training forwards the float64 member views
     for m, weights in enumerate(members):
         trained_path = kernels.mlp_forward(x, network.member(m))
