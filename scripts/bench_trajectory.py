@@ -169,6 +169,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if (args.parent is None) != (args.parent_out is None):
         parser.error("--parent and --parent-out go together")
+    if args.parent is not None and not args.parent.is_dir():
+        parser.error(f"--parent {args.parent} is not a directory")
     seconds = bench["run_seconds"]
     trees = [ROOT] + ([args.parent.resolve()] if args.parent else [])
     names = [w["name"] for w in bench["workloads"]]
