@@ -937,8 +937,7 @@ def test_provider_pair_computes_one_feature_pass(tiny_provider, monkeypatch):
 # Frozen copies of the earlier per-multiplier feature block and of the
 # committee apply built on np.stack, np.var and a fresh input box; the
 # current code must reproduce them byte for byte. A committee forwards
-# float32 copies of its float64 weights and upcasts the result, so the
-# frozen forms do the same.
+# float32 copies of its float64 weights, so the frozen forms do the same.
 
 
 def features_of_one_multiplier(committee, inputs, multiplier):
