@@ -354,25 +354,18 @@ def cmd_surrogate_validate(args):
     return 0
 
 
-GA_INT_FIELDS = ("population", "generations", "tournament", "seed")
+GA_INT_FIELDS = ("population", "generations", "seed")
 
 
 def _ga_config(doc, seed):
     """optimize.GaConfig from the config's `ga` object; `seed`, unless None, replaces ga.seed."""
-    kw = dict(doc)
-    for key in GA_INT_FIELDS:
-        if key in kw:
-            kw[key] = _config_int(doc, key, None, f"ga.{key}")
-    for key, (lo, hi) in optimize.GA_REAL_BOUNDS.items():
-        if key in kw and not optimize.ga_number_ok(key, kw[key]):
-            raise ConfigError(f"config key 'ga.{key}' must be a finite number in "
-                              f"[{lo:g}, {hi:g}], got {kw[key]!r}")
+    unknown = ", ".join(f"'ga.{key}'" for key in sorted(set(doc) - set(GA_INT_FIELDS)))
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown}; ga reads {', '.join(GA_INT_FIELDS)}")
+    kw = {key: _config_int(doc, key, None, f"ga.{key}") for key in doc}
     if seed is not None:
         kw["seed"] = seed
-    try:
-        return optimize.GaConfig(**kw)
-    except TypeError as exc:
-        raise ConfigError(f"ga config: {exc}")
+    return optimize.GaConfig(**kw)
 
 
 def cmd_optimize(args):
@@ -614,16 +607,13 @@ def build_parser():
         prog="wecfarm",
         description="Wave farm design toolkit: sites, surrogates, optimization, analysis.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out-dir", default=None,
+    # the flags every subcommand takes after its name
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=None, help="override the config seed")
+    common.add_argument("--out-dir", default=None,
                         help=f"run directory (default: the command's folder under ${OUT_ROOT_ENV}, or "
                              "under runs when it is unset: site, models, validation, study, "
                              "benchmark, random-layouts, sensitivity or eval)")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # child parser from clobbering a value given up front
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--out-dir", dest="out_dir", default=argparse.SUPPRESS)
     # the coefficient provider of every command that evaluates designs
     provider = argparse.ArgumentParser(add_help=False)
     provider.add_argument("--provider", choices=("reference", "surrogate"), default="reference")

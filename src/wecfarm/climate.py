@@ -296,10 +296,11 @@ def _site_array(path, doc, name, shape):
 def load_site(path):
     """A site file as `save_site` writes it, its fields checked.
 
-    `years` must be a JSON integer, and the arrays hold JSON numbers
-    only (no strings, bools or nulls). The node arrays are 1-D, and the
-    quadrature weights and the probabilities are (n_hs, n_tp) tensors
-    over them; each error names the file and the field.
+    `years` must be a JSON integer, `site_id` a string, and the arrays
+    hold JSON numbers only (no strings, bools or nulls). The node arrays
+    are 1-D, and the quadrature weights and the probabilities are
+    (n_hs, n_tp) tensors over them; each error names the file and the
+    field.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -308,6 +309,8 @@ def load_site(path):
     years = doc["years"]
     if isinstance(years, bool) or not isinstance(years, int):
         raise ValueError(f"{path}: years must be an integer, got {years!r}")
+    if not isinstance(doc["site_id"], str):
+        raise ValueError(f"{path}: site_id must be a string, got {doc['site_id']!r}")
     hs = _site_array(path, doc, "hs_nodes", (None,))
     tp = _site_array(path, doc, "tp_nodes", (None,))
     tensor = (hs.size, tp.size)

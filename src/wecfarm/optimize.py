@@ -16,7 +16,6 @@ Three nested study spaces share the decoder:
 
 import hashlib
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -201,40 +200,30 @@ def penalized_fitness(result, penalty_coeff):
 
 STUDIES = ("I", "II", "III")
 
-# GaConfig's real-valued fields and the closed interval each must lie in
-GA_REAL_BOUNDS = {
-    "crossover_probability": (0.0, 1.0),
-    "crossover_index": (0.0, math.inf),
-    "mutation_probability": (0.0, 1.0),
-    "mutation_index": (0.0, math.inf),
-    "penalty_coeff": (0.0, math.inf),
-}
-
-
-def ga_number_ok(name, value):
-    """Whether `value` is a finite real number, not a bool or a string, in
-    GA_REAL_BOUNDS[name]; a None mutation probability means 1/dim."""
-    if value is None:
-        return name == "mutation_probability"
-    lo, hi = GA_REAL_BOUNDS[name]
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and math.isfinite(value) and lo <= value <= hi
+# the fixed operator set of run_ga: simulated binary crossover and
+# polynomial mutation (Deb and Agrawal 1995) with binary tournaments;
+# each gene mutates with probability 1/dim
+CROSSOVER_PROBABILITY = 0.9
+CROSSOVER_INDEX = 15.0
+MUTATION_INDEX = 20.0
+TOURNAMENT = 2
 
 
 @dataclass
 class GaConfig:
+    """The GA's three settings; its operators are the module constants above.
+
+    `penalty_coeff` is a class constant, the weight of the quadratic
+    exterior penalty in `penalized_fitness`.
+    """
+
     population: int = 40
     generations: int = 60
-    crossover_probability: float = 0.9
-    crossover_index: float = 15.0
-    mutation_probability: float = None  # None -> 1/dim at decode time
-    mutation_index: float = 20.0
-    tournament: int = 2
-    penalty_coeff: float = 1e6
     seed: int = 0
+    penalty_coeff = 1e6
 
     def __post_init__(self):
-        for name in ("population", "generations", "tournament", "seed"):
+        for name in ("population", "generations", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -242,15 +231,6 @@ class GaConfig:
             raise ValueError("population must be even and at least 4")
         if self.generations < 1:
             raise ValueError("need at least one generation")
-        for name, (lo, hi) in GA_REAL_BOUNDS.items():
-            value = getattr(self, name)
-            if not ga_number_ok(name, value):
-                raise ValueError(
-                    f"{name.replace('_', ' ')} must be a finite number in [{lo:g}, {hi:g}], "
-                    f"got {value!r}"
-                )
-        if self.tournament < 2:
-            raise ValueError("tournament size must be at least 2")
 
 
 @dataclass
@@ -272,6 +252,11 @@ class StudySpec:
             raise ValueError("study I freezes the control; fixed_control is required")
         if self.study != "I" and self.fixed_control is not None:
             raise ValueError(f"study {self.study} optimizes its control; drop fixed_control")
+        if self.fixed_control is not None:
+            try:
+                PtoSettings(*np.reshape(self.fixed_control, (2, 1)))
+            except ValueError as exc:
+                raise ValueError(f"fixed_control {list(self.fixed_control)}: {exc}") from None
         if self.provider_mode not in ("reference", "surrogate"):
             raise ValueError(f"unknown provider mode {self.provider_mode!r}")
         if self.inject_genes is not None:
@@ -398,6 +383,12 @@ def _polynomial_mutation(genes, bounds, p_gene, eta, rng):
 def run_ga(spec, grid, env, provider, eff=None, progress=None):
     """Elitist real-coded GA over the chosen study space.
 
+    Binary tournaments pick the parents, a pair crosses over by SBX with
+    probability CROSSOVER_PROBABILITY, and each child gene then mutates
+    polynomially with probability 1/dim; the best member so far always
+    survives. `spec.ga` sets only the population, the generations and
+    the seed.
+
     Deterministic for a given spec; history rows carry per-generation
     best/median fitness and the feasible fraction. Any evaluation
     failure aborts the run with the offending genome attached.
@@ -405,7 +396,7 @@ def run_ga(spec, grid, env, provider, eff=None, progress=None):
     ga = spec.ga
     bounds = gene_bounds(spec.study, spec.n_devices)
     dim = bounds.shape[0]
-    p_gene = ga.mutation_probability if ga.mutation_probability is not None else 1.0 / dim
+    p_gene = 1.0 / dim
     rng = np.random.default_rng(ga.seed)
 
     def evaluate(genes):
@@ -430,7 +421,7 @@ def run_ga(spec, grid, env, provider, eff=None, progress=None):
     fitness = np.array([e[2] for e in evaluated])
 
     def pick():
-        idx = rng.integers(0, ga.population, size=ga.tournament)
+        idx = rng.integers(0, ga.population, size=TOURNAMENT)
         return pop[idx[np.argmin(fitness[idx])]]
 
     history = []
@@ -441,13 +432,13 @@ def run_ga(spec, grid, env, provider, eff=None, progress=None):
         children = []
         while len(children) < ga.population - 1:
             pa, pb = pick(), pick()
-            if rng.uniform() < ga.crossover_probability:
-                ca, cb = _sbx_pair(pa, pb, bounds, ga.crossover_index, rng)
+            if rng.uniform() < CROSSOVER_PROBABILITY:
+                ca, cb = _sbx_pair(pa, pb, bounds, CROSSOVER_INDEX, rng)
             else:
                 ca, cb = pa.copy(), pb.copy()
-            children.append(_polynomial_mutation(ca, bounds, p_gene, ga.mutation_index, rng))
+            children.append(_polynomial_mutation(ca, bounds, p_gene, MUTATION_INDEX, rng))
             if len(children) < ga.population - 1:
-                children.append(_polynomial_mutation(cb, bounds, p_gene, ga.mutation_index, rng))
+                children.append(_polynomial_mutation(cb, bounds, p_gene, MUTATION_INDEX, rng))
 
         child_eval = [evaluate(genes) for genes in children]
         n_evals += len(children)
