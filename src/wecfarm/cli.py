@@ -3,8 +3,11 @@
 Every command reads structured JSON configuration, writes its numeric
 outputs deterministically (same config and seed give byte-identical
 files) and drops exactly one manifest.json in the run directory with
-input digests and timestamps. Exit codes: 0 success, 1 configuration or
-validation problem, 2 runtime or numerical failure.
+input digests and timestamps. `--models DIR` selects the surrogate and
+its committees' grid, else the reference runs on the config's grid; a
+seed is a config key, but `analyze random-layouts` reads `--seed`. Exit
+codes: 0 success, 1 configuration or validation problem, 2 runtime or
+numerical failure.
 """
 
 import argparse
@@ -26,12 +29,11 @@ MSE_GATE = 1e-2
 
 # the top-level keys each command's --config may hold, all of which it
 # reads; any other key is a ConfigError. Stored committees bring their
-# own grid, so validating them reads no key.
+# own grid, so with --models `frequency_count` is not a key.
 CONFIG_KEYS = {
     "sites build": ("bounds", "n_gq", "years", "site_id"),
     "surrogate train": ("frequency_count", "seed"),
     "surrogate validate": ("frequency_count",),
-    "surrogate validate --models": (),
     "optimize": ("study", "n_devices", "fixed_control", "ga", "inject_design", "frequency_count"),
     "analyze benchmark": ("n", "n_devices", "seed", "frequency_count"),
 }
@@ -59,14 +61,18 @@ def _load_json(path, what="config"):
 
 
 def _load_config(args, command):
-    """The command's --config document, {} without one; it may hold only CONFIG_KEYS[command]."""
+    """The --config document, {} without one: only CONFIG_KEYS[command], less frequency_count
+    with --models."""
     config = _load_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
-    unknown = ", ".join(map(repr, sorted(set(config) - set(CONFIG_KEYS[command]))))
+    models = getattr(args, "models", None)
+    keys = [key for key in CONFIG_KEYS[command] if not (models and key == "frequency_count")]
+    unknown = ", ".join(map(repr, sorted(set(config) - set(keys))))
     if unknown:
-        raise ConfigError(f"{args.config}: unknown config key {unknown}; "
-                          f"{command} reads {', '.join(CONFIG_KEYS[command]) or 'no key'}")
+        raise ConfigError(f"{args.config}: unknown config key {unknown}; {command}"
+                          f"{' with --models' if models else ''} reads "
+                          f"{', '.join(keys) or 'no key'}")
     return config
 
 
@@ -120,7 +126,7 @@ class Run:
     one, is the first input.
     """
 
-    def __init__(self, args, command, leaf, config, seed):
+    def __init__(self, args, command, leaf, config, seed=None):
         self.dir = args.out_dir or os.path.join(os.environ.get(OUT_ROOT_ENV, "runs"), leaf)
         self.command = command
         self.seed = seed
@@ -203,12 +209,13 @@ def _load_committees(models_dir, run):
     return committees
 
 
-def _provider(args, run):
-    if args.provider == "reference":
-        return hydro.ReferenceProvider()
-    if not args.models:
-        raise ConfigError("--models is required when --provider surrogate")
-    return surrogate.SurrogateProvider(_load_committees(args.models, run))
+def _provider(args, run, config):
+    """The run's provider and frequency grid: the --models committees and the grid they
+    were trained on, else the reference and the config's grid."""
+    if args.models:
+        provider = surrogate.SurrogateProvider(_load_committees(args.models, run))
+        return provider, provider.grid
+    return hydro.ReferenceProvider(), _frequency_grid(config)
 
 
 def _load_site(path, run):
@@ -233,10 +240,11 @@ def _provenance(provider, seed, design):
     return {"provider": provider.name, "seed": seed, "config_hash": optimize.design_hash(design)}
 
 
-def _design_run(args, command, leaf, config, seed):
-    """Run, site, design and provider of a command on one stored design."""
+def _design_run(args, command, leaf, config, seed=None):
+    """Run, site, design, provider and frequency grid of a command on one stored design."""
     run = Run(args, command, leaf, config, seed)
-    return run, _load_site(args.site, run), _load_design(args.design, run), _provider(args, run)
+    site, design = _load_site(args.site, run), _load_design(args.design, run)
+    return (run, site, design, *_provider(args, run, {}))
 
 
 # --- commands -------------------------------------------------------------
@@ -244,7 +252,7 @@ def _design_run(args, command, leaf, config, seed):
 
 def cmd_sites_build(args):
     config = _load_config(args, "sites build")
-    run = Run(args, "sites build", "site", config, args.seed)
+    run = Run(args, "sites build", "site", config)
 
     records = climate.read_records_csv(run.read(args.records))
     bounds = _config_value(
@@ -276,7 +284,7 @@ def cmd_sites_build(args):
 
 def cmd_surrogate_train(args):
     config = _load_config(args, "surrogate train")
-    seed = args.seed if args.seed is not None else _config_int(config, "seed", 0)
+    seed = _config_int(config, "seed", 0)
     run = Run(args, "surrogate train", "models", config, seed)
 
     grid = _frequency_grid(config)
@@ -296,9 +304,8 @@ def cmd_surrogate_train(args):
 
 
 def cmd_surrogate_validate(args):
-    stored = args.models and not args.cheat
-    config = _load_config(args, "surrogate validate --models" if stored else "surrogate validate")
-    run = Run(args, "surrogate validate", "validation", config, args.seed)
+    config = _load_config(args, "surrogate validate")
+    run = Run(args, "surrogate validate", "validation", config)
 
     env = hydro.Environment()
     oracle = hydro.ReferenceProvider()
@@ -310,10 +317,8 @@ def cmd_surrogate_validate(args):
             tid: surrogate.CheatingCommittee(tid, grid, env, oracle)
             for tid in surrogate.ALL_TARGET_IDS
         }
-    elif args.models:
-        sources = _load_committees(args.models, run)
     else:
-        raise ConfigError("surrogate validate needs --models or --cheat")
+        sources = _load_committees(args.models, run)
 
     for tid in surrogate.ALL_TARGET_IDS:
         vm = surrogate.validate_on_grid(sources[tid], oracle)
@@ -357,27 +362,21 @@ def cmd_surrogate_validate(args):
 GA_INT_FIELDS = ("population", "generations", "seed")
 
 
-def _ga_config(doc, seed):
-    """optimize.GaConfig from the config's `ga` object; `seed`, unless None, replaces ga.seed."""
+def _ga_config(doc):
+    """optimize.GaConfig from the config's `ga` object."""
     unknown = ", ".join(f"'ga.{key}'" for key in sorted(set(doc) - set(GA_INT_FIELDS)))
     if unknown:
         raise ConfigError(f"unknown config key {unknown}; ga reads {', '.join(GA_INT_FIELDS)}")
-    kw = {key: _config_int(doc, key, None, f"ga.{key}") for key in doc}
-    if seed is not None:
-        kw["seed"] = seed
-    return optimize.GaConfig(**kw)
+    return optimize.GaConfig(**{key: _config_int(doc, key, None, f"ga.{key}") for key in doc})
 
 
 def cmd_optimize(args):
     config = _load_config(args, "optimize")
-    ga = _ga_config(
-        _config_value(config, "ga", {}, lambda v: isinstance(v, dict), "an object"), args.seed
-    )
+    ga = _ga_config(_config_value(config, "ga", {}, lambda v: isinstance(v, dict), "an object"))
     run = Run(args, "optimize", "study", config, ga.seed)
 
     site = _load_site(args.site, run)
-    provider = _provider(args, run)
-    grid = _frequency_grid(config)
+    provider, grid = _provider(args, run, config)
     env = hydro.Environment()
 
     study = config.get("study")
@@ -454,24 +453,18 @@ def cmd_optimize(args):
 
 def cmd_analyze_benchmark(args):
     config = _load_config(args, "analyze benchmark")
-    seed = args.seed if args.seed is not None else _config_int(config, "seed", 0)
+    seed = _config_int(config, "seed", 0)
     run = Run(args, "analyze benchmark", "benchmark", config, seed)
 
     site = _load_site(args.site, run)
-    if args.cheat:
-        # a second instance, so the comparison does not read the first
-        # one's memo of the same query
-        against, mode = hydro.ReferenceProvider(), "cheating-reference"
-    else:
-        against = _provider(args, run)
-        if against.name != "surrogate":
-            raise ConfigError("benchmark compares the surrogate against the reference; "
-                              "pass --provider surrogate with --models, or --cheat")
-        mode = against.name
+    # with --cheat, a second reference instance, so the comparison does
+    # not read the first one's memo of the same query
+    against, grid = _provider(args, run, config)
+    mode = "cheating-reference" if args.cheat else against.name
 
     n = _config_int(config, "n", 1000)
     stats = optimize.power_error_benchmark(
-        n, _frequency_grid(config), hydro.Environment(), hydro.ReferenceProvider(), against, site,
+        n, grid, hydro.Environment(), hydro.ReferenceProvider(), against, site,
         n_devices=_config_int(config, "n_devices", 5), seed=seed,
     )
     run.json("benchmark.json", {
@@ -508,18 +501,17 @@ def cmd_analyze_benchmark(args):
 
 
 def cmd_analyze_random_layouts(args):
-    seed = args.seed if args.seed is not None else 0
-    run, site, design, provider = _design_run(
-        args, "analyze random-layouts", "random-layouts", {"n": args.n}, seed
+    run, site, design, provider, grid = _design_run(
+        args, "analyze random-layouts", "random-layouts", {"n": args.n}, args.seed
     )
     hist = optimize.random_layout_analysis(
-        design, args.n, provider, _frequency_grid({}), hydro.Environment(), site, seed=seed
+        design, args.n, provider, grid, hydro.Environment(), site, seed=args.seed
     )
     run.json("random_layouts.json", {
         "schema_version": 1,
         "provider": provider.name,
         "n": args.n,
-        "seed": seed,
+        "seed": args.seed,
         "design_pv": hist.design_pv,
         "percentile": hist.percentile,
         "random_pv_min": float(hist.values.min()),
@@ -540,13 +532,12 @@ def cmd_analyze_random_layouts(args):
 
 
 def cmd_analyze_sensitivity(args):
-    run, site, design, provider = _design_run(
+    run, site, design, provider, grid = _design_run(
         args, "analyze sensitivity", "sensitivity",
-        {"wec_index": args.wec, "resolution": args.resolution}, args.seed,
+        {"wec_index": args.wec, "resolution": args.resolution},
     )
     sm = optimize.sensitivity_map(
-        design, args.wec, args.resolution, provider, _frequency_grid({}), hydro.Environment(),
-        site,
+        design, args.wec, args.resolution, provider, grid, hydro.Environment(), site
     )
     run.json("sensitivity.json", {
         "schema_version": 1,
@@ -578,10 +569,8 @@ def cmd_analyze_sensitivity(args):
 
 
 def cmd_eval(args):
-    run, site, design, provider = _design_run(args, "eval", "eval", {}, args.seed)
-    result = optimize.evaluate_design(
-        design, _frequency_grid({}), hydro.Environment(), provider, site
-    )
+    run, site, design, provider, grid = _design_run(args, "eval", "eval", {})
+    result = optimize.evaluate_design(design, grid, hydro.Environment(), provider, site)
     doc = {
         "schema_version": 1,
         "provider": provider.name,
@@ -591,7 +580,7 @@ def cmd_eval(args):
         "per_device_power": result.per_device_power.tolist(),
         "feasible": result.feasible,
         "violations": result.violations.tolist(),
-        "provenance": _provenance(provider, args.seed, design),
+        "provenance": _provenance(provider, None, design),
     }
     run.json("evaluation.json", doc)
     run.finish()
@@ -602,25 +591,32 @@ def cmd_eval(args):
 # --- argument parsing -----------------------------------------------------
 
 
+MODELS_HELP = "committee directory (committee_*.json): selects the surrogate and its grid"
+
+
+def _models_or_cheat(parser, cheat_help):
+    """Exactly one of --models and --cheat, for the commands that check a surrogate."""
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--models", default=None, help=MODELS_HELP)
+    group.add_argument("--cheat", action="store_true", help=cheat_help)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wecfarm",
         description="Wave farm design toolkit: sites, surrogates, optimization, analysis.",
     )
-    # the flags every subcommand takes after its name
+    # the flag every subcommand takes after its name
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--out-dir", default=None,
                         help=f"run directory (default: the command's folder under ${OUT_ROOT_ENV}, or "
                              "under runs when it is unset: site, models, validation, study, "
                              "benchmark, random-layouts, sensitivity or eval)")
     # the coefficient provider of every command that evaluates designs
-    provider = argparse.ArgumentParser(add_help=False)
-    provider.add_argument("--provider", choices=("reference", "surrogate"), default="reference")
-    provider.add_argument("--models", default=None,
-                          help="committee directory for --provider surrogate")
+    provider = argparse.ArgumentParser(add_help=False, parents=[common])
+    provider.add_argument("--models", default=None, help=MODELS_HELP)
     # the inputs of every command that works on one stored design
-    stored = argparse.ArgumentParser(add_help=False, parents=[common, provider])
+    stored = argparse.ArgumentParser(add_help=False, parents=[provider])
     stored.add_argument("--design", required=True)
     stored.add_argument("--site", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -641,13 +637,11 @@ def build_parser():
     train.add_argument("--config", default=None, help="JSON training overrides")
     train.set_defaults(func=cmd_surrogate_train)
     val = sur.add_parser("validate", parents=[common], help="grid MSE of stored committees vs the reference")
-    val.add_argument("--models", default=None, help="directory with committee_*.json")
+    _models_or_cheat(val, "validate the oracle against itself (must be exactly zero)")
     val.add_argument("--config", default=None)
-    val.add_argument("--cheat", action="store_true",
-                     help="validate the oracle against itself (must be exactly zero)")
     val.set_defaults(func=cmd_surrogate_validate)
 
-    opt = sub.add_parser("optimize", parents=[common, provider], help="run one GA study")
+    opt = sub.add_parser("optimize", parents=[provider], help="run one GA study")
     opt.add_argument("--config", required=True, help="study JSON")
     opt.add_argument("--site", required=True, help="site climate JSON")
     opt.set_defaults(func=cmd_optimize)
@@ -655,16 +649,16 @@ def build_parser():
     ana = sub.add_parser("analyze", help="benchmark and appendix analyses").add_subparsers(
         dest="subcommand", required=True
     )
-    bench = ana.add_parser("benchmark", parents=[common, provider],
+    bench = ana.add_parser("benchmark", parents=[common],
                            help="surrogate-vs-reference objective error")
+    _models_or_cheat(bench, "benchmark the reference against itself (errors exactly zero)")
     bench.add_argument("--config", default=None)
     bench.add_argument("--site", required=True)
-    bench.add_argument("--cheat", action="store_true",
-                       help="benchmark the reference against itself (errors exactly zero)")
     bench.set_defaults(func=cmd_analyze_benchmark)
     rnd = ana.add_parser("random-layouts", parents=[stored],
                          help="objective histogram over random layouts")
     rnd.add_argument("--n", type=int, default=250)
+    rnd.add_argument("--seed", type=int, default=0, help="seed of the random layouts")
     rnd.set_defaults(func=cmd_analyze_random_layouts)
     sens = ana.add_parser("sensitivity", parents=[stored],
                           help="objective map around one device")
@@ -678,8 +672,12 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            parser.error(f"{argv[0]}: flags follow the subcommand, "
+                         f"as in `wecfarm <command> {argv[0]} ...`")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; those are validation errors here

@@ -295,7 +295,8 @@ def test_eval_names_the_file_and_field_of_a_wrong_value(
 def test_written_results_carry_the_provenance_of_their_design(
     site_path, design_path, tmp_path, capsys
 ):
-    # the provider, the seed and the hash of the design the file holds
+    # the provider, the seed (none for eval, which draws no random
+    # number) and the hash of the design the file holds
     out = str(tmp_path / "study")
     assert _run_tiny_study(site_path, out) == 0
     best = json.load(open(os.path.join(out, "best_design.json")))
@@ -304,7 +305,7 @@ def test_written_results_carry_the_provenance_of_their_design(
         "config_hash": optimize.design_hash(optimize.design_from_dict(best)),
     }
     rc = cli.main([
-        "eval", "--design", design_path, "--site", site_path, "--seed", "4",
+        "eval", "--design", design_path, "--site", site_path,
         "--out-dir", str(tmp_path / "eval"),
     ])
     assert rc == 0
@@ -312,7 +313,7 @@ def test_written_results_carry_the_provenance_of_their_design(
     doc = json.load(open(tmp_path / "eval" / "evaluation.json"))
     design = optimize.design_from_dict(json.load(open(design_path)))
     assert doc["provenance"] == {
-        "provider": "reference", "seed": 4, "config_hash": optimize.design_hash(design)
+        "provider": "reference", "seed": None, "config_hash": optimize.design_hash(design)
     }
 
 
@@ -325,15 +326,17 @@ def test_out_root_env_var(site_path, design_path, tmp_path, monkeypatch):
 
 
 def test_seed_and_out_dir_go_after_the_subcommand(site_path, design_path, tmp_path, capsys):
-    out = tmp_path / "eval"
-    for flag, value in (("--seed", "3"), ("--out-dir", str(out))):
-        rc = cli.main([flag, value, "eval", "--design", design_path, "--site", site_path])
+    out = tmp_path / "run"
+    for flag, value, command in (("--seed", "3", ["analyze", "random-layouts"]),
+                                 ("--out-dir", str(out), ["eval"])):
+        rc = cli.main([flag, value, *command, "--design", design_path, "--site", site_path])
         assert rc == 1
-        assert "usage: wecfarm" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage: wecfarm" in err and f"{flag}: flags follow the subcommand" in err
     assert not out.exists()
 
 
-def _run_tiny_study(site_path, out, seed=None, study="II"):
+def _run_tiny_study(site_path, out, study="II"):
     cfg = {
         "study": study,
         "n_devices": 3,
@@ -343,10 +346,7 @@ def _run_tiny_study(site_path, out, seed=None, study="II"):
     os.makedirs(out, exist_ok=True)
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
-    argv = ["optimize", "--config", cfg_path, "--site", site_path, "--out-dir", out]
-    if seed is not None:
-        argv += ["--seed", str(seed)]
-    return cli.main(argv)
+    return cli.main(["optimize", "--config", cfg_path, "--site", site_path, "--out-dir", out])
 
 
 def test_optimize_run_artifacts(site_path, tmp_path, capsys):
@@ -403,7 +403,7 @@ def test_optimize_with_no_models_makes_no_run_directory(site_path, tmp_path, cap
     out = tmp_path / "run"
     rc = cli.main([
         "optimize", "--config", str(cfg), "--site", site_path,
-        "--provider", "surrogate", "--models", str(models), "--out-dir", str(out),
+        "--models", str(models), "--out-dir", str(out),
     ])
     assert rc == 1
     assert "missing model file" in capsys.readouterr().err
@@ -417,15 +417,6 @@ def test_optimize_rerun_is_numerically_identical(site_path, tmp_path, capsys):
     capsys.readouterr()
     for name in ("history.csv", "best_design.json", "layout.svg", "convergence.svg"):
         assert open(os.path.join(a, name)).read() == open(os.path.join(b, name)).read(), name
-
-
-def test_optimize_seed_flag_overrides_config(site_path, tmp_path, capsys):
-    a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert _run_tiny_study(site_path, a, seed=9) == 0
-    assert _run_tiny_study(site_path, b, seed=10) == 0
-    capsys.readouterr()
-    assert json.load(open(os.path.join(a, "best_design.json")))["seed"] == 9
-    assert json.load(open(os.path.join(b, "best_design.json")))["seed"] == 10
 
 
 def test_optimize_study_control_mismatch_is_config_error(site_path, tmp_path, capsys):
@@ -486,12 +477,11 @@ def test_benchmark_cheating_is_exactly_zero(site_path, tmp_path, capsys):
 
 
 def test_benchmark_without_models_is_config_error(site_path, tmp_path, capsys):
-    rc = cli.main([
-        "analyze", "benchmark", "--provider", "surrogate",
-        "--site", site_path, "--out-dir", str(tmp_path),
-    ])
+    out = tmp_path / "run"
+    rc = cli.main(["analyze", "benchmark", "--site", site_path, "--out-dir", str(out)])
     assert rc == 1
-    assert "--models" in capsys.readouterr().err
+    assert "one of the arguments --models --cheat is required" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_random_layouts_deterministic(site_path, design_path, tmp_path, capsys):
@@ -683,25 +673,90 @@ def test_a_config_that_is_not_an_object_is_config_error(site_path, tmp_path, cap
 
 
 def test_surrogate_validate_without_models_or_cheat_is_config_error(tmp_path, capsys):
-    rc = cli.main(["surrogate", "validate", "--out-dir", str(tmp_path / "val")])
+    out = tmp_path / "val"
+    rc = cli.main(["surrogate", "validate", "--out-dir", str(out)])
     assert rc == 1
-    assert "--models or --cheat" in capsys.readouterr().err
+    assert "one of the arguments --models --cheat is required" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_surrogate_validate_models_reads_no_config_key(tmp_path, capsys):
+@pytest.mark.parametrize("command, config, reads", [
+    ("surrogate validate", {}, "reads no key"),
+    ("optimize", {"study": "II", "ga": QUICK_GA}, "reads study, n_devices"),
+    ("analyze benchmark", {"n": 10, "n_devices": 3}, "reads n, n_devices, seed"),
+], ids=["surrogate validate", "optimize", "analyze benchmark"])
+def test_with_models_frequency_count_is_no_config_key(site_path, tmp_path, capsys, command,
+                                                       config, reads):
     # stored committees bring their own grid; a key that would be ignored
     # is refused before the models are read or a run directory is made
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"frequency_count": 30}))
+    cfg.write_text(json.dumps({**config, "frequency_count": 30}))
     out = tmp_path / "run"
+    site = [] if command == "surrogate validate" else ["--site", site_path]
     rc = cli.main([
-        "surrogate", "validate", "--models", str(tmp_path / "no_models"), "--config", str(cfg),
-        "--out-dir", str(out),
+        *command.split(), "--models", str(tmp_path / "no_models"), "--config", str(cfg),
+        *site, "--out-dir", str(out),
     ])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "unknown config key 'frequency_count'" in err and "reads no key" in err
+    assert "unknown config key 'frequency_count'" in err
+    assert f"{command} with --models {reads}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["surrogate validate", "analyze benchmark"])
+def test_models_and_cheat_together_is_config_error(site_path, tmp_path, capsys, command):
+    out = tmp_path / "run"
+    site = [] if command == "surrogate validate" else ["--site", site_path]
+    rc = cli.main([
+        *command.split(), "--models", str(tmp_path / "no_models"), "--cheat", *site,
+        "--out-dir", str(out),
+    ])
+    assert rc == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def models_path(tiny_committees, tmp_path_factory):
+    """The 30-frequency tiny committees saved as a model directory."""
+    models = tmp_path_factory.mktemp("models")
+    for tid, committee in tiny_committees.items():
+        surrogate.save_committee(committee, models / f"committee_{tid}.json")
+    return str(models)
+
+
+def test_models_select_the_surrogate_and_its_grid(
+    site_path, design_path, models_path, tmp_path, capsys
+):
+    # committees on a 30-point grid serve every command that evaluates
+    # designs, with no config naming that grid
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({"study": "II", "n_devices": 3, "ga": QUICK_GA}))
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps({"n": 100, "n_devices": 3}))
+    stored = ["--design", design_path, "--site", site_path]
+    runs = {
+        "eval": (["eval", *stored], "evaluation.json", ["provider"]),
+        "optimize": (["optimize", "--config", str(study), "--site", site_path],
+                     "best_design.json", ["evaluation", "provenance", "provider"]),
+        "random-layouts": (["analyze", "random-layouts", *stored, "--n", "100"],
+                           "random_layouts.json", ["provider"]),
+        "sensitivity": (["analyze", "sensitivity", *stored, "--wec", "1", "--resolution", "10"],
+                        "sensitivity.json", ["provider"]),
+        "benchmark": (["analyze", "benchmark", "--config", str(bench), "--site", site_path],
+                      "benchmark.json", ["mode"]),
+    }
+    for name, (argv, written, keys) in runs.items():
+        out = tmp_path / name
+        assert cli.main([*argv, "--models", models_path, "--out-dir", str(out)]) == 0, name
+        doc = json.load(open(out / written))
+        for key in keys:
+            doc = doc[key]
+        assert doc == "surrogate", name
+        manifest = assert_manifest_complete(str(out))
+        assert sum(os.path.basename(p).startswith("committee_") for p in manifest["inputs"]) == 9
+    capsys.readouterr()
 
 
 def test_surrogate_validate_cheat_is_zero(tmp_path, capsys):
