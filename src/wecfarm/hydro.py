@@ -295,7 +295,8 @@ def _read_only(*arrays):
 
 
 # kept for its traffic: a reference evaluation solves its grid 3 times and
-# 1 of 60 calls missed over 20; a miss costs 170 us, a hit 9 (200 points)
+# 1 of 60 calls missed over 20; a miss costs 110-125 us, a hit 1.3 (200
+# points, timeit on a 2-core VM)
 _dispersion_cache = {}
 
 
@@ -541,8 +542,11 @@ class ReferenceProvider:
         # a held row passed that check under the same radius
         l, theta, batched = _row_arrays(separation, heading_angle)
         context = _context(geom, grid, env, curves)
-        # exact row keys: the bits of each separation and heading
-        keys = list(zip(l.view(np.int64).tolist(), theta.view(np.int64).tolist()))
+        # exact row keys: the bits of each separation, and of each heading
+        # when the forces are asked, since no other curve reads the heading
+        keys = l.view(np.int64).tolist()
+        if "forces" in curves:
+            keys = list(zip(keys, theta.view(np.int64).tolist()))
         if self._pairs is not None and self._pairs[0] == context:
             _, isolated, rows, held = self._pairs
             hits = [rows.get(key) for key in keys]

@@ -583,9 +583,10 @@ def qbc_round(committee, pool, k, oracle):
     """Label the k most contested pool points and continue training.
 
     Ties in disagreement break toward the lexicographically smaller
-    input. Points already in the dataset never re-enter it. Scalers stay
-    frozen so the existing member weights remain valid; members continue
-    training on the augmented data.
+    input. Points already in the dataset never re-enter it, and a point
+    the pool holds twice is a candidate once. Scalers stay frozen so the
+    existing member weights remain valid; members continue training on
+    the augmented data.
     """
     pool = np.atleast_2d(np.asarray(pool, dtype=np.float64))
     if pool.shape[0] == 0:
@@ -596,8 +597,14 @@ def qbc_round(committee, pool, k, oracle):
     if dataset is None:
         raise ValueError("committee carries no dataset; reload it with its training data")
 
+    # a pool row is a candidate when neither the dataset nor an earlier
+    # pool row holds it, so the pool's order and the tie-break are kept
     seen = {row.tobytes() for row in dataset.inputs}
-    fresh = np.array([row.tobytes() not in seen for row in pool])
+    fresh = np.zeros(pool.shape[0], dtype=bool)
+    for i, row in enumerate(pool):
+        key = row.tobytes()
+        fresh[i] = key not in seen
+        seen.add(key)
     candidates = pool[fresh]
     if candidates.shape[0] < k:
         raise ValueError("pool has fewer unseen points than the batch size")
