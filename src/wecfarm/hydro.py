@@ -28,6 +28,9 @@ committees plug into the rest of the pipeline. It remembers its
 previous `pair` query, rows and isolated body, because a layout step or
 a sensitivity map moves one device at a time: at N = 10 that leaves 36
 of the 45 pair rows as they were, and only the other 9 are computed.
+Only the forces read the heading, so a query without them reuses a row
+held at the same separation whatever its heading: a validation sweep
+over headings computes each separation of the radiation curves once.
 The memo never holds more than one query. Its answers are read-only,
 the curves and the isolated arrays alike, and the isolated record is
 frozen, because the memo holds what it hands out.
@@ -517,11 +520,13 @@ class ReferenceProvider:
     map moves one device while the plant, the control and the other
     devices stay fixed, so most rows of a pair query repeat the query
     before it, and one-row labels of one plant compute its isolated body
-    once. A row is keyed exactly, by the bits of its separation and
-    heading, and a query is reused only when radius, slenderness, grid
-    values, environment constants and the asked curves are equal too.
-    Only the missing rows are computed, in one pair_coefficients call
-    through the held isolated body, and the memo then holds this
+    once. A row is keyed exactly, by the bits of its separation, and of
+    its heading too when the forces are asked: no other curve reads the
+    heading, so a heading sweep of the radiation curves computes each
+    separation once. A query is reused only when radius, slenderness,
+    grid values, environment constants and the asked curves are equal
+    too. Only the missing rows are computed, in one pair_coefficients
+    call through the held isolated body, and the memo then holds this
     query's rows and nothing else, so it is bounded by one query. Every
     answer is bit-identical to a fresh provider's. The memo holds the
     read-only arrays and the frozen isolated record it returns, so no

@@ -504,6 +504,19 @@ class TestReferenceProviderMemo:
         provider.pair(GEOM, np.append(sep[1:], 60.0), np.append(theta[1:], 0.0), GRID, ENV,
                       curves={"forces"})
         assert computed == [(1, {"forces", "damping_diag"}), (3, {"forces"})]
+        # only the forces read the heading: a query without them reuses the
+        # rows held at its separations whatever their headings, and a query
+        # with them computes each new heading
+        computed.clear()
+        turned = theta + 1.0
+        for curves in ({"added_mass_diag", "damping_cross"}, {"forces"}):
+            provider.pair(GEOM, sep, theta, GRID, ENV, curves=curves)
+            got = provider.pair(GEOM, sep[::-1], turned[::-1], GRID, ENV, curves=curves)
+            want = original(GEOM, sep[::-1], turned[::-1], GRID, ENV, curves=curves)
+            for name in curves:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert computed == [(3, {"added_mass_diag", "damping_cross"}), (3, {"forces"}),
+                            (3, {"forces"})]
 
 
 def test_pair_table_matches_pair_geometry():

@@ -293,6 +293,16 @@ def test_qbc_round_never_duplicates_inputs():
     assert len(rows) == 70
     with pytest.raises(ValueError, match="fewer unseen"):
         surrogate.qbc_round(com, aug.inputs[:15], 10, ORACLE)
+    # a point the pool holds twice is labelled once, and counts once as unseen
+    com = surrogate.train_committee(data, cfg)
+    twice = np.vstack([surrogate.sample_inputs("single", 5, 51)] * 2)
+    with pytest.raises(ValueError, match="fewer unseen"):
+        surrogate.qbc_round(com, twice, 6, ORACLE)
+    oracle = CountingOracle()
+    aug, _ = surrogate.qbc_round(com, twice, 4, oracle)
+    assert aug.n_samples == 64
+    assert len({row.tobytes() for row in aug.inputs}) == 64
+    assert oracle.single_calls == 4
 
 
 def test_qbc_round_pool_validation(damping_committee):
@@ -416,30 +426,55 @@ def test_one_map_label_sends_only_the_bessel_work_of_its_curve(target_id, monkey
 
 
 def test_one_row_pair_labels_derive_each_plant_once(monkeypatch):
-    # tensor_grid orders its rows by plant, 6 rows per plant here, and
+    # tensor_grid orders its rows by plant, 12 rows per plant here, and
     # labelling queries them one at a time: the oracle derives a plant's
-    # isolated body from its first pair query and holds it for the rest
-    inputs = surrogate.tensor_grid("pair", (2, 2, 3, 2))
-    assert inputs.shape[0] == 24
+    # isolated body from its first pair query and holds it for the rest.
+    # Heading is the innermost axis, and only the forces read it: a
+    # radiation map computes each separation once and takes its other
+    # headings from the memo, while an excitation map computes every row
+    inputs = surrogate.tensor_grid("pair", (2, 2, 3, 4))
+    assert inputs.shape[0] == 48
     assert len({tuple(row) for row in inputs[:, :2]}) == 4
-    calls = []
-    counted = hydro.single_coefficients
+    calls, computed = [], []
+    counted, original = hydro.single_coefficients, hydro.pair_coefficients
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return counted(*args, **kwargs)
 
+    def computing(geom, separation, heading_angle, grid, env, isolated=None,
+                  curves=hydro.PAIR_CURVES):
+        computed.append(np.size(separation))
+        return original(geom, separation, heading_angle, grid, env, isolated, curves)
+
     for tid in surrogate._TARGET_IDS["pair"]:
         monkeypatch.setattr(hydro, "single_coefficients", counting)
+        monkeypatch.setattr(hydro, "pair_coefficients", computing)
         calls.clear()
+        computed.clear()
         labels = surrogate.label_inputs(tid, inputs, GRID, ENV, hydro.ReferenceProvider())
         assert len(calls) == 4, tid
+        reads_heading = surrogate._MAPS[tid].reads == "forces"
+        assert computed == [1] * (48 if reads_heading else 12), tid
         monkeypatch.undo()
         for i in range(inputs.shape[0]):
             fresh = surrogate.label_inputs(
                 tid, inputs[i : i + 1], GRID, ENV, hydro.ReferenceProvider()
             )
             assert labels[i].tobytes() == fresh[0].tobytes(), (tid, i)
+
+
+@pytest.mark.parametrize("target_id", ["pair_damping_cross", "pair_excitation_re"])
+def test_validation_sends_one_oracle_query_per_grid_row(target_id):
+    # surrogate-train's timed item is one oracle pair query, and its
+    # validation sweep sends one per grid row: the memo spares a repeated
+    # separation its computation, not its query
+    oracle = CountingOracle()
+    cheat = surrogate.CheatingCommittee(target_id, GRID, ENV, ORACLE)
+    vm = surrogate.validate_on_grid(cheat, oracle, counts=(2, 2, 3, 4))
+    assert vm.mse.shape == (48,)
+    assert oracle.pair_rows == [1] * 48
+    assert oracle.pair_curves == [{surrogate._MAPS[target_id].reads}] * 48
 
 
 # The nine maps as they were defined before the map table, frozen: every
