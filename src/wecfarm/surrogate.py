@@ -303,19 +303,10 @@ class CommitteeConfig:
     hidden: tuple = (32, 32)
     epochs: int = 300
     round_epochs: int = 120
-    learning_rate: float = 2e-3
-    members: int = 5
-    bootstrap: float = 0.8
-    batch: int = 64
     seed: int = 0
-    min_samples: int = 50
 
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
-        if self.members < 3:
-            raise ValueError("committee needs at least 3 members")
-        if not 0.0 < self.bootstrap <= 1.0:
-            raise ValueError("bootstrap fraction must lie in (0, 1]")
 
 
 def default_config(target_id, seed=0):
@@ -333,6 +324,13 @@ def training_plan(kind):
 
 
 EDGE_FRACTION = 0.2
+# every committee's recipe: Adam's base step, members, each member's
+# bootstrap fraction, minibatch rows, and the fewest rows a fit takes
+LEARNING_RATE = 2e-3
+MEMBERS = 5
+BOOTSTRAP = 0.8
+BATCH = 64
+MIN_SAMPLES = 50
 
 
 def train_standard_committees(seed, grid, env, oracle, progress=None):
@@ -499,8 +497,8 @@ def _fit_members(committee, feats, targets, epochs, round_index):
     an active-learning round starts already annealed so the established
     weights are polished rather than kicked.
 
-    Each member takes ``epochs * (n_boot // min(batch, n_boot))`` Adam
-    steps in total, where ``n_boot = round(bootstrap * n_samples)``: the
+    Each member takes ``epochs * (n_boot // min(BATCH, n_boot))`` Adam
+    steps in total, where ``n_boot = round(BOOTSTRAP * n_samples)``: the
     ragged tail of every epoch is dropped (see ``nn.epoch_schedule``).
     ``member_mse`` is each member's final MSE over its own bootstrap
     rows, in scaled units.
@@ -508,8 +506,8 @@ def _fit_members(committee, feats, targets, epochs, round_index):
     z_in_all = committee.input_scaler.transform(feats)
     z_out_all = committee.output_scaler.transform(targets)
     n = feats.shape[0]
-    n_boot = max(1, int(round(committee.config.bootstrap * n)))
-    lr = committee.config.learning_rate
+    n_boot = max(1, int(round(BOOTSTRAP * n)))
+    lr = LEARNING_RATE
     if round_index == 0:
         segments = [(0.5, lr), (0.3, lr / 4.0), (0.2, lr / 16.0)]
     else:
@@ -519,7 +517,7 @@ def _fit_members(committee, feats, targets, epochs, round_index):
     for m in range(network.n_members):
         rng = np.random.default_rng([committee.config.seed, m, round_index])
         sel = rng.integers(0, n, n_boot)
-        schedule = nn.epoch_schedule(n_boot, committee.config.batch, epochs, rng)
+        schedule = nn.epoch_schedule(n_boot, BATCH, epochs, rng)
         x, y = z_in_all[sel], z_out_all[sel]
         steps = schedule.shape[0]
         pos = 0
@@ -535,10 +533,8 @@ def _fit_members(committee, feats, targets, epochs, round_index):
 
 def train_committee(dataset, config):
     """Fresh committee on a labelled dataset, deterministic per seed."""
-    if dataset.n_samples < config.min_samples:
-        raise ValueError(
-            f"dataset has {dataset.n_samples} samples, need at least {config.min_samples}"
-        )
+    if dataset.n_samples < MIN_SAMPLES:
+        raise ValueError(f"dataset has {dataset.n_samples} samples, need at least {MIN_SAMPLES}")
     kind = target_kind(dataset.target_id)
     kref = (
         _phase_reference(dataset.grid, dataset.env) if kind == "pair" else np.empty(0)
@@ -556,7 +552,7 @@ def train_committee(dataset, config):
     n_in = input_dimension(kind) + 2 * kref.size
     network = nn.Regressor.initialized(
         n_in, config.hidden, dataset.grid.n,
-        [np.random.default_rng([config.seed, m, 0]) for m in range(config.members)],
+        [np.random.default_rng([config.seed, m, 0]) for m in range(MEMBERS)],
     )
     committee = Committee(
         target_id=dataset.target_id,
@@ -595,7 +591,8 @@ def qbc_round(committee, pool, k, oracle):
         raise ValueError(f"cannot select {k} points from a pool of {pool.shape[0]}")
     dataset = committee.dataset
     if dataset is None:
-        raise ValueError("committee carries no dataset; reload it with its training data")
+        raise ValueError("a loaded committee carries no dataset, so it cannot take a QBC round;"
+                         " train a fresh one with `wecfarm surrogate train`")
 
     # a pool row is a candidate when neither the dataset nor an earlier
     # pool row holds it, so the pool's order and the tie-break are kept

@@ -28,7 +28,7 @@ def tiny_committees():
             )
             for tid in ids
         }
-        config = surrogate.CommitteeConfig(hidden=(8, 8), epochs=10, round_epochs=5, min_samples=10)
+        config = surrogate.CommitteeConfig(hidden=(8, 8), epochs=10, round_epochs=5)
         for tid in ids:
             tiny[tid] = surrogate.train_committee(datasets[tid], config)
     return tiny

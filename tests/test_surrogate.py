@@ -163,8 +163,8 @@ def _linear_dataset(n, seed):
 
 def test_committee_fits_linear_map():
     # 200 rows bootstrap to 160; at batch 64 that is 2 steps per epoch,
-    # so 1500 epochs give each member 3000 Adam steps
-    cfg = surrogate.CommitteeConfig(hidden=(16, 16), epochs=1500, learning_rate=5e-3, seed=2)
+    # so 2000 epochs give each member 4000 Adam steps
+    cfg = surrogate.CommitteeConfig(hidden=(16, 16), epochs=2000, seed=2)
     com = surrogate.train_committee(_linear_dataset(200, 0), cfg)
     assert len(com.member_mse) == 5
     fresh = _linear_dataset(100, 1)
@@ -175,7 +175,7 @@ def test_committee_fits_linear_map():
 
 
 def test_committee_deterministic():
-    cfg = surrogate.CommitteeConfig(hidden=(8, 8), epochs=30, members=3, seed=11)
+    cfg = surrogate.CommitteeConfig(hidden=(8, 8), epochs=30, seed=11)
     a = surrogate.train_committee(_linear_dataset(80, 5), cfg)
     b = surrogate.train_committee(_linear_dataset(80, 5), cfg)
     for wa, wb in zip(a.network.weights, b.network.weights, strict=True):
@@ -184,16 +184,8 @@ def test_committee_deterministic():
 
 
 def test_committee_minimum_samples():
-    cfg = surrogate.CommitteeConfig(min_samples=50)
     with pytest.raises(ValueError, match="at least 50"):
-        surrogate.train_committee(_linear_dataset(40, 0), cfg)
-
-
-def test_committee_config_validation():
-    with pytest.raises(ValueError, match="3 members"):
-        surrogate.CommitteeConfig(members=2)
-    with pytest.raises(ValueError, match="bootstrap"):
-        surrogate.CommitteeConfig(bootstrap=0.0)
+        surrogate.train_committee(_linear_dataset(40, 0), surrogate.CommitteeConfig())
 
 
 def test_zero_variance_dataset_warns_and_trains():
@@ -649,10 +641,17 @@ def test_committee_json_resave_is_byte_identical(tmp_path, damping_committee):
         assert first.read_bytes() == second.read_bytes()
     doc = json.loads(first.read_text())
     assert doc["rounds"] == 1 and len(doc["disagreement_history"]) == 1
-    assert doc["config"] == {
-        "hidden": [96, 96], "epochs": 3, "round_epochs": 2, "learning_rate": 2e-3,
-        "members": 5, "bootstrap": 0.8, "batch": 64, "seed": 2, "min_samples": 50,
-    }
+    assert doc["config"] == {"hidden": [96, 96], "epochs": 3, "round_epochs": 2, "seed": 2}
+
+
+def test_a_loaded_committee_refuses_a_qbc_round(tmp_path, damping_committee):
+    # the file holds no training rows, so there is nothing to refit on
+    path = tmp_path / "committee.json"
+    surrogate.save_committee(damping_committee, path)
+    back = surrogate.load_committee(path)
+    pool = surrogate.sample_inputs("single", 20, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="carries no dataset.*`wecfarm surrogate train`"):
+        surrogate.qbc_round(back, pool, 5, ORACLE)
 
 
 def test_loaded_committee_resaves_and_applies_byte_identically(tmp_path, tiny_committees):
@@ -717,17 +716,22 @@ def test_dataset_csv_round_trip(tmp_path):
 
 
 def test_a_committee_file_of_an_earlier_tree_resaves_byte_for_byte(tmp_path):
-    # written before the network held the only copy of the weights: a
-    # single map, hidden (8, 8), 3 members, 10 frequencies, one QBC round.
-    # Loading and saving parse and print floats and run no BLAS, so the
-    # bytes hold on any machine; the prediction's bytes are not compared
+    # written before the network held the only copy of the weights, and
+    # while the config block still carried the recipe: a single map,
+    # hidden (8, 8), 3 members, 10 frequencies, one QBC round. Loading and
+    # saving parse and print floats and run no BLAS, so the bytes hold on
+    # any machine; the prediction's bytes are not compared
     pinned = DATA / "committee_single_damping.json"
     committee = surrogate.load_committee(pinned)
     assert committee.network.sizes == [2, 8, 8, 10]
     assert committee.network.n_members == 3 and committee.rounds == 1
     resaved = tmp_path / "committee.json"
     surrogate.save_committee(committee, resaved)
-    assert resaved.read_bytes() == pinned.read_bytes()
+    # the re-save drops the retired recipe keys and keeps every other byte
+    doc = json.loads(pinned.read_text())
+    for key in ("learning_rate", "members", "bootstrap", "batch", "min_samples"):
+        del doc["config"][key]
+    assert resaved.read_bytes() == (json.dumps(doc) + "\n").encode()
     inputs = surrogate.sample_inputs("single", 4, 0)
     mean, disagreement = committee.apply(inputs)
     assert mean.shape == (4, 10) and np.all(np.isfinite(mean))
@@ -743,9 +747,7 @@ def tiny_provider():
     for kind, n in (("single", 80), ("pair", 100)):
         data = surrogate.build_datasets(kind, n, 17, GRID, ENV, ORACLE, edge_fraction=0.2)
         for tid, ds in data.items():
-            cfg = surrogate.CommitteeConfig(
-                hidden=(16, 16), epochs=60, learning_rate=3e-3, seed=13
-            )
+            cfg = surrogate.CommitteeConfig(hidden=(16, 16), epochs=60, seed=13)
             committees[tid] = surrogate.train_committee(ds, cfg)
     return surrogate.SurrogateProvider(committees)
 
