@@ -4,8 +4,10 @@ Every command reads structured JSON configuration, writes its numeric
 outputs deterministically (same config and seed give byte-identical
 files) and drops exactly one manifest.json in the run directory with
 input digests and timestamps. `--models DIR` selects the surrogate and
-its committees' grid, else the reference runs on the config's grid; a
-seed is a config key, but `analyze random-layouts` reads `--seed`. Exit
+its committees' grid, else the reference runs on the config's grid. The
+two commands that check a surrogate, `surrogate validate` and `analyze
+benchmark`, require `--models`. A seed is a config key, but `analyze
+random-layouts` reads `--seed`. Exit
 codes: 0 success, 1 configuration or validation problem, 2 runtime or
 numerical failure.
 """
@@ -33,9 +35,8 @@ MSE_GATE = 1e-2
 CONFIG_KEYS = {
     "sites build": ("bounds", "n_gq", "years", "site_id"),
     "surrogate train": ("frequency_count", "seed"),
-    "surrogate validate": ("frequency_count",),
     "optimize": ("study", "n_devices", "fixed_control", "ga", "inject_design", "frequency_count"),
-    "analyze benchmark": ("n", "n_devices", "seed", "frequency_count"),
+    "analyze benchmark": ("n", "n_devices", "seed"),
 }
 
 
@@ -304,24 +305,14 @@ def cmd_surrogate_train(args):
 
 
 def cmd_surrogate_validate(args):
-    config = _load_config(args, "surrogate validate")
-    run = Run(args, "surrogate validate", "validation", config)
+    run = Run(args, "surrogate validate", "validation", {})
+    committees = _load_committees(args.models, run)
 
-    env = hydro.Environment()
     oracle = hydro.ReferenceProvider()
     rows = []
     failed = []
-    if args.cheat:
-        grid = _frequency_grid(config)
-        sources = {
-            tid: surrogate.CheatingCommittee(tid, grid, env, oracle)
-            for tid in surrogate.ALL_TARGET_IDS
-        }
-    else:
-        sources = _load_committees(args.models, run)
-
     for tid in surrogate.ALL_TARGET_IDS:
-        vm = surrogate.validate_on_grid(sources[tid], oracle)
+        vm = surrogate.validate_on_grid(committees[tid], oracle)
         rows.append({"target_id": tid, "mean_mse": vm.mean, "max_mse": vm.max})
         print(f"{tid}: mean={vm.mean:.3e} max={vm.max:.3e}", flush=True)
         if vm.mean > MSE_GATE:
@@ -454,22 +445,19 @@ def cmd_optimize(args):
 def cmd_analyze_benchmark(args):
     config = _load_config(args, "analyze benchmark")
     seed = _config_int(config, "seed", 0)
+    n = _config_int(config, "n", 1000)
+    n_devices = _config_int(config, "n_devices", 5)
     run = Run(args, "analyze benchmark", "benchmark", config, seed)
 
     site = _load_site(args.site, run)
-    # with --cheat, a second reference instance, so the comparison does
-    # not read the first one's memo of the same query
-    against, grid = _provider(args, run, config)
-    mode = "cheating-reference" if args.cheat else against.name
-
-    n = _config_int(config, "n", 1000)
+    provider = surrogate.SurrogateProvider(_load_committees(args.models, run))
     stats = optimize.power_error_benchmark(
-        n, grid, hydro.Environment(), hydro.ReferenceProvider(), against, site,
-        n_devices=_config_int(config, "n_devices", 5), seed=seed,
+        n, provider.grid, hydro.Environment(), hydro.ReferenceProvider(), provider, site,
+        n_devices=n_devices, seed=seed,
     )
     run.json("benchmark.json", {
         "schema_version": 1,
-        "mode": mode,
+        "mode": provider.name,
         "n": n,
         "seed": seed,
         "skipped": stats.skipped,
@@ -483,7 +471,7 @@ def cmd_analyze_benchmark(args):
     svg.write_histogram(
         run.path("error_histogram.svg"),
         stats.errors,
-        title=f"relative objective error ({mode})",
+        title=f"relative objective error ({provider.name})",
         xlabel="|pv_s - pv_r| / pv_r",
     )
     svg.write_scatter(
@@ -494,7 +482,7 @@ def cmd_analyze_benchmark(args):
         ylabel="surrogate p_v [W/m^3]",
     )
     run.finish()
-    print(f"benchmark ({mode}): p50={stats.percentiles[50]:.3e} "
+    print(f"benchmark ({provider.name}): p50={stats.percentiles[50]:.3e} "
           f"p95={stats.percentiles[95]:.3e} p99={stats.percentiles[99]:.3e} "
           f"skipped={stats.skipped}")
     return 0
@@ -594,13 +582,6 @@ def cmd_eval(args):
 MODELS_HELP = "committee directory (committee_*.json): selects the surrogate and its grid"
 
 
-def _models_or_cheat(parser, cheat_help):
-    """Exactly one of --models and --cheat, for the commands that check a surrogate."""
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--models", default=None, help=MODELS_HELP)
-    group.add_argument("--cheat", action="store_true", help=cheat_help)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wecfarm",
@@ -637,8 +618,7 @@ def build_parser():
     train.add_argument("--config", default=None, help="JSON training overrides")
     train.set_defaults(func=cmd_surrogate_train)
     val = sur.add_parser("validate", parents=[common], help="grid MSE of stored committees vs the reference")
-    _models_or_cheat(val, "validate the oracle against itself (must be exactly zero)")
-    val.add_argument("--config", default=None)
+    val.add_argument("--models", required=True, help=MODELS_HELP)
     val.set_defaults(func=cmd_surrogate_validate)
 
     opt = sub.add_parser("optimize", parents=[provider], help="run one GA study")
@@ -651,7 +631,7 @@ def build_parser():
     )
     bench = ana.add_parser("benchmark", parents=[common],
                            help="surrogate-vs-reference objective error")
-    _models_or_cheat(bench, "benchmark the reference against itself (errors exactly zero)")
+    bench.add_argument("--models", required=True, help=MODELS_HELP)
     bench.add_argument("--config", default=None)
     bench.add_argument("--site", required=True)
     bench.set_defaults(func=cmd_analyze_benchmark)

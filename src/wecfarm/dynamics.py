@@ -95,8 +95,9 @@ def solve_motion(coeffs, geom, pto, env):
 
     Assembles the impedance matrix at every grid frequency and solves
     the dense complex systems in one batch. The residual of every solve
-    is checked against 1e-9 ``|F_e|``; a singular system is reported
-    with its frequency.
+    is checked against 1e-9 ``|F_e|``, and a NaN residual fails the
+    check; a singular or non-finite system is reported with its
+    frequency.
     """
     om = coeffs.grid.values
     n_wec = coeffs.n_devices
@@ -122,9 +123,10 @@ def solve_motion(coeffs, geom, pto, env):
     except np.linalg.LinAlgError:
         motion = _solve_identifying_failure(lhs, coeffs.excitation, om)
     resid = np.abs(np.matmul(lhs, motion[:, :, None])[:, :, 0] - coeffs.excitation)
-    bad = resid.max(axis=1) > 1e-9 * np.maximum(
+    # written so that a NaN residual fails too
+    bad = ~(resid.max(axis=1) <= 1e-9 * np.maximum(
         np.abs(coeffs.excitation).max(axis=1), 1e-300
-    )
+    ))
     if bad.any():
         raise NumericalError(
             f"motion solve residual too large at omega={om[np.argmax(bad)]:.6g}"

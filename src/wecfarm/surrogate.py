@@ -18,6 +18,7 @@ committee members disagree most.
 """
 
 import json
+import math
 import warnings
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
@@ -158,8 +159,8 @@ _INPUT_BOXES = {kind: input_box(kind) for kind in ("single", "pair")}
 def outside_box(kind, inputs):
     """Per-row flag: does the input leave the training rectangle?
 
-    Committees do not ask it, so the committees of one query share one
-    check of their inputs.
+    Committees do not ask it, and no query checks its inputs yet: nothing
+    in the package calls it.
     """
     box = _INPUT_BOXES[kind]
     return np.any((inputs < box[None, :, 0]) | (inputs > box[None, :, 1]), axis=1)
@@ -846,8 +847,16 @@ def save_committee(committee, path):
 
 
 def load_committee(path):
+    def finite(token):
+        # plain json.load reads NaN, Infinity and 1e999 as floats, and a
+        # committee holding one predicts NaN without an error
+        value = float(token)
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: non-finite number {token} in a committee file")
+        return value
+
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_float=finite, parse_constant=finite)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported committee schema {doc.get('schema_version')!r}")
     # keys of retired options, such as "use_adam", are ignored

@@ -453,23 +453,25 @@ def test_optimize_injection_without_a_known_study_is_config_error(
     assert "study must be one of" in capsys.readouterr().err
 
 
-def test_benchmark_cheating_is_exactly_zero(site_path, tmp_path, capsys):
+def test_benchmark_writes_its_artifacts(site_path, models_path, tmp_path, capsys):
+    # the exact zero of the reference against itself is pinned in
+    # test_optimize, below the command
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"n": 100, "n_devices": 3, "seed": 5}))
     out = str(tmp_path / "run")
     rc = cli.main([
-        "analyze", "benchmark", "--cheat", "--config", str(cfg),
+        "analyze", "benchmark", "--models", models_path, "--config", str(cfg),
         "--site", site_path, "--out-dir", out,
     ])
     assert rc == 0
     capsys.readouterr()
     doc = json.load(open(os.path.join(out, "benchmark.json")))
-    assert doc["percentiles"]["99"] == 0.0
-    assert doc["skipped"] == 0
+    assert (doc["mode"], doc["n"], doc["seed"], doc["skipped"]) == ("surrogate", 100, 5, 0)
     header, rows = read_numeric_csv(os.path.join(out, "errors.csv"))
     assert header == ["pv_reference", "pv_surrogate", "relative_error"]
     assert len(rows) == 100
-    assert all(ref == sur and err == 0.0 for ref, sur, err in rows)
+    assert all(err == abs(sur - ref) / ref for ref, sur, err in rows)
+    assert doc["percentiles"]["99"] == np.percentile([row[2] for row in rows], 99)
     assert os.path.exists(os.path.join(out, "error_histogram.svg"))
     assert os.path.exists(os.path.join(out, "scatter.svg"))
     manifest = assert_manifest_complete(out)
@@ -477,11 +479,13 @@ def test_benchmark_cheating_is_exactly_zero(site_path, tmp_path, capsys):
 
 
 def test_benchmark_without_models_is_config_error(site_path, tmp_path, capsys):
+    # --cheat, which benchmarked the reference against itself, is retired
     out = tmp_path / "run"
-    rc = cli.main(["analyze", "benchmark", "--site", site_path, "--out-dir", str(out)])
-    assert rc == 1
-    assert "one of the arguments --models --cheat is required" in capsys.readouterr().err
-    assert not out.exists()
+    for flags in ([], ["--cheat"]):
+        rc = cli.main(["analyze", "benchmark", *flags, "--site", site_path, "--out-dir", str(out)])
+        assert rc == 1
+        assert "the following arguments are required: --models" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_random_layouts_deterministic(site_path, design_path, tmp_path, capsys):
@@ -574,7 +578,8 @@ def test_surrogate_validate_ignores_a_retired_model_file(tiny_committees, tmp_pa
     ("sites build", {"bounds": [[0.3, 6.0], [3.5, 13.0]], "frequency_cout": 30}, "frequency_cout"),
     ("surrogate train", {"frequency_cout": 30}, "frequency_cout"),
     ("surrogate train", {"kinds": ["single", "pair"]}, "kinds"),
-    ("surrogate validate", {"frequency_count": 10, "frequency_cout": 30}, "frequency_cout"),
+    # analyze benchmark always runs on --models, so frequency_count is retired there
+    ("analyze benchmark", {"n": 10, "n_devices": 3, "frequency_count": 30}, "frequency_count"),
     ("optimize", {"study": "II", "ga": {"population": 4, "generations": 1}, "frequency_cout": 30},
      "frequency_cout"),
     ("optimize", {"study": "II", "ga": {"population": 4, "generations": 1},
@@ -602,11 +607,12 @@ def assert_config_error(command, config, message, site_path, tmp_path, monkeypat
     monkeypatch.setattr(surrogate, "train_standard_committees", no_training)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
+    # keys are read before the models, so a missing model directory is
+    # never opened
     inputs = {
         "sites build": ["--records", os.path.join(DATA, "site_alpha.csv")],
-        "surrogate validate": ["--cheat"],
         "optimize": ["--site", site_path],
-        "analyze benchmark": ["--cheat", "--site", site_path],
+        "analyze benchmark": ["--models", str(tmp_path / "no_models"), "--site", site_path],
     }.get(command, [])
     out = tmp_path / "run"
     rc = cli.main(command.split() + ["--config", str(cfg), "--out-dir", str(out)] + inputs)
@@ -635,7 +641,7 @@ QUICK_GA = {"population": 4, "generations": 1}
     ("sites build", {"bounds": BOUNDS, "years": True}, "years"),
     ("sites build", {"bounds": BOUNDS, "site_id": 5}, "site_id"),
     ("surrogate train", {"seed": 0.5}, "seed"),
-    ("surrogate validate", {"frequency_count": None}, "frequency_count"),
+    ("surrogate train", {"frequency_count": None}, "frequency_count"),
     ("analyze benchmark", {"n": 10.5, "n_devices": 3}, "n"),
     ("analyze benchmark", {"n": 10, "n_devices": [3]}, "n_devices"),
     ("analyze benchmark", {"n": 10, "n_devices": 3, "seed": "1"}, "seed"),
@@ -673,18 +679,33 @@ def test_a_config_that_is_not_an_object_is_config_error(site_path, tmp_path, cap
 
 
 def test_surrogate_validate_without_models_or_cheat_is_config_error(tmp_path, capsys):
+    # --cheat, which validated the oracle against itself, is retired
     out = tmp_path / "val"
-    rc = cli.main(["surrogate", "validate", "--out-dir", str(out)])
+    for flags in ([], ["--cheat"]):
+        rc = cli.main(["surrogate", "validate", *flags, "--out-dir", str(out)])
+        assert rc == 1
+        assert "the following arguments are required: --models" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_surrogate_validate_takes_no_config(tmp_path, capsys):
+    # it reads no key: the committees bring their grid
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    out = tmp_path / "val"
+    rc = cli.main([
+        "surrogate", "validate", "--models", str(tmp_path / "no_models"), "--config", str(cfg),
+        "--out-dir", str(out),
+    ])
     assert rc == 1
-    assert "one of the arguments --models --cheat is required" in capsys.readouterr().err
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command, config, reads", [
-    ("surrogate validate", {}, "reads no key"),
     ("optimize", {"study": "II", "ga": QUICK_GA}, "reads study, n_devices"),
     ("analyze benchmark", {"n": 10, "n_devices": 3}, "reads n, n_devices, seed"),
-], ids=["surrogate validate", "optimize", "analyze benchmark"])
+], ids=["optimize", "analyze benchmark"])
 def test_with_models_frequency_count_is_no_config_key(site_path, tmp_path, capsys, command,
                                                        config, reads):
     # stored committees bring their own grid; a key that would be ignored
@@ -692,10 +713,9 @@ def test_with_models_frequency_count_is_no_config_key(site_path, tmp_path, capsy
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**config, "frequency_count": 30}))
     out = tmp_path / "run"
-    site = [] if command == "surrogate validate" else ["--site", site_path]
     rc = cli.main([
         *command.split(), "--models", str(tmp_path / "no_models"), "--config", str(cfg),
-        *site, "--out-dir", str(out),
+        "--site", site_path, "--out-dir", str(out),
     ])
     assert rc == 1
     err = capsys.readouterr().err
@@ -713,7 +733,7 @@ def test_models_and_cheat_together_is_config_error(site_path, tmp_path, capsys, 
         "--out-dir", str(out),
     ])
     assert rc == 1
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert "unrecognized arguments: --cheat" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -759,16 +779,45 @@ def test_models_select_the_surrogate_and_its_grid(
     capsys.readouterr()
 
 
-def test_surrogate_validate_cheat_is_zero(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"frequency_count": 30}))
-    out = str(tmp_path / "run")
+def test_a_committee_file_with_nan_is_config_error(
+    site_path, design_path, models_path, tmp_path, capsys
+):
+    # json.load reads NaN as a float; the committee would predict NaN and
+    # eval would report a null p_v as feasible
+    models = tmp_path / "models"
+    models.mkdir()
+    for tid in surrogate.ALL_TARGET_IDS:
+        doc = json.load(open(os.path.join(models_path, f"committee_{tid}.json")))
+        if tid == "single_damping":
+            doc["members"][0]["weights"][0][0] = float("nan")
+        (models / f"committee_{tid}.json").write_text(json.dumps(doc))
+    out = tmp_path / "run"
     rc = cli.main([
-        "surrogate", "validate", "--cheat", "--config", str(cfg), "--out-dir", out,
+        "eval", "--design", design_path, "--site", site_path, "--models", str(models),
+        "--out-dir", str(out),
     ])
-    assert rc == 0
-    capsys.readouterr()
-    doc = json.load(open(os.path.join(out, "validation.json")))
-    assert doc["failed"] == []
-    assert all(row["mean_mse"] == 0.0 for row in doc["maps"])
-    assert len(doc["maps"]) == 9
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{models / 'committee_single_damping.json'}: non-finite number NaN" in err
+    assert not out.exists()
+
+
+def test_surrogate_validate_writes_one_map_per_committee(models_path, tmp_path, capsys):
+    # the exact zero of the oracle against itself is pinned in
+    # test_surrogate, below the command
+    out = tmp_path / "val"
+    rc = cli.main(["surrogate", "validate", "--models", models_path, "--out-dir", str(out)])
+    assert rc == 2
+    assert "above the" in capsys.readouterr().err
+    doc = json.load(open(out / "validation.json"))
+    assert doc["gate"] == cli.MSE_GATE
+    assert [row["target_id"] for row in doc["maps"]] == list(surrogate.ALL_TARGET_IDS)
+    assert doc["failed"] == [row["target_id"] for row in doc["maps"]
+                             if row["mean_mse"] > cli.MSE_GATE] != []
+    manifest = assert_manifest_complete(str(out))
+    assert sorted(os.path.basename(p) for p in manifest["outputs"]) == sorted(
+        [f"mse_{tid}.svg" for tid in surrogate.ALL_TARGET_IDS] + ["validation.json"]
+    )
+    assert sorted(os.path.basename(p) for p in manifest["inputs"]) == sorted(
+        f"committee_{tid}.json" for tid in surrogate.ALL_TARGET_IDS
+    )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,15 @@ class TestSolveMotion:
         pto = dynamics.PtoSettings(0.0, 0.0)
         with pytest.raises(NumericalError, match="omega=1"):
             dynamics.solve_motion(coeffs, geom, pto, ENV)
+
+    def test_nan_coefficient_identifies_frequency(self):
+        # a NaN residual compares False against any bound, so the check
+        # must be written to fail on it rather than pass
+        grid = FrequencyGrid.default(count=30)
+        farm = farm_for([[0.0, 0.0], [40.0, 10.0], [90.0, -20.0]], grid)
+        added_mass = farm.added_mass.copy()
+        added_mass[7, 0, 1] = np.nan
+        coeffs = replace(farm, added_mass=added_mass)
+        pto = dynamics.PtoSettings(-6e4, 8e4)
+        with pytest.raises(NumericalError, match=f"omega={grid.values[7]:.6g}"):
+            dynamics.solve_motion(coeffs, GEOM, pto, ENV)

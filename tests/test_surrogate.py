@@ -308,11 +308,13 @@ def test_qbc_round_pool_validation(damping_committee):
 
 
 def test_cheating_committee_validates_to_exact_zero():
-    cheat = surrogate.CheatingCommittee("pair_damping_cross", GRID, ENV, ORACLE)
-    vm = surrogate.validate_on_grid(cheat, hydro.ReferenceProvider(), counts=(3, 3, 4, 3))
-    assert vm.max == 0.0
-    assert vm.mean == 0.0
-    assert vm.mse.shape == (108,)
+    # the oracle validated against itself, for every map on a small grid
+    for target_id in surrogate.ALL_TARGET_IDS:
+        cheat = surrogate.CheatingCommittee(target_id, GRID, ENV, ORACLE)
+        counts = (3, 3) if surrogate.target_kind(target_id) == "single" else (3, 3, 4, 3)
+        vm = surrogate.validate_on_grid(cheat, hydro.ReferenceProvider(), counts=counts)
+        assert (vm.max, vm.mean) == (0.0, 0.0), target_id
+        assert vm.mse.shape == (int(np.prod(counts)),), target_id
 
 
 def test_validate_on_grid_blocking_keeps_bits(damping_committee, monkeypatch):
@@ -736,6 +738,19 @@ def test_a_committee_file_of_an_earlier_tree_resaves_byte_for_byte(tmp_path):
     mean, disagreement = committee.apply(inputs)
     assert mean.shape == (4, 10) and np.all(np.isfinite(mean))
     assert np.all(disagreement >= 0.0) and not surrogate.outside_box("single", inputs).any()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_a_committee_file_with_a_non_finite_weight_is_refused(tmp_path, token):
+    # json.load reads all four as floats; loaded, the committee would
+    # predict NaN means and disagreement without an error
+    pinned = DATA / "committee_single_damping.json"
+    doc = json.loads(pinned.read_text())
+    doc["members"][0]["weights"][0][0] = "WEIGHT"
+    broken = tmp_path / "committee_single_damping.json"
+    broken.write_text(json.dumps(doc).replace('"WEIGHT"', token))
+    with pytest.raises(ValueError, match=f"{broken}: non-finite number {token}"):
+        surrogate.load_committee(broken)
 
 
 # --- provider -------------------------------------------------------------
